@@ -122,6 +122,13 @@ def _config_from_file(path: str) -> JobConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    try:
+        return _coerce_config(doc)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config {path!r} has a value of the wrong type: {exc}") from None
+
+
+def _coerce_config(doc: dict) -> JobConfig:
     cfg = JobConfig()
     cfg.family = doc.get("family")
     cfg.extension = doc.get("extension")
@@ -258,12 +265,9 @@ def cmd_families_list(args) -> int:
     return EXIT_PASS
 
 
-def _oracle_rows(fp: FamilyParams, ks, box) -> list:
-    lam = verify.fd_spectrum(fp, box, max(ks) + 1)
-    return [lam[k] - lam[0] for k in ks]
-
-
-def cmd_spectrum(args) -> int:
+def _energy_table(args, oracle: bool):
+    """Config, family, admissible levels up to --kmax, E_k, tolerance, and,
+    if asked, the FD box with its gaps lambda_k - lambda_0."""
     cfg = _job_config(args)
     fp = _need_family(_build_target(cfg))
     ks = spectra.admissible_range(fp).levels(args.kmax)
@@ -271,12 +275,16 @@ def cmd_spectrum(args) -> int:
         raise ValidationError(f"family {fp.id!r} has no admissible levels here")
     energies = [spectra.eigenenergy(fp, k) for k in ks]
     tol = cfg.tol if cfg.tol is not None else _ORACLE_TOL
-    gaps = None
-    box = None
-    if args.oracle:
-        box = (verify.OracleSpec(*cfg.oracle) if cfg.oracle
-               else verify.reference_oracle(fp))
-        gaps = _oracle_rows(fp, ks, box)
+    box = gaps = None
+    if oracle:
+        box = verify.OracleSpec(*cfg.oracle) if cfg.oracle else verify.reference_oracle(fp)
+        lam = verify.fd_spectrum(fp, box, max(ks) + 1)
+        gaps = [lam[k] - lam[0] for k in ks]
+    return cfg, fp, ks, energies, tol, box, gaps
+
+
+def cmd_spectrum(args) -> int:
+    cfg, fp, ks, energies, tol, box, gaps = _energy_table(args, args.oracle)
     if cfg.fmt == "json":
         out = {
             "family": fp.id,
@@ -336,9 +344,10 @@ def cmd_wavefunction(args) -> int:
     return EXIT_PASS
 
 
-def _family_report(fp: FamilyParams, report, grid, tol: float, as_json: bool,
-                   extra: Optional[dict] = None) -> int:
-    out = verify.report_json(fp, report, grid)
+def _check_report(target, report, grid, tol: float, as_json: bool,
+                  extra: Optional[dict] = None) -> int:
+    """One residual report line (or JSON object) for a family or an extension."""
+    out = verify.report_json(target, report, grid)
     out["tol"] = tol
     passed = report.max_residual <= tol
     out["pass"] = bool(passed)
@@ -347,30 +356,8 @@ def _family_report(fp: FamilyParams, report, grid, tol: float, as_json: bool,
     if as_json:
         print(_dumps(out))
     else:
-        print(f"family={fp.id} max_residual={_fmt(report.max_residual)} "
-              f"mean={_fmt(report.mean_residual)} argmax_x={_fmt(report.argmax_x)} "
-              f"tol={_fmt(tol)} {'PASS' if passed else 'FAIL'}")
-    return EXIT_PASS if passed else EXIT_TOLERANCE
-
-
-def _extension_report(spec: ExtensionSpec, report, grid, tol: float,
-                      as_json: bool) -> int:
-    a, b, n = grid
-    passed = report.max_residual <= tol
-    out = {
-        "family": spec.ext_id,
-        "params": {"eps": spec.eps, "rho": spec.rho, "ell": spec.ell},
-        "residual_max": report.max_residual,
-        "residual_mean": report.mean_residual,
-        "argmax_x": report.argmax_x,
-        "grid": {"a": a, "b": b, "N": n},
-        "tol": tol,
-        "pass": bool(passed),
-    }
-    if as_json:
-        print(_dumps(out))
-    else:
-        print(f"extension={spec.ext_id} max_residual={_fmt(report.max_residual)} "
+        kind = "family" if isinstance(target, FamilyParams) else "extension"
+        print(f"{kind}={out['family']} max_residual={_fmt(report.max_residual)} "
               f"mean={_fmt(report.mean_residual)} argmax_x={_fmt(report.argmax_x)} "
               f"tol={_fmt(tol)} {'PASS' if passed else 'FAIL'}")
     return EXIT_PASS if passed else EXIT_TOLERANCE
@@ -386,12 +373,12 @@ def cmd_verify(args) -> int:
         fp = _need_family(target)
         grid = cfg.grid if cfg.grid else verify.default_grid(fp)
         report = verify.si_residual(fp, grid)
-        return _family_report(fp, report, grid, tol, as_json)
+        return _check_report(fp, report, grid, tol, as_json)
     if which == "ladder":
         fp = _need_family(target)
         report = verify.ladder_check(fp, args.k)
         grid = cfg.grid if cfg.grid else verify.default_grid(fp, 801)
-        return _family_report(fp, report, grid, tol, as_json, extra={"k": args.k})
+        return _check_report(fp, report, grid, tol, as_json, extra={"k": args.k})
     if which == "orthonormal":
         fp = _need_family(target)
         gram = verify.orthonormality(fp, args.kmax)
@@ -421,19 +408,11 @@ def cmd_verify(args) -> int:
         report = extensions.check_cond2(spec, grid)
     else:
         report = extensions.extended_si_check(spec, grid)
-    return _extension_report(spec, report, grid, tol, as_json)
+    return _check_report(spec, report, grid, tol, as_json)
 
 
 def cmd_oracle_compare(args) -> int:
-    cfg = _job_config(args)
-    fp = _need_family(_build_target(cfg))
-    ks = spectra.admissible_range(fp).levels(args.kmax)
-    if not ks:
-        raise ValidationError(f"family {fp.id!r} has no admissible levels here")
-    tol = cfg.tol if cfg.tol is not None else _ORACLE_TOL
-    box = verify.OracleSpec(*cfg.oracle) if cfg.oracle else verify.reference_oracle(fp)
-    energies = [spectra.eigenenergy(fp, k) for k in ks]
-    gaps = _oracle_rows(fp, ks, box)
+    cfg, fp, ks, energies, tol, box, gaps = _energy_table(args, True)
     devs = [abs(g - e) for g, e in zip(gaps, energies)]
     passed = max(devs) <= tol
     if cfg.fmt == "json":

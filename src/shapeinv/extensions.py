@@ -22,20 +22,20 @@ import numpy as np
 from . import dual
 from .dual import Dual, derivative, seed, value
 from .errors import DenominatorZero, ValidationError
-from .families import ConstructionData, Domain, _coupling_sums, _make_domain
+from .families import (_FOLD_BETA_MEAN, _FOLD_BETA_MEAN_NEG, _FOLD_D_MEAN, _FOLD_D_ONLY,
+                       ConstructionData, Domain, _fold, _make_domain)
 from .specfun import hyp1f1_terminating, hyp2f1_terminating, jacobi_p, laguerre_l
-from .verify import GridReport
+from .verify import GridReport, _report
 
 MAX_ELL = 8
 
 _INF = float("inf")
 _PI = math.pi
 
-# fold styles: how (M, I_j, beta_j, d_j) collapse per case
-_FOLD_PLUS_BETA = "eps = M + sum beta_j I_j, rho = sum d_j I_j"
-_FOLD_MINUS_BETA = "eps = M - sum beta_j I_j, rho = sum d_j I_j"
-_FOLD_D = "eps = M + sum d_j I_j, rho = half sum beta_j I_j"
-_FOLD_D_ONLY = "eps = M + sum d_j I_j"
+# the fold styles shared with the base families, under the case table's names
+_FOLD_PLUS_BETA = _FOLD_BETA_MEAN
+_FOLD_MINUS_BETA = _FOLD_BETA_MEAN_NEG
+_FOLD_D = _FOLD_D_MEAN
 
 
 @dataclass(frozen=True)
@@ -288,24 +288,6 @@ def _structural_constants(case: int, e: float, r: float, l: int):
     return ()
 
 
-def _fold_case(case: int, data: ConstructionData) -> tuple[float, float]:
-    cs = CASE_SPECS[case]
-    if data.rho_invariant is not None:
-        raise ValidationError("extension cases take no rho_invariant")
-    mean, sum_beta, sum_d = _coupling_sums(data)
-    if cs.fold == _FOLD_PLUS_BETA:
-        return mean + sum_beta, sum_d
-    if cs.fold == _FOLD_MINUS_BETA:
-        return mean - sum_beta, sum_d
-    if cs.fold == _FOLD_D:
-        return mean + sum_d, 0.5 * sum_beta
-    # d-only fold: the case has no second parameter at all
-    if any(c.beta != 0.0 for c in data.couplings):
-        raise ValidationError(
-            f"case {case} uses only the d_j coupling constants; set beta_j = 0")
-    return mean + sum_d, 0.0
-
-
 def _scan_denominators(case: int, e: float, r: float, l: int,
                        window: tuple[float, float], n: int) -> None:
     """Reject parameter sets whose bottoms vanish somewhere on the window.
@@ -379,7 +361,13 @@ def build_extension(case, data: ConstructionData, ell: Optional[int] = None,
     elif ell not in (None, 0):
         raise ValidationError(f"case {num} does not take an ell degree")
     l = ell if cs.uses_ell else 0
-    eps, rho = _fold_case(num, data)
+    if data.rho_invariant is not None:
+        raise ValidationError("extension cases take no rho_invariant")
+    # d-only fold: the case has no second parameter at all
+    if cs.fold == _FOLD_D_ONLY and any(c.beta != 0.0 for c in data.couplings):
+        raise ValidationError(
+            f"case {num} uses only the d_j coupling constants; set beta_j = 0")
+    eps, rho, _ = _fold(cs.fold, data)
     for name, v in (("eps", eps), ("rho", rho)):
         if not math.isfinite(v):
             raise ValidationError(f"folded parameter {name} is not finite: {v}")
@@ -482,14 +470,6 @@ def _grid_points(spec: ExtensionSpec, grid) -> np.ndarray:
     return xs
 
 
-def _pack(xs: np.ndarray, res: list) -> GridReport:
-    arr = np.asarray(res, dtype=float)
-    idx = int(np.argmax(arr))
-    return GridReport(max_residual=float(arr[idx]), mean_residual=float(arr.mean()),
-                      argmax_x=float(xs[idx]), points_used=int(arr.size),
-                      points_excluded=0)
-
-
 def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     """Compare the minus display at eps with the plus display at eps - 1.
 
@@ -503,7 +483,7 @@ def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
         minus = _w1(case, -1, float(x), e, r, l)
         plus_down = _w1(case, 1, float(x), e - 1, r, l)
         res.append(abs(minus - plus_down) / (1.0 + abs(plus_down)))
-    return _pack(xs, res)
+    return _report(xs, np.asarray(res, dtype=float), 0)
 
 
 def _cond1_l(case: int, x: float, e, r, l):
@@ -535,7 +515,7 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
         r_up = abs(l_up) / (1.0 + abs(w0_up) ** 2)
         r_dn = abs(l_dn) / (1.0 + abs(w0_dn) ** 2)
         res.append(max(r_up, r_dn, abs(l_up - l_dn)))
-    return _pack(xs, res)
+    return _report(xs, np.asarray(res, dtype=float), 0)
 
 
 def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
@@ -554,4 +534,4 @@ def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
         v_plus = value(up) ** 2 + derivative(up)
         v_down = value(dn) ** 2 - derivative(dn)
         res.append(abs(v_plus - v_down - shift_const) / (1.0 + abs(v_down)))
-    return _pack(xs, res)
+    return _report(xs, np.asarray(res, dtype=float), 0)

@@ -6,7 +6,8 @@ families take the linear form k = sum_j I_j v_j(x) + M G(x) built from a
 Riccati solution G (G' + G^2 = alpha) and first-order solutions v_j
 (v_j' + v_j G = beta_j); five more take the ratio form k = rho/eps + eps G.
 The invariants I_j enter only through the folded effective parameters
-(eps, rho) or (beta, rho).
+(eps, rho) or (beta, rho).  Each family is written down once, as its
+FamilySpec record in FAMILY_SPECS.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import EvalDomainError, RangeViolation, UnverifiedInvariant, Valida
 from .invariants import InvariantExpr, ParamVector, eval_invariant
 
 _INF = float("inf")
+_PI = math.pi
 
 
 @dataclass(frozen=True)
@@ -90,59 +93,261 @@ class ConstructionData:
                     f"but the vector has n={self.p.n}")
 
 
-# Fold styles: how (M, I_j, beta_j, d_j) collapse to effective parameters.
-_FOLD_BETA_MEAN = "eps = M + sum beta_j I_j"
+# Fold styles: how (M, I_j, beta_j, d_j) collapse to the effective
+# parameters; the base families and the extension cases share them.
+_FOLD_BETA_MEAN = "eps = M + sum beta_j I_j, rho = sum d_j I_j"
+_FOLD_BETA_MEAN_NEG = "eps = M - sum beta_j I_j, rho = sum d_j I_j"
 _FOLD_D_MEAN = "eps = M + sum d_j I_j, rho = half sum beta_j I_j"
-_FOLD_SLOPE = "beta = sum beta_j I_j"
-_FOLD_BETA_MEAN_NEG = "eps = M - sum beta_j I_j"
+_FOLD_D_ONLY = "eps = M + sum d_j I_j"
+_FOLD_SLOPE = "beta = sum beta_j I_j, rho = sum d_j I_j"
 _FOLD_RATIO = "eps = M + sum d_j I_j, rho = extra invariant"
+
+
+def _coupling_sums(data: ConstructionData) -> tuple[float, float, float]:
+    values = [eval_invariant(c.invariant, data.p) for c in data.couplings]
+    sum_beta = math.fsum(c.beta * v for c, v in zip(data.couplings, values))
+    sum_d = math.fsum(c.d * v for c, v in zip(data.couplings, values))
+    return data.p.mean, sum_beta, sum_d
+
+
+def _fold(style: str, data: ConstructionData) -> tuple[float, float, float]:
+    """Return (eps, rho, beta) under one fold style.
+
+    Only the ratio fold reads rho_invariant; callers check its presence.
+    """
+    mean, sum_beta, sum_d = _coupling_sums(data)
+    if style == _FOLD_BETA_MEAN:
+        return mean + sum_beta, sum_d, 0.0
+    if style == _FOLD_BETA_MEAN_NEG:
+        return mean - sum_beta, sum_d, 0.0
+    if style == _FOLD_D_MEAN:
+        return mean + sum_d, 0.5 * sum_beta, 0.0
+    if style == _FOLD_D_ONLY:
+        return mean + sum_d, 0.0, 0.0
+    if style == _FOLD_RATIO:
+        return mean + sum_d, eval_invariant(data.rho_invariant, data.p), 0.0
+    # slope fold: no dependence on the mean at all
+    return 0.0, sum_d, sum_beta
+
+
+def _sech(x):
+    return 1.0 / np.cosh(x)
+
+
+def _csch(x):
+    return 1.0 / np.sinh(x)
+
+
+def _sec(x):
+    return 1.0 / np.cos(x)
+
+
+def _csc(x):
+    return 1.0 / np.sin(x)
+
+
+def _one(x):
+    return np.asarray(x, dtype=float) * 0 + 1.0
+
+
+# Riccati solutions: c*G(x) and c*G'(x), with G' + G^2 = alpha.  The scale
+# sits inside each expression so that a ratio family's eps*G rounds exactly
+# like its printed k (eps/tanh(x), not eps*(1/tanh(x))).
+
+def _g_tanh(x, c=1.0):
+    return c * np.tanh(x), c * _sech(x) ** 2
+
+
+def _g_coth(x, c=1.0):
+    return c / np.tanh(x), -c * _csch(x) ** 2
+
+
+def _g_constant(value: float) -> Callable:
+    return lambda x, c=1.0: (c * value * _one(x), 0.0 * _one(x))
+
+
+def _g_inverse(x, c=1.0):
+    return c / x, -c / x ** 2
+
+
+def _g_neg_tan(x, c=1.0):
+    return -c * np.tan(x), -c * _sec(x) ** 2
+
+
+def _g_cot(x, c=1.0):
+    return c / np.tan(x), -c * _csc(x) ** 2
+
+
+# First-order solutions v(x), v'(x) of v' + v G = beta, with constants (beta, d).
+
+def _v_scarf2(x, beta, d):
+    th, sch = np.tanh(x), _sech(x)
+    return beta * th + d * sch, beta * sch ** 2 - d * sch * th
+
+
+def _v_poschl_teller(x, beta, d):
+    ch, csh = 1.0 / np.tanh(x), _csch(x)
+    return beta * ch - d * csh, -beta * csh ** 2 + d * csh * ch
+
+
+def _v_morse(x, beta, d, sign=1.0):
+    """Morse (sign +1) or its mirror image (sign -1)."""
+    w = np.exp(-sign * np.asarray(x, dtype=float))
+    return sign * beta - d * w, sign * d * w
+
+
+def _v_radial(x, beta, d):
+    return 0.5 * beta * x + d / x, 0.5 * beta * _one(x) - d / x ** 2
+
+
+def _v_harmonic(x, beta, d):
+    return beta * x + d, beta * _one(x)
+
+
+def _v_scarf1(x, beta, d):
+    tn, sc = np.tan(x), _sec(x)
+    return beta * tn - d * sc, beta * sc ** 2 - d * sc * tn
+
+
+def _v_scarf1_cot(x, beta, d):
+    ct, cs = 1.0 / np.tan(x), _csc(x)
+    return -beta * ct + d * cs, beta * cs ** 2 - d * cs * ct
+
+
+def _ratio_shift(e: float, r: float) -> float:
+    """The rho-dependent part of R common to the five ratio families."""
+    return (2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2)
+
+
+# Range conditions: (text, predicate of eps, rho, beta), checked in order.
+_EPS_POSITIVE = ("eps > 0", lambda e, r, b: e > 0)
+_EPS_BELOW_HALF = ("eps < 1/2", lambda e, r, b: e < 0.5)
+_EPS_NONZERO = ("eps != 0", lambda e, r, b: e != 0)
+_RHO_POSITIVE = ("rho > 0", lambda e, r, b: r > 0)
+_SCARF1_RHO = ("(2*eps - 1)/2 < rho < (1 - 2*eps)/2",
+               lambda e, r, b: (2 * e - 1) / 2 < r < (1 - 2 * e) / 2)
+_ABOVE_THRESHOLD = ("eps + rho/eps > 0", lambda e, r, b: e + r / e > 0)
+
+
+# Level rules giving max_k: None for an unbounded tower, -1 for none.
+def _unbounded(e: float, r: float) -> None:
+    return None
+
+
+def _below_eps(e: float, r: float) -> int:
+    """Gamma(2(eps - k)) must stay off the poles: k < eps."""
+    return math.ceil(e) - 1
 
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """Everything one family needs; spectra derives E_k as sum_j R(eps - j).
+
+    k(x, eps, rho, beta) -> (k, k') is given for the linear-form families;
+    the ratio families (v is None) derive k = rho/eps + eps G.  g(x, c)
+    returns c*G and c*G'; v(x, beta, d) the coupling solution; remainder
+    (eps, rho, beta) the constant R.  Levels are admissible up to
+    max_level(eps, rho) (default: no bound), or, where gamma_args is set,
+    while the Gamma arguments at s = eps - k, t = rho/s stay positive and
+    E_k rises.
+    oracle_floor is the smallest half-width of the FD oracle box.
+    """
+
     id: str
     label: str
     domain: Domain
     alpha: float
     fold: str
     window: tuple[float, float]   # default finite window for grid checks
+    ranges: tuple[tuple[str, Callable[[float, float, float], bool]], ...]
+    g: Callable
+    remainder: Callable[[float, float, float], float]
+    k: Optional[Callable] = None
+    v: Optional[Callable] = None
+    max_level: Callable[[float, float], Optional[int]] = _unbounded
+    gamma_args: Optional[Callable[[float, float], tuple]] = None
+    oracle_floor: float = 8.0
 
 
-_PI = math.pi
-
+# Each linear-form k is the family's v at constants built from (eps, rho,
+# beta): the fold collapses sum_j I_j v_j + M G into one such v.
 FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("scarf2", "hyperbolic Scarf, k = eps*tanh(x) + rho*sech(x)",
-               _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-8.0, 8.0)),
+               _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-8.0, 8.0),
+               ranges=(_EPS_POSITIVE,), g=_g_tanh, v=_v_scarf2,
+               k=lambda x, e, r, b: _v_scarf2(x, e, r),
+               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps),
     FamilySpec("poschl-teller", "Poschl-Teller, k = eps*coth(x) - rho*csch(x)",
-               _make_domain(0.0, _INF), 1.0, _FOLD_BETA_MEAN, (0.0, 12.0)),
+               _make_domain(0.0, _INF), 1.0, _FOLD_BETA_MEAN, (0.0, 12.0),
+               ranges=(_EPS_POSITIVE, ("eps - rho < 1/2", lambda e, r, b: e - r < 0.5)),
+               g=_g_coth, v=_v_poschl_teller,
+               k=lambda x, e, r, b: _v_poschl_teller(x, e, r),
+               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps),
     FamilySpec("morse", "Morse, k = eps - rho*exp(-x)",
-               _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-2.0, 14.0)),
+               _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-2.0, 14.0),
+               ranges=(_EPS_POSITIVE, _RHO_POSITIVE), g=_g_constant(1.0), v=_v_morse,
+               k=lambda x, e, r, b: _v_morse(x, e, r),
+               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               oracle_floor=25.0),
     FamilySpec("morse-mirror", "mirrored Morse, k = -eps - rho*exp(x)",
-               _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-14.0, 2.0)),
+               _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-14.0, 2.0),
+               ranges=(_EPS_POSITIVE, ("rho < 0", lambda e, r, b: r < 0)),
+               g=_g_constant(-1.0), v=partial(_v_morse, sign=-1.0),
+               k=lambda x, e, r, b: _v_morse(x, e, r, -1.0),
+               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               oracle_floor=25.0),
     FamilySpec("radial-osc", "radial oscillator, k = eps/x + rho*x",
-               _make_domain(0.0, _INF), 0.0, _FOLD_D_MEAN, (0.0, 10.0)),
+               _make_domain(0.0, _INF), 0.0, _FOLD_D_MEAN, (0.0, 10.0),
+               ranges=(_EPS_BELOW_HALF, _RHO_POSITIVE), g=_g_inverse, v=_v_radial,
+               k=lambda x, e, r, b: _v_radial(x, 2 * r, e),
+               remainder=lambda e, r, b: 4 * r),
     FamilySpec("harm-osc", "shifted harmonic oscillator, k = beta*x + rho",
-               _make_domain(-_INF, _INF), 0.0, _FOLD_SLOPE, (-10.0, 10.0)),
+               _make_domain(-_INF, _INF), 0.0, _FOLD_SLOPE, (-10.0, 10.0),
+               ranges=(("beta > 0", lambda e, r, b: b > 0),), g=_g_constant(0.0), v=_v_harmonic,
+               k=lambda x, e, r, b: _v_harmonic(x, b, r),
+               remainder=lambda e, r, b: 2 * b),
     FamilySpec("scarf1", "trigonometric Scarf, k = -eps*tan(x) - rho*sec(x)",
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_BETA_MEAN_NEG,
-               (-_PI / 2, _PI / 2)),
+               (-_PI / 2, _PI / 2),
+               ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_neg_tan, v=_v_scarf1,
+               k=lambda x, e, r, b: _v_scarf1(x, -e, r),
+               remainder=lambda e, r, b: -2 * e - 1),
     FamilySpec("scarf1-cot", "trigonometric Scarf cot form, k = eps*cot(x) + rho*csc(x)",
-               _make_domain(0.0, _PI), -1.0, _FOLD_BETA_MEAN_NEG, (0.0, _PI)),
+               _make_domain(0.0, _PI), -1.0, _FOLD_BETA_MEAN_NEG, (0.0, _PI),
+               ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_cot, v=_v_scarf1_cot,
+               k=lambda x, e, r, b: _v_scarf1_cot(x, -e, r),
+               remainder=lambda e, r, b: -2 * e - 1),
     FamilySpec("rosen-morse2", "hyperbolic Rosen-Morse, k = eps*tanh(x) + rho/eps",
-               _make_domain(-_INF, _INF), 1.0, _FOLD_RATIO, (-8.0, 8.0)),
+               _make_domain(-_INF, _INF), 1.0, _FOLD_RATIO, (-8.0, 8.0),
+               ranges=(_EPS_NONZERO, ("eps > rho/eps", lambda e, r, b: e > r / e),
+                       _ABOVE_THRESHOLD),
+               g=_g_tanh, remainder=lambda e, r, b: 1 + 2 * e - _ratio_shift(e, r),
+               gamma_args=lambda s, t: (2 * s, s - t, s + t)),
     FamilySpec("eckart", "Eckart, k = eps*coth(x) + rho/eps",
-               _make_domain(0.0, _INF), 1.0, _FOLD_RATIO, (0.0, 12.0)),
+               _make_domain(0.0, _INF), 1.0, _FOLD_RATIO, (0.0, 12.0),
+               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF, _ABOVE_THRESHOLD),
+               g=_g_coth, remainder=lambda e, r, b: 1 + 2 * e - _ratio_shift(e, r),
+               gamma_args=lambda s, t: (1 - s + t, 1 - 2 * s, s + t), oracle_floor=25.0),
     FamilySpec("coulomb", "Coulomb, k = eps/x + rho/eps",
-               _make_domain(0.0, _INF), 0.0, _FOLD_RATIO, (0.0, 20.0)),
+               _make_domain(0.0, _INF), 0.0, _FOLD_RATIO, (0.0, 20.0),
+               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF,
+                       ("rho/eps > 0", lambda e, r, b: r / e > 0)),
+               g=_g_inverse, remainder=lambda e, r, b: -_ratio_shift(e, r),
+               # Gamma(2k - 2 eps) positive at k = 0 requires eps < 0; then
+               # every level is admissible and E_k climbs toward the threshold
+               max_level=lambda e, r: None if e < 0 else -1, oracle_floor=25.0),
     FamilySpec("rosen-morse1", "trigonometric Rosen-Morse, k = -eps*tan(x) + rho/eps",
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_RATIO,
-               (-_PI / 2, _PI / 2)),
+               (-_PI / 2, _PI / 2),
+               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_neg_tan,
+               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r)),
     FamilySpec("rosen-morse1-cot", "trigonometric Rosen-Morse cot form, k = eps*cot(x) + rho/eps",
-               _make_domain(0.0, _PI), -1.0, _FOLD_RATIO, (0.0, _PI)),
+               _make_domain(0.0, _PI), -1.0, _FOLD_RATIO, (0.0, _PI),
+               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_cot,
+               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r)),
 )}
 
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILY_SPECS)
-_RATIO_IDS = tuple(fid for fid, s in FAMILY_SPECS.items() if s.fold == _FOLD_RATIO)
 
 
 def family_ids() -> tuple[str, ...]:
@@ -181,105 +386,23 @@ class FamilyParams:
         return FAMILY_SPECS[self.id].domain
 
 
-def _coupling_sums(data: ConstructionData) -> tuple[float, float, float]:
-    values = [eval_invariant(c.invariant, data.p) for c in data.couplings]
-    sum_beta = math.fsum(c.beta * v for c, v in zip(data.couplings, values))
-    sum_d = math.fsum(c.d * v for c, v in zip(data.couplings, values))
-    return data.p.mean, sum_beta, sum_d
-
-
-def _fold(family_id: str, data: ConstructionData) -> tuple[float, float, float]:
-    """Return (eps, rho, beta) for the family's stated convention."""
-    spec = FAMILY_SPECS[family_id]
-    mean, sum_beta, sum_d = _coupling_sums(data)
-    if spec.fold == _FOLD_RATIO:
-        if data.rho_invariant is None:
-            raise ValidationError(
-                f"family {family_id!r} needs rho_invariant in its construction data")
-        rho = eval_invariant(data.rho_invariant, data.p)
-        return mean + sum_d, rho, 0.0
-    if data.rho_invariant is not None:
-        raise ValidationError(
-            f"family {family_id!r} does not take a rho_invariant")
-    if spec.fold == _FOLD_BETA_MEAN:
-        return mean + sum_beta, sum_d, 0.0
-    if spec.fold == _FOLD_BETA_MEAN_NEG:
-        return mean - sum_beta, sum_d, 0.0
-    if spec.fold == _FOLD_D_MEAN:
-        return mean + sum_d, 0.5 * sum_beta, 0.0
-    # slope fold: no dependence on the mean at all
-    return 0.0, sum_d, sum_beta
-
-
 def _check_ranges(family_id: str, eps: float, rho: float, beta: float) -> None:
-    def fail(condition: str):
-        raise RangeViolation(
-            f"family {family_id!r} requires {condition} "
-            f"(got eps={eps:.6g}, rho={rho:.6g}, beta={beta:.6g})")
-
-    if family_id == "scarf2":
-        if not eps > 0:
-            fail("eps > 0")
-    elif family_id == "poschl-teller":
-        if not eps > 0:
-            fail("eps > 0")
-        if not eps - rho < 0.5:
-            fail("eps - rho < 1/2")
-    elif family_id == "morse":
-        if not eps > 0:
-            fail("eps > 0")
-        if not rho > 0:
-            fail("rho > 0")
-    elif family_id == "morse-mirror":
-        if not eps > 0:
-            fail("eps > 0")
-        if not rho < 0:
-            fail("rho < 0")
-    elif family_id == "radial-osc":
-        if not eps < 0.5:
-            fail("eps < 1/2")
-        if not rho > 0:
-            fail("rho > 0")
-    elif family_id == "harm-osc":
-        if not beta > 0:
-            fail("beta > 0")
-    elif family_id in ("scarf1", "scarf1-cot"):
-        if not eps < 0.5:
-            fail("eps < 1/2")
-        if not (2 * eps - 1) / 2 < rho < (1 - 2 * eps) / 2:
-            fail("(2*eps - 1)/2 < rho < (1 - 2*eps)/2")
-    elif family_id == "rosen-morse2":
-        if eps == 0:
-            fail("eps != 0")
-        if not eps > rho / eps:
-            fail("eps > rho/eps")
-        if not eps + rho / eps > 0:
-            fail("eps + rho/eps > 0")
-    elif family_id == "eckart":
-        if eps == 0:
-            fail("eps != 0")
-        if not eps < 0.5:
-            fail("eps < 1/2")
-        if not eps + rho / eps > 0:
-            fail("eps + rho/eps > 0")
-    elif family_id == "coulomb":
-        if eps == 0:
-            fail("eps != 0")
-        if not eps < 0.5:
-            fail("eps < 1/2")
-        if not rho / eps > 0:
-            fail("rho/eps > 0")
-    elif family_id in ("rosen-morse1", "rosen-morse1-cot"):
-        if not eps < 0.5:
-            fail("eps < 1/2")
-    else:
-        raise ValidationError(f"unknown family {family_id!r}")
+    for condition, holds in get_spec(family_id).ranges:
+        if not holds(eps, rho, beta):
+            raise RangeViolation(
+                f"family {family_id!r} requires {condition} "
+                f"(got eps={eps:.6g}, rho={rho:.6g}, beta={beta:.6g})")
 
 
 def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
     """Fold the construction data and validate the family's parameter ranges."""
     spec = get_spec(family_id)
-    eps, rho, beta = _fold(family_id, data)
+    if spec.fold == _FOLD_RATIO and data.rho_invariant is None:
+        raise ValidationError(
+            f"family {family_id!r} needs rho_invariant in its construction data")
+    if spec.fold != _FOLD_RATIO and data.rho_invariant is not None:
+        raise ValidationError(f"family {family_id!r} does not take a rho_invariant")
+    eps, rho, beta = _fold(spec.fold, data)
     for value, name in ((eps, "eps"), (rho, "rho"), (beta, "beta")):
         if not math.isfinite(value):
             raise ValidationError(f"folded parameter {name} is not finite: {value}")
@@ -296,60 +419,14 @@ def translate_family(fp: FamilyParams, t: int = 1) -> FamilyParams:
     return build_family(fp.id, data)
 
 
-def _sech(x):
-    return 1.0 / np.cosh(x)
-
-
-def _csch(x):
-    return 1.0 / np.sinh(x)
-
-
-def _sec(x):
-    return 1.0 / np.cos(x)
-
-
-def _csc(x):
-    return 1.0 / np.sin(x)
-
-
 def superpotential(fp: FamilyParams, x):
     """Closed-form k(x) and k'(x); x may be a scalar or an array."""
     fp.domain.require_inside(x)
-    e, r, b = fp.eps, fp.rho, fp.beta
-    fid = fp.id
-    if fid == "scarf2":
-        th, sch = np.tanh(x), _sech(x)
-        return e * th + r * sch, e * sch ** 2 - r * sch * th
-    if fid == "poschl-teller":
-        ch, csh = 1.0 / np.tanh(x), _csch(x)
-        return e * ch - r * csh, -e * csh ** 2 + r * csh * ch
-    if fid == "morse":
-        w = np.exp(-np.asarray(x, dtype=float))
-        return e - r * w, r * w
-    if fid == "morse-mirror":
-        w = np.exp(np.asarray(x, dtype=float))
-        return -e - r * w, -r * w
-    if fid == "radial-osc":
-        return e / x + r * x, -e / x ** 2 + r * (x * 0 + 1.0)
-    if fid == "harm-osc":
-        return b * x + r, b * (x * 0 + 1.0)
-    if fid == "scarf1":
-        tn, sc = np.tan(x), _sec(x)
-        return -e * tn - r * sc, -e * sc ** 2 - r * sc * tn
-    if fid == "scarf1-cot":
-        ct, cs = 1.0 / np.tan(x), _csc(x)
-        return e * ct + r * cs, -e * cs ** 2 - r * cs * ct
-    if fid == "rosen-morse2":
-        return e * np.tanh(x) + r / e, e * _sech(x) ** 2
-    if fid == "eckart":
-        return e / np.tanh(x) + r / e, -e * _csch(x) ** 2
-    if fid == "coulomb":
-        return e / x + r / e, -e / x ** 2
-    if fid == "rosen-morse1":
-        return -e * np.tan(x) + r / e, -e * _sec(x) ** 2
-    if fid == "rosen-morse1-cot":
-        return e / np.tan(x) + r / e, -e * _csc(x) ** 2
-    raise ValidationError(f"unknown family {fid!r}")
+    spec = fp.spec
+    if spec.k is not None:
+        return spec.k(x, fp.eps, fp.rho, fp.beta)
+    g, gp = spec.g(x, fp.eps)
+    return g + fp.rho / fp.eps, gp
 
 
 def partner_potentials(fp: FamilyParams, x):
@@ -361,23 +438,7 @@ def partner_potentials(fp: FamilyParams, x):
 
 def riccati_g(family_id: str, x):
     """The family's G(x) and G'(x), satisfying G' + G^2 = alpha."""
-    fid = get_spec(family_id).id
-    one = np.asarray(x, dtype=float) * 0 + 1.0
-    if fid in ("scarf2", "rosen-morse2"):
-        return np.tanh(x), _sech(x) ** 2
-    if fid in ("poschl-teller", "eckart"):
-        return 1.0 / np.tanh(x), -_csch(x) ** 2
-    if fid == "morse":
-        return one, 0.0 * one
-    if fid == "morse-mirror":
-        return -one, 0.0 * one
-    if fid in ("radial-osc", "coulomb"):
-        return 1.0 / x + 0.0 * one, -1.0 / x ** 2
-    if fid == "harm-osc":
-        return 0.0 * one, 0.0 * one
-    if fid in ("scarf1", "rosen-morse1"):
-        return -np.tan(x), -_sec(x) ** 2
-    return 1.0 / np.tan(x), -_csc(x) ** 2
+    return get_spec(family_id).g(x)
 
 
 def coupling_v(family_id: str, x, beta: float, d: float):
@@ -385,54 +446,15 @@ def coupling_v(family_id: str, x, beta: float, d: float):
 
     Only the eight linear-form families carry v functions.
     """
-    fid = get_spec(family_id).id
-    if fid in _RATIO_IDS:
-        raise ValidationError(f"family {fid!r} has no v functions (ratio form)")
-    if fid == "scarf2":
-        th, sch = np.tanh(x), _sech(x)
-        return beta * th + d * sch, beta * sch ** 2 - d * sch * th
-    if fid == "poschl-teller":
-        ch, csh = 1.0 / np.tanh(x), _csch(x)
-        return beta * ch - d * csh, -beta * csh ** 2 + d * csh * ch
-    if fid == "morse":
-        w = np.exp(-np.asarray(x, dtype=float))
-        return beta - d * w, d * w
-    if fid == "morse-mirror":
-        w = np.exp(np.asarray(x, dtype=float))
-        return -beta - d * w, -d * w
-    if fid == "radial-osc":
-        one = np.asarray(x, dtype=float) * 0 + 1.0
-        return 0.5 * beta * x + d / x, 0.5 * beta * one - d / x ** 2
-    if fid == "harm-osc":
-        one = np.asarray(x, dtype=float) * 0 + 1.0
-        return beta * x + d, beta * one
-    if fid == "scarf1":
-        tn, sc = np.tan(x), _sec(x)
-        return beta * tn - d * sc, beta * sc ** 2 - d * sc * tn
-    # scarf1-cot
-    ct, cs = 1.0 / np.tan(x), _csc(x)
-    return -beta * ct + d * cs, beta * cs ** 2 - d * cs * ct
+    spec = get_spec(family_id)
+    if spec.v is None:
+        raise ValidationError(f"family {spec.id!r} has no v functions (ratio form)")
+    return spec.v(x, beta, d)
 
 
 def remainder(fp: FamilyParams) -> float:
     """The constant R in Vtilde(x; m) = V(x; m - 1) + R(m - 1)."""
-    e, r = fp.eps, fp.rho
-    fid = fp.id
-    if fid in ("scarf2", "poschl-teller", "morse", "morse-mirror"):
-        return 2 * e + 1
-    if fid == "radial-osc":
-        return 4 * r
-    if fid == "harm-osc":
-        return 2 * fp.beta
-    if fid in ("scarf1", "scarf1-cot"):
-        return -2 * e - 1
-    shared = (2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2)
-    if fid in ("rosen-morse2", "eckart"):
-        return 1 + 2 * e - shared
-    if fid == "coulomb":
-        return -shared
-    # rosen-morse1, rosen-morse1-cot
-    return -1 - 2 * e - shared
+    return fp.spec.remainder(fp.eps, fp.rho, fp.beta)
 
 
 def construction_remainder(fp: FamilyParams) -> float:
@@ -441,7 +463,7 @@ def construction_remainder(fp: FamilyParams) -> float:
     Valid for the linear-form families only; the ratio families carry a
     rho-dependent R with no such expression.
     """
-    if fp.id in _RATIO_IDS:
+    if fp.spec.v is None:
         raise ValidationError(
             f"family {fp.id!r} has no construction-side remainder formula")
     mean, sum_beta, _ = _coupling_sums(fp.provenance)

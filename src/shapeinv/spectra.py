@@ -1,8 +1,9 @@
 """Spectra and normalized bound states of the thirteen families.
 
-Eigenenergies come from the families' closed formulas; eigenfunctions are
-assembled from the polynomial evaluators with recursively defined
-normalization constants.  Three families (hyperbolic Scarf and both
+Eigenenergies are summed from the families' remainders, E_k = sum over
+j = 1..k of R(eps - j); eigenfunctions are assembled from the polynomial
+evaluators with recursively defined normalization constants, one state
+builder per family.  Three families (hyperbolic Scarf and both
 trigonometric Rosen-Morse forms) run through complex arithmetic and are
 projected back to the reals after an imaginary-residue check.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,19 +24,6 @@ from .families import FamilyParams
 IMAG_RESIDUE_TOL = 1e-9
 
 NORM_KINDS = ("a", "b", "c", "d", "e", "p", "u")
-
-# Which recursion normalizes which family; harm-osc has an explicit constant.
-_KIND_FOR_FAMILY = {
-    "scarf2": "a", "morse": "a", "morse-mirror": "a",
-    "poschl-teller": "b",
-    "radial-osc": "c",
-    "scarf1": "d", "scarf1-cot": "d",
-    "rosen-morse2": "e", "eckart": "e",
-    "coulomb": "p",
-    "rosen-morse1": "u", "rosen-morse1-cot": "u",
-}
-
-_COMPLEX_PATH = ("scarf2", "rosen-morse1", "rosen-morse1-cot")
 
 
 def _check_index(k) -> int:
@@ -60,35 +49,20 @@ class AdmissibleRange:
         return tuple(range(0, hi + 1))
 
 
-def eigenenergy(fp: FamilyParams, k: int) -> float:
+def _admissible(fp: FamilyParams, k) -> int:
     k = _check_index(k)
     if not admissible_range(fp).contains(k):
         raise InadmissibleState(
             f"level k={k} is not admissible for family {fp.id!r} "
             f"(eps={fp.eps:.6g}, rho={fp.rho:.6g})")
-    e, r = fp.eps, fp.rho
-    fid = fp.id
-    if fid in ("scarf2", "morse", "morse-mirror"):
-        return (2 * e - k) * k
-    if fid == "poschl-teller":
-        return -k * (k - 2 * e)
-    if fid == "radial-osc":
-        return 4 * r * k
-    if fid == "harm-osc":
-        return 2 * fp.beta * k
-    if fid in ("scarf1", "scarf1-cot"):
-        return (k - 2 * e) * k
-    ratio = r ** 2 / ((k - e) ** 2 * e ** 2)
-    if fid in ("rosen-morse2", "eckart"):
-        return k * (k - 2 * e) * (ratio - 1)
-    if fid == "coulomb":
-        return k * (k - 2 * e) * ratio
-    # rosen-morse1, rosen-morse1-cot
-    return k * (k - 2 * e) * (ratio + 1)
+    return k
 
 
-def _gamma_positive(*args: float) -> bool:
-    return all(a > 0 for a in args)
+def eigenenergy(fp: FamilyParams, k: int) -> float:
+    """E_k = sum_{j=1..k} R(eps - j): each step down the ladder adds R."""
+    k = _admissible(fp, k)
+    rem = fp.spec.remainder
+    return sum((rem(fp.eps - j, fp.rho, fp.beta) for j in range(1, k + 1)), 0.0)
 
 
 _SCAN_CAP = 65536
@@ -96,38 +70,29 @@ _SCAN_CAP = 65536
 
 def admissible_range(fp: FamilyParams) -> AdmissibleRange:
     """Largest contiguous set of levels with finite, normalizable states."""
-    fid, e, r = fp.id, fp.eps, fp.rho
-    if fid in ("radial-osc", "harm-osc", "scarf1", "scarf1-cot",
-               "rosen-morse1", "rosen-morse1-cot"):
-        return AdmissibleRange(None)
-    if fid in ("scarf2", "poschl-teller", "morse", "morse-mirror"):
-        # Gamma(2(eps - k)) must stay off the poles: k < eps.
-        return AdmissibleRange(math.ceil(e) - 1)
-    if fid == "coulomb":
-        # Gamma(2k - 2 eps) positive at k = 0 requires eps < 0; then every
-        # level is admissible and E_k climbs toward the threshold.
-        return AdmissibleRange(None if e < 0 else -1)
+    spec, e, r = fp.spec, fp.eps, fp.rho
+    if spec.gamma_args is None:
+        return AdmissibleRange(spec.max_level(e, r))
 
     def ok(k: int) -> bool:
         s = e - k
-        if s == 0 or e - k + 1 == 0:
+        if s == 0 or s + 1 == 0:
             return False
-        t = r / s
-        if fid == "rosen-morse2":
-            return _gamma_positive(2 * s, s - t, s + t)
-        return _gamma_positive(1 - s + t, 1 - 2 * s, s + t)
+        return all(a > 0 for a in spec.gamma_args(s, r / s))
 
     if not ok(0):
         return AdmissibleRange(-1)
+    # climb while the Gamma arguments stay positive and E_k, summed as in
+    # eigenenergy, keeps rising
     last = 0
-    prev_energy = 0.0
+    energy = 0.0
     for k in range(1, _SCAN_CAP):
         if not ok(k):
             break
-        energy = k * (k - 2 * e) * (r ** 2 / ((k - e) ** 2 * e ** 2) - 1)
-        if not energy > prev_energy:
+        raised = energy + spec.remainder(e - k, r, fp.beta)
+        if not raised > energy:
             break
-        last, prev_energy = k, energy
+        last, energy = k, raised
     return AdmissibleRange(last)
 
 
@@ -159,28 +124,22 @@ def norm_coefficient(kind: str, k: int, fp: FamilyParams) -> float:
                     f"norm recursion {kind!r} hit a zero denominator at step k={j}")
         if kind == "a":
             value /= radical((2 * e - j) * j, j)
-            e -= 1
         elif kind == "b":
             value /= radical(j * (2 * e - j), j)
-            e -= 1
         elif kind == "c":
             value /= radical(4 * rho * j, j)
-            e -= 1
         elif kind == "d":
             value /= radical(j * (j - 2 * e), j)
-            e -= 1
         elif kind == "e":
             rad = j * (2 * e - j) - rho ** 2 / (j - e) ** 2 + rho ** 2 / e ** 2
             value *= (2 * e - j) / (e * radical(rad, j))
-            e -= 1
         elif kind == "p":
             rad = (j - e) ** 2 * e ** 2 / (j * (j - 2 * e) * rho ** 2)
             value *= (2 * e - j) / e * radical(rad, j)
-            e -= 1
         else:  # u
             rad = j * (j - 2 * e) - rho ** 2 / (j - e) ** 2 + rho ** 2 / e ** 2
             value *= (2 * e - j) / (e * radical(rad, j))
-            e -= 1
+        e -= 1
     return value
 
 
@@ -193,15 +152,8 @@ class Wavefunction:
         self._body = body
         self.complex_path = complex_path
 
-    def _guard(self, x) -> None:
-        dom = self.family.domain
-        arr = np.asarray(x, dtype=float)
-        if arr.size and (float(arr.min()) <= dom.lo or float(arr.max()) >= dom.hi):
-            raise NumericalError(
-                f"state evaluation outside the open domain ({dom.lo}, {dom.hi})")
-
     def complex_value(self, x):
-        self._guard(x)
+        self.family.domain.require_inside(x)
         return self._body(x)
 
     def imag_residue(self, x) -> float:
@@ -228,164 +180,194 @@ class Wavefunction:
         return real
 
 
-def wavefunction(fp: FamilyParams, k: int) -> Wavefunction:
-    """Assemble the closed-form normalized state zeta_k of V(x; fp)."""
-    k = _check_index(k)
-    if not admissible_range(fp).contains(k):
-        raise InadmissibleState(
-            f"level k={k} is not admissible for family {fp.id!r} "
-            f"(eps={fp.eps:.6g}, rho={fp.rho:.6g})")
+def _scarf2_state(fp: FamilyParams, k: int) -> Wavefunction:
     e, r = fp.eps, fp.rho
-    fid = fp.id
-    kfact = math.factorial(k)
+    norm = norm_coefficient("a", k, fp)
+    pref = (2.0 ** (e - 0.5)
+            * specfun.gamma_abs_complex(complex(0.5 + e - k, -r))
+            / (math.sqrt(math.pi) * math.sqrt(specfun.gamma(2 * (e - k))))
+            * math.factorial(k) * norm) * 1j ** k
+    a_j = complex(-0.5 - e, r)
+    b_j = complex(-0.5 - e, -r)
 
-    if fid == "scarf2":
-        norm = norm_coefficient("a", k, fp)
-        pref = (2.0 ** (e - 0.5)
-                * specfun.gamma_abs_complex(complex(0.5 + e - k, -r))
-                / (math.sqrt(math.pi) * math.sqrt(specfun.gamma(2 * (e - k))))
-                * kfact * norm) * 1j ** k
-        a_j = complex(-0.5 - e, r)
-        b_j = complex(-0.5 - e, -r)
+    def body(x):
+        sh = np.sinh(x)
+        outer = np.exp(-r * np.arctan(sh)) * np.cosh(x) ** (-e)
+        return pref * outer * specfun.jacobi_p(k, a_j, b_j, -1j * sh)
 
-        def body(x):
-            sh = np.sinh(x)
-            outer = np.exp(-r * np.arctan(sh)) * np.cosh(x) ** (-e)
-            return pref * outer * specfun.jacobi_p(k, a_j, b_j, -1j * sh)
+    return Wavefunction(fp, k, body, True)
 
-        return Wavefunction(fp, k, body, True)
 
-    if fid == "poschl-teller":
-        norm = norm_coefficient("b", k, fp)
-        pref = (2.0 ** e * kfact * norm
-                * math.sqrt(specfun.gamma(0.5 - k + e + r)
-                            / (specfun.gamma(2 * (e - k))
-                               * specfun.gamma(0.5 + k - e + r))))
-        a_j, b_j = -0.5 - e - r, -0.5 - e + r
+def _poschl_teller_state(fp: FamilyParams, k: int) -> Wavefunction:
+    e, r = fp.eps, fp.rho
+    norm = norm_coefficient("b", k, fp)
+    pref = (2.0 ** e * math.factorial(k) * norm
+            * math.sqrt(specfun.gamma(0.5 - k + e + r)
+                        / (specfun.gamma(2 * (e - k))
+                           * specfun.gamma(0.5 + k - e + r))))
+    a_j, b_j = -0.5 - e - r, -0.5 - e + r
 
-        def body(x):
-            ch = np.cosh(x)
-            outer = (ch - 1.0) ** ((-e + r) / 2) * (ch + 1.0) ** (-(e + r) / 2)
-            return pref * outer * specfun.jacobi_p(k, a_j, b_j, -ch)
+    def body(x):
+        ch = np.cosh(x)
+        outer = (ch - 1.0) ** ((-e + r) / 2) * (ch + 1.0) ** (-(e + r) / 2)
+        return pref * outer * specfun.jacobi_p(k, a_j, b_j, -ch)
 
-        return Wavefunction(fp, k, body, False)
+    return Wavefunction(fp, k, body, False)
 
-    if fid in ("morse", "morse-mirror"):
-        norm = norm_coefficient("a", k, fp)
-        scale = r if fid == "morse" else -r
-        pref = ((-1.0) ** k * 2.0 ** (e - k) * scale ** (e - k) * norm * kfact
-                / math.sqrt(specfun.gamma(2 * (e - k))))
-        sign = 1.0 if fid == "morse" else -1.0
 
-        def body(x):
-            xa = np.asarray(x, dtype=float)
-            w = np.exp(-sign * xa)
-            # decay factors fused into one exponent to dodge overflow
-            outer = np.exp(-sign * r * w - (e - k) * sign * xa)
-            return pref * outer * specfun.laguerre_l(k, 2 * e - 2 * k, 2 * sign * r * w)
+def _morse_state(fp: FamilyParams, k: int, sign: float) -> Wavefunction:
+    """Morse (sign +1) or its mirror image (sign -1)."""
+    e, r = fp.eps, fp.rho
+    norm = norm_coefficient("a", k, fp)
+    pref = ((-1.0) ** k * 2.0 ** (e - k) * (sign * r) ** (e - k) * norm
+            * math.factorial(k) / math.sqrt(specfun.gamma(2 * (e - k))))
 
-        return Wavefunction(fp, k, body, False)
+    def body(x):
+        xa = np.asarray(x, dtype=float)
+        w = np.exp(-sign * xa)
+        # decay factors fused into one exponent to dodge overflow
+        outer = np.exp(-sign * r * w - (e - k) * sign * xa)
+        return pref * outer * specfun.laguerre_l(k, 2 * e - 2 * k, 2 * sign * r * w)
 
-    if fid == "radial-osc":
-        norm = norm_coefficient("c", k, fp)
-        pref = (math.sqrt(2.0 * r ** (0.5 + k - e) / specfun.gamma(0.5 + k - e))
-                * kfact * (-2.0) ** k * norm)
+    return Wavefunction(fp, k, body, False)
 
-        def body(x):
-            return (pref * np.exp(-r * x ** 2 / 2) * x ** (-e)
-                    * specfun.laguerre_l(k, -0.5 - e, r * x ** 2))
 
-        return Wavefunction(fp, k, body, False)
+def _radial_state(fp: FamilyParams, k: int) -> Wavefunction:
+    e, r = fp.eps, fp.rho
+    norm = norm_coefficient("c", k, fp)
+    pref = (math.sqrt(2.0 * r ** (0.5 + k - e) / specfun.gamma(0.5 + k - e))
+            * math.factorial(k) * (-2.0) ** k * norm)
 
-    if fid == "harm-osc":
-        b = fp.beta
-        pref = (b / math.pi) ** 0.25 / math.sqrt(kfact * 2.0 ** k)
+    def body(x):
+        return (pref * np.exp(-r * x ** 2 / 2) * x ** (-e)
+                * specfun.laguerre_l(k, -0.5 - e, r * x ** 2))
 
-        def body(x):
-            y = np.asarray(x, dtype=float) + r / b
-            return pref * np.exp(-b * y ** 2 / 2) * specfun.hermite_h(k, math.sqrt(b) * y)
+    return Wavefunction(fp, k, body, False)
 
-        return Wavefunction(fp, k, body, False)
 
-    if fid in ("scarf1", "scarf1-cot"):
-        norm = norm_coefficient("d", k, fp)
-        pref = (2.0 ** e * kfact * norm
-                * math.sqrt(specfun.gamma(1 + 2 * k - 2 * e)
-                            / (specfun.gamma(0.5 + k - e - r)
-                               * specfun.gamma(0.5 + k - e + r))))
-        a_j, b_j = -0.5 - e - r, -0.5 - e + r
-        trig = np.sin if fid == "scarf1" else np.cos
+def _harmonic_state(fp: FamilyParams, k: int) -> Wavefunction:
+    b, r = fp.beta, fp.rho
+    pref = (b / math.pi) ** 0.25 / math.sqrt(math.factorial(k) * 2.0 ** k)
 
-        def body(x):
-            u = trig(x)
-            outer = (1.0 - u) ** (-(e + r) / 2) * (1.0 + u) ** (-(e - r) / 2)
-            return pref * outer * specfun.jacobi_p(k, a_j, b_j, u)
+    def body(x):
+        y = np.asarray(x, dtype=float) + r / b
+        return pref * np.exp(-b * y ** 2 / 2) * specfun.hermite_h(k, math.sqrt(b) * y)
 
-        return Wavefunction(fp, k, body, False)
+    return Wavefunction(fp, k, body, False)
 
-    if fid in ("rosen-morse2", "eckart"):
-        norm = norm_coefficient("e", k, fp)
-        s = e - k
-        t = r / s
-        if fid == "rosen-morse2":
-            gratio = specfun.gamma(2 * s) / (specfun.gamma(s - t) * specfun.gamma(s + t))
-        else:
-            gratio = specfun.gamma(1 - s + t) / (specfun.gamma(1 - 2 * s)
-                                                 * specfun.gamma(s + t))
-        pref = 2.0 ** (0.5 + k - e) * kfact * math.sqrt(gratio) * norm
-        a_j, b_j = s + t, s - t
 
-        def body(x):
-            if fid == "rosen-morse2":
-                u = np.tanh(x)
-                outer = (1.0 - u) ** ((s + t) / 2) * (1.0 + u) ** ((s - t) / 2)
-            else:
-                u = 1.0 / np.tanh(x)
-                outer = (u - 1.0) ** ((s + t) / 2) * (u + 1.0) ** ((s - t) / 2)
-            return pref * outer * specfun.jacobi_p(k, a_j, b_j, u)
+def _scarf1_state(fp: FamilyParams, k: int, trig: Callable) -> Wavefunction:
+    """Trigonometric Scarf in u = sin x (tan form) or u = cos x (cot form)."""
+    e, r = fp.eps, fp.rho
+    norm = norm_coefficient("d", k, fp)
+    pref = (2.0 ** e * math.factorial(k) * norm
+            * math.sqrt(specfun.gamma(1 + 2 * k - 2 * e)
+                        / (specfun.gamma(0.5 + k - e - r)
+                           * specfun.gamma(0.5 + k - e + r))))
+    a_j, b_j = -0.5 - e - r, -0.5 - e + r
 
-        return Wavefunction(fp, k, body, False)
+    def body(x):
+        u = trig(x)
+        outer = (1.0 - u) ** (-(e + r) / 2) * (1.0 + u) ** (-(e - r) / 2)
+        return pref * outer * specfun.jacobi_p(k, a_j, b_j, u)
 
-    if fid == "coulomb":
-        norm = norm_coefficient("p", k, fp)
-        lam = r / (e - k)
-        rad = -r / (k - e) ** 2 * lam ** (2 * k - 2 * e) / specfun.gamma(2 * k - 2 * e)
-        if not rad > 0:
-            raise InadmissibleState(
-                f"coulomb prefactor radicand {rad:.6g} is not positive at k={k}")
-        pref = (-1.0) ** k * kfact * math.sqrt(rad) * norm
+    return Wavefunction(fp, k, body, False)
 
-        def body(x):
-            return (pref * (2.0 * x) ** (-e) * np.exp(r * x / (k - e))
-                    * specfun.laguerre_l(k, -1 - 2 * e, 2 * r * x / (e - k)))
 
-        return Wavefunction(fp, k, body, False)
+def _hyperbolic_ratio_state(fp: FamilyParams, k: int, gamma_ratio: Callable,
+                            coordinate: Callable, sides: Callable) -> Wavefunction:
+    """Rosen-Morse (u = tanh x) and Eckart (u = coth x) states.
 
-    # rosen-morse1, rosen-morse1-cot
+    gamma_ratio(s, t) is the Gamma quotient under the root; sides(u) gives
+    the two bases raised to (s + t)/2 and (s - t)/2.
+    """
+    e, r = fp.eps, fp.rho
+    norm = norm_coefficient("e", k, fp)
+    s = e - k
+    t = r / s
+    pref = 2.0 ** (0.5 + k - e) * math.factorial(k) * math.sqrt(gamma_ratio(s, t)) * norm
+    a_j, b_j = s + t, s - t
+
+    def body(x):
+        u = coordinate(x)
+        lo, hi = sides(u)
+        outer = lo ** ((s + t) / 2) * hi ** ((s - t) / 2)
+        return pref * outer * specfun.jacobi_p(k, a_j, b_j, u)
+
+    return Wavefunction(fp, k, body, False)
+
+
+def _coulomb_state(fp: FamilyParams, k: int) -> Wavefunction:
+    e, r = fp.eps, fp.rho
+    norm = norm_coefficient("p", k, fp)
+    lam = r / (e - k)
+    rad = -r / (k - e) ** 2 * lam ** (2 * k - 2 * e) / specfun.gamma(2 * k - 2 * e)
+    if not rad > 0:
+        raise InadmissibleState(
+            f"coulomb prefactor radicand {rad:.6g} is not positive at k={k}")
+    pref = (-1.0) ** k * math.factorial(k) * math.sqrt(rad) * norm
+
+    def body(x):
+        return (pref * (2.0 * x) ** (-e) * np.exp(r * x / (k - e))
+                * specfun.laguerre_l(k, -1 - 2 * e, 2 * r * x / (e - k)))
+
+    return Wavefunction(fp, k, body, False)
+
+
+def _trig_ratio_state(fp: FamilyParams, k: int, parts: Callable) -> Wavefunction:
+    """Trigonometric Rosen-Morse states, complex path.
+
+    parts(x, q, rho) with q = k - eps gives the outer factor and the
+    Jacobi argument of the tan or cot form.
+    """
+    e, r = fp.eps, fp.rho
     norm = norm_coefficient("u", k, fp)
     s = e - k
     t = r / s
-    pref = ((-1j) ** k * kfact * norm
+    pref = ((-1j) ** k * math.factorial(k) * norm
             * specfun.gamma_abs_complex(complex(1 + k - e, -t))
             / math.sqrt(math.pi * specfun.gamma(1 + 2 * k - 2 * e)))
     a_j = complex(s, t)
     b_j = complex(s, -t)
-    if fid == "rosen-morse1":
 
-        def body(x):
-            xa = np.asarray(x, dtype=float)
-            outer = (2.0 * np.cos(xa)) ** (k - e) * np.exp(r * xa / (k - e))
-            return pref * outer * specfun.jacobi_p(k, a_j, b_j, -1j * np.tan(xa))
-
-    else:
-
-        def body(x):
-            xa = np.asarray(x, dtype=float)
-            outer = ((2.0 * np.sin(xa)) ** (k - e)
-                     * np.exp(r * (2 * xa - math.pi) / (2 * (k - e))))
-            return pref * outer * specfun.jacobi_p(k, a_j, b_j, 1j / np.tan(xa))
+    def body(x):
+        outer, z = parts(np.asarray(x, dtype=float), k - e, r)
+        return pref * outer * specfun.jacobi_p(k, a_j, b_j, z)
 
     return Wavefunction(fp, k, body, True)
+
+
+# One normalized-state builder per family, keyed like families.FAMILY_SPECS.
+_STATES: dict[str, Callable[[FamilyParams, int], Wavefunction]] = {
+    "scarf2": _scarf2_state,
+    "poschl-teller": _poschl_teller_state,
+    "morse": partial(_morse_state, sign=1.0),
+    "morse-mirror": partial(_morse_state, sign=-1.0),
+    "radial-osc": _radial_state,
+    "harm-osc": _harmonic_state,
+    "scarf1": partial(_scarf1_state, trig=np.sin),
+    "scarf1-cot": partial(_scarf1_state, trig=np.cos),
+    "rosen-morse2": partial(
+        _hyperbolic_ratio_state,
+        gamma_ratio=lambda s, t: specfun.gamma(2 * s) / (specfun.gamma(s - t)
+                                                         * specfun.gamma(s + t)),
+        coordinate=np.tanh, sides=lambda u: (1.0 - u, 1.0 + u)),
+    "eckart": partial(
+        _hyperbolic_ratio_state,
+        gamma_ratio=lambda s, t: specfun.gamma(1 - s + t) / (specfun.gamma(1 - 2 * s)
+                                                             * specfun.gamma(s + t)),
+        coordinate=lambda x: 1.0 / np.tanh(x), sides=lambda u: (u - 1.0, u + 1.0)),
+    "coulomb": _coulomb_state,
+    "rosen-morse1": partial(_trig_ratio_state, parts=lambda x, q, r: (
+        (2.0 * np.cos(x)) ** q * np.exp(r * x / q), -1j * np.tan(x))),
+    "rosen-morse1-cot": partial(_trig_ratio_state, parts=lambda x, q, r: (
+        (2.0 * np.sin(x)) ** q * np.exp(r * (2 * x - math.pi) / (2 * q)), 1j / np.tan(x))),
+}
+
+
+def wavefunction(fp: FamilyParams, k: int) -> Wavefunction:
+    """Assemble the closed-form normalized state zeta_k of V(x; fp)."""
+    return _STATES[fp.id](fp, _admissible(fp, k))
 
 
 @dataclass(frozen=True)

@@ -274,13 +274,13 @@ def reference_oracle(fp: FamilyParams, n: int = 3000) -> OracleSpec:
     """Truncation box sized from the ground-state footprint.
 
     Infinite ends are cut where zeta_0 drops below 1e-12 of its peak
-    (never tighter than |x| = 8, or 25 for the slow exponential families);
-    singular finite ends sit at the domain clip margin.
+    (never tighter than the family's oracle floor, |x| = 8, or 25 for the
+    slow exponential families); singular finite ends sit at the domain
+    clip margin.
     """
     dom = fp.domain
     wf0 = spectra.wavefunction(fp, 0)
-    slow = fp.id in ("morse", "morse-mirror", "eckart", "coulomb")
-    floor = 25.0 if slow else 8.0
+    floor = fp.spec.oracle_floor
     lo_fin, hi_fin = math.isfinite(dom.lo), math.isfinite(dom.hi)
     ga = dom.lo + dom.delta if lo_fin else -0.6 * floor
     gb = dom.hi - dom.delta if hi_fin else 0.6 * floor
@@ -396,12 +396,16 @@ def orthonormality(fp: FamilyParams, kmax: int, tol: float = 1e-9) -> GramReport
     return GramReport(levels=tuple(levels), max_deviation=worst, entries=tuple(entries))
 
 
-def report_json(fp: FamilyParams, report: GridReport, grid) -> dict:
-    """Stable JSON shape for residual reports."""
+def report_json(fp, report: GridReport, grid) -> dict:
+    """Stable JSON shape for residual reports of a family or an extension."""
     a, b, n = grid
+    if isinstance(fp, FamilyParams):
+        name, params = fp.id, {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta}
+    else:
+        name, params = fp.ext_id, {"eps": fp.eps, "rho": fp.rho, "ell": fp.ell}
     out = {
-        "family": fp.id,
-        "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
+        "family": name,
+        "params": params,
         "residual_max": report.max_residual,
         "residual_mean": report.mean_residual,
         "argmax_x": report.argmax_x,

@@ -179,3 +179,25 @@ def test_oracle_compare(capsys):
 def test_inadmissible_level_exits_2(capsys):
     rc, _, err = run(capsys, "wavefunction", *MORSE, "--k", "9")
     assert rc == 2 and "admissible" in err
+
+
+def test_trig_rosen_morse_at_eps_zero_exits_2(capsys):
+    for fid in ("rosen-morse1", "rosen-morse1-cot"):
+        rc, _, err = run(capsys, "spectrum", "--family", fid, "--m", "0",
+                         "--rho-invariant", "1")
+        assert rc == 2 and "eps != 0" in err, fid
+
+
+@pytest.mark.parametrize("key,value", [
+    ("m", ["abc"]), ("m", 5), ("ell", "two"), ("tol", "tight"),
+    ("window", ["a", 1.0]), ("grid", ["0", "1", "many"]),
+    ("couplings", [{"invariant": "1", "beta": "x"}]),
+    ("couplings", [{"invariant": "1", "d": [1]}]),
+])
+def test_config_values_that_cannot_be_coerced_exit_2(capsys, tmp_path, key, value):
+    doc = {"family": "morse", "m": [2.5], "couplings": [{"invariant": "1", "d": 1.0}]}
+    doc[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "si", "--config", str(cfg))
+    assert rc == 2 and out == "" and "wrong type" in err

@@ -259,3 +259,10 @@ def test_domain_guard():
     fp = fixture("poschl-teller")
     with pytest.raises(EvalDomainError):
         superpotential(fp, -1.0)
+
+
+def test_trig_rosen_morse_rejects_eps_zero():
+    # k = rho/eps + eps G is undefined at eps = 0
+    for fid in ("rosen-morse1", "rosen-morse1-cot"):
+        with pytest.raises(RangeViolation, match="eps != 0"):
+            simple(fid, 0.0, 1.0)

@@ -88,14 +88,14 @@ def _floats(text: str, what: str) -> tuple:
         raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}") from None
 
 
-def _parse_grid(text: str) -> tuple:
+def _parse_grid(text: str, what: str = "grid") -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValidationError(f"grid must be 'a,b,N', got {text!r}")
+        raise ValidationError(f"{what} must be 'a,b,N', got {text!r}")
     try:
         return (float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError:
-        raise ValidationError(f"grid must be 'a,b,N', got {text!r}") from None
+        raise ValidationError(f"{what} must be 'a,b,N', got {text!r}") from None
 
 
 def _box_from(value, what: str) -> tuple:
@@ -143,6 +143,9 @@ def _coerce_config(doc: dict) -> JobConfig:
                          float(entry.get("beta", 0.0)), float(entry.get("d", 0.0))))
         cfg.couplings = tuple(rows)
     cfg.rho_invariant = doc.get("rho_invariant")
+    if cfg.rho_invariant is not None and not isinstance(cfg.rho_invariant, str):
+        raise ValidationError("config value rho_invariant has the wrong type: expected an "
+                              f"invariant source string, got {type(cfg.rho_invariant).__name__}")
     if "ell" in doc:
         cfg.ell = int(doc["ell"])
     if "window" in doc:
@@ -204,6 +207,8 @@ def _job_config(args) -> JobConfig:
         cfg.window = (w[0], w[1])
     if getattr(args, "grid", None):
         cfg.grid = _parse_grid(args.grid)
+    if getattr(args, "oracle_box", None):
+        cfg.oracle = _parse_grid(args.oracle_box, "--oracle")
     if getattr(args, "tol", None) is not None:
         cfg.tol = args.tol
     if getattr(args, "json", False):
@@ -497,6 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_job_flags(p_cmp)
     p_cmp.add_argument("--kmax", type=int, default=2,
                        help="largest level index to compare")
+    p_cmp.add_argument("--oracle", dest="oracle_box",
+                       help="FD truncation box 'a,b,N' (default: sized from the ground state)")
     p_cmp.set_defaults(func=cmd_oracle_compare)
     return parser
 

@@ -225,23 +225,42 @@ def _potential_of(target) -> Callable:
 def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray:
     """Number of Dirichlet eigenvalues strictly below each lambda."""
     tiny = 1e-300
+    lams = np.asarray(lams, dtype=float)
     d = diag[0] - lams
-    d = np.where(d == 0.0, -tiny, d)
+    d[d == 0.0] = -tiny
     counts = (d < 0).astype(int)
+    # one pass over the matrix for all lambdas; the buffers are reused so
+    # the per-row cost is a handful of numpy calls and no allocation
+    quot = np.empty_like(d)
+    neg = np.empty(d.shape, dtype=bool)
     # near-zero pivots overflow the quotient; the sign logic still holds
     with np.errstate(over="ignore", divide="ignore"):
-        for i in range(1, diag.size):
-            d = diag[i] - lams - off2 / d
-            d = np.where(d == 0.0, -tiny, d)
-            counts += d < 0
+        for a in diag[1:].tolist():
+            np.divide(off2, d, out=quot)
+            np.subtract(a, lams, out=d)
+            d -= quot
+            if not d.all():
+                d[d == 0.0] = -tiny
+            np.less(d, 0.0, out=neg)
+            counts += neg
     return counts
+
+
+# interior sample points of each bracket per Sturm sweep; a sweep costs one
+# Python-level pass over the matrix whatever the number of points, so the
+# bracket shrinks 65-fold for about the price of one bisection step
+_MULTISECTION = np.arange(1, 65) / 65.0
 
 
 def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     """Lowest eigenvalues of -d²/dx² + V on [a, b] with Dirichlet walls.
 
-    Symmetric second-order tridiagonal discretization, eigenvalues located
-    by Sturm-count bisection; independent of every closed-form result.
+    Symmetric second-order tridiagonal discretization; eigenvalues located
+    from Sturm counts by bracketed multisection, independent of every
+    closed-form result.  The first sweep samples a geometric ladder above
+    the Gershgorin floor, which brackets every level however wide the
+    Gershgorin span; each later sweep samples 64 interior points of every
+    bracket, until the widest bracket is within 1e-11 (1 + max |lambda|).
     """
     if count < 1:
         raise ValidationError("eigenvalue count must be >= 1")
@@ -256,18 +275,28 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     off2 = 1.0 / h ** 4
     lo = float(np.min(diag)) - 2.0 / h ** 2
     hi = float(np.max(diag)) + 2.0 / h ** 2
+    # no level lies below lo + the lowest level of the bare discrete
+    # Laplacian, so the ladder starts there and doubles up to hi
+    step = (2.0 / h * math.sin(0.5 * math.pi / (oracle.n - 1))) ** 2
+    ladder = lo + step * 2.0 ** np.arange(int(math.log2((hi - lo) / step)) + 1)
+    pts = ladder[None, ladder < hi]
     los = np.full(count, lo)
     his = np.full(count, hi)
-    targets = np.arange(count)
+    targets = np.arange(count)[:, None]
+    rows = np.arange(count)
     for _ in range(200):
+        cnt = _sturm_counts(diag, off2, pts)
+        # the first sample with more than k levels below it (else the old
+        # upper end) closes bracket k: count(lo) <= k < count(hi) holds
+        # even if rounding makes the counts non-monotone
+        j = np.argmax(np.column_stack((cnt > targets, np.ones(count, dtype=bool))), axis=1)
+        edges = np.column_stack((los, np.broadcast_to(pts, (count, pts.shape[1])), his))
+        los, his = edges[rows, j], edges[rows, j + 1]
         mids = 0.5 * (los + his)
-        cnt = _sturm_counts(diag, off2, mids)
-        below = cnt <= targets
-        los = np.where(below, mids, los)
-        his = np.where(~below, mids, his)
         if float(np.max(his - los)) <= 1e-11 * (1.0 + float(np.max(np.abs(mids)))):
             break
-    return [float(x) for x in 0.5 * (los + his)]
+        pts = los[:, None] + (his - los)[:, None] * _MULTISECTION
+    return [float(x) for x in mids]
 
 
 def reference_oracle(fp: FamilyParams, n: int = 3000) -> OracleSpec:

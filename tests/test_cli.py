@@ -176,6 +176,25 @@ def test_oracle_compare(capsys):
     assert max(row["deviation"] for row in doc["levels"]) <= 5e-3
 
 
+def test_oracle_compare_box_flag(capsys):
+    rc, out, _ = run(capsys, "oracle", "compare", *MORSE, "--kmax", "2",
+                     "--oracle=-3,30,2000", "--json")
+    doc = json.loads(out)
+    assert rc == 0 and doc["pass"] is True
+    assert doc["oracle"] == {"a": -3.0, "b": 30.0, "N": 2000}
+    # the box is validated like the config key: N < 500 is a usage error
+    rc, out, err = run(capsys, "oracle", "compare", *MORSE, "--oracle=-3,30,400")
+    assert rc == 2 and out == "" and "grid size" in err
+    rc, out, err = run(capsys, "oracle", "compare", *MORSE, "--oracle=-3,30")
+    assert rc == 2 and out == "" and "--oracle must be 'a,b,N'" in err
+
+
+def test_spectrum_oracle_stays_a_switch(capsys):
+    rc, out, _ = run(capsys, "spectrum", *MORSE, "--oracle")
+    lines = out.strip().splitlines()
+    assert rc == 0 and lines[0] == "k\tE_k\toracle_gap\tdeviation" and len(lines) == 4
+
+
 def test_inadmissible_level_exits_2(capsys):
     rc, _, err = run(capsys, "wavefunction", *MORSE, "--k", "9")
     assert rc == 2 and "admissible" in err
@@ -193,6 +212,7 @@ def test_trig_rosen_morse_at_eps_zero_exits_2(capsys):
     ("window", ["a", 1.0]), ("grid", ["0", "1", "many"]),
     ("couplings", [{"invariant": "1", "beta": "x"}]),
     ("couplings", [{"invariant": "1", "d": [1]}]),
+    ("rho_invariant", 5),
 ])
 def test_config_values_that_cannot_be_coerced_exit_2(capsys, tmp_path, key, value):
     doc = {"family": "morse", "m": [2.5], "couplings": [{"invariant": "1", "d": 1.0}]}

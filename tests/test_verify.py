@@ -2,9 +2,11 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from shapeinv import verify
 from shapeinv.errors import ValidationError
 from shapeinv.verify import (
     GramReport,
@@ -65,6 +67,61 @@ def test_fd_accepts_family_target():
     gaps = [v - lam[0] for v in lam]
     assert gaps[1] == pytest.approx(4.0, abs=5e-3)
     assert gaps[2] == pytest.approx(6.0, abs=5e-3)
+
+
+def _fd_matrix(potential, box):
+    """Diagonal and squared off-diagonal of the matrix fd_spectrum documents."""
+    h = (box.b - box.a) / (box.n - 1)
+    xs = box.a + h * np.arange(1, box.n - 1)
+    return 2.0 / h ** 2 + potential(xs), 1.0 / h ** 4
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(half=st.floats(1.0, 6.0), c0=st.floats(-20.0, 20.0), c2=st.floats(0.0, 5.0),
+       amp=st.floats(-10.0, 10.0), freq=st.floats(0.0, 4.0), count=st.integers(1, 5))
+def test_fd_matches_dense_eigvalsh(half, c0, c2, amp, freq, count):
+    # same tridiagonal matrix, eigenvalues from LAPACK on the dense form
+    box = OracleSpec(-half, half, 500)
+
+    def potential(xs):
+        return c0 + c2 * xs ** 2 + amp * np.sin(freq * xs)
+
+    diag, off2 = _fd_matrix(potential, box)
+    off = -math.sqrt(off2) * np.ones(diag.size - 1)
+    want = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:count]
+    got = fd_spectrum(potential, box, count)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-9 * (1.0 + abs(w)), (k, g, w)
+
+
+def test_fd_morse_levels_bracketed_by_sturm_counts():
+    # the exp wall puts the Gershgorin span near 5e21; each level must still
+    # sit between the counts just below and just above it
+    fp = simple("morse", 2.5, 1.0)
+    box = reference_oracle(fp, 3000)
+    lam = fd_spectrum(fp, box, 3)
+    diag, off2 = _fd_matrix(verify._potential_of(fp), box)
+    for k, value in enumerate(lam):
+        delta = 1e-9 * (1.0 + abs(value))
+        below, above = verify._sturm_counts(diag, off2, np.array([value - delta, value + delta]))
+        assert below <= k < above, (k, value, below, above)
+
+
+def test_fd_sweep_count_guard(monkeypatch):
+    # multisection needs a handful of Sturm sweeps where bisection from the
+    # Gershgorin bounds needed over a hundred
+    fp = simple("morse", 2.5, 1.0)
+    box = reference_oracle(fp, 3000)
+    sweeps = [0]
+    real = verify._sturm_counts
+
+    def counted(*args):
+        sweeps[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_sturm_counts", counted)
+    fd_spectrum(fp, box, 3)
+    assert 1 <= sweeps[0] <= 12, sweeps[0]
 
 
 def test_quadrature_gaussian():

@@ -37,6 +37,7 @@ _CHECK_TOL = {
     "orthonormal": 1e-6,
 }
 _ORACLE_TOL = 5e-3
+_LADDER_POINTS = 801
 
 
 def _fmt(x) -> str:
@@ -319,7 +320,7 @@ def cmd_wavefunction(args) -> int:
     cfg = _job_config(args)
     fp = _need_family(_build_target(cfg))
     wf = spectra.wavefunction(fp, args.k)
-    a, b, n = cfg.grid if cfg.grid else verify.default_grid(fp, 201)
+    a, b, n = verify.check_grid(cfg.grid) if cfg.grid else verify.default_grid(fp, 201)
     clo, chi = fp.domain.clipped()
     xs = np.linspace(a, b, n)
     xs = xs[(xs >= clo) & (xs <= chi)]
@@ -374,6 +375,9 @@ def cmd_verify(args) -> int:
     tol = cfg.tol if cfg.tol is not None else _CHECK_TOL[which]
     target = _build_target(cfg)
     as_json = cfg.fmt == "json"
+    if which in ("ladder", "orthonormal") and cfg.grid is not None:
+        raise ValidationError("grid {},{},{} does not apply to verify {}, which chooses "
+                              "its own points".format(*cfg.grid, which))
     if which == "si":
         fp = _need_family(target)
         grid = cfg.grid if cfg.grid else verify.default_grid(fp)
@@ -381,8 +385,9 @@ def cmd_verify(args) -> int:
         return _check_report(fp, report, grid, tol, as_json)
     if which == "ladder":
         fp = _need_family(target)
-        report = verify.ladder_check(fp, args.k)
-        grid = cfg.grid if cfg.grid else verify.default_grid(fp, 801)
+        report = verify.ladder_check(fp, args.k, _LADDER_POINTS)
+        xs, _ = verify.stencil_grid(fp, _LADDER_POINTS)
+        grid = (float(xs[0]), float(xs[-1]), _LADDER_POINTS)
         return _check_report(fp, report, grid, tol, as_json, extra={"k": args.k})
     if which == "orthonormal":
         fp = _need_family(target)

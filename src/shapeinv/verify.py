@@ -69,6 +69,16 @@ def _report(xs: np.ndarray, res: np.ndarray, excluded: int) -> GridReport:
     )
 
 
+def check_grid(grid) -> tuple[float, float, int]:
+    """A check grid (a, b, N) with finite ends, a < b and N >= 3."""
+    a, b, n = grid
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValidationError(f"check grid must be finite with a < b, got ({a}, {b})")
+    if n < 3:
+        raise ValidationError(f"check grid needs at least 3 points, got {n}")
+    return a, b, int(n)
+
+
 def default_grid(fp: FamilyParams, n: int = 2001) -> tuple[float, float, int]:
     """Family plotting window intersected with the clipped domain."""
     clo, chi = fp.domain.clipped()
@@ -86,7 +96,7 @@ def si_residual(fp: FamilyParams, grid=None) -> GridReport:
     """
     down = families.translate_family(fp, 1)
     shift = families.remainder(down)
-    a, b, n = grid if grid is not None else default_grid(fp)
+    a, b, n = check_grid(grid if grid is not None else default_grid(fp))
     xs = np.linspace(a, b, n)
     clo, chi = fp.domain.clipped()
     keep = (xs >= clo) & (xs <= chi)
@@ -348,7 +358,7 @@ def _second5(f, xs: np.ndarray, h) -> np.ndarray:
             - np.asarray(f(xs + 2 * h))) / (12 * h ** 2)
 
 
-def _stencil_grid(fp: FamilyParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+def stencil_grid(fp: FamilyParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation grid plus per-point steps for the 5-point stencils.
 
     Steps shrink in proportion to the distance from finite domain ends,
@@ -380,7 +390,7 @@ def ladder_check(fp: FamilyParams, k: int, n: int = 801) -> LadderReport:
     lower = spectra.wavefunction(down, k - 1)
     upper = spectra.wavefunction(fp, k)
     energy = spectra.eigenenergy(fp, k)
-    xs, h = _stencil_grid(fp, n)
+    xs, h = stencil_grid(fp, n)
     w, _ = families.superpotential(fp, xs)
     raised = -_deriv5(lower, xs, h) + w * np.asarray(lower(xs))
     rhs = math.sqrt(energy) * np.asarray(upper(xs))
@@ -399,7 +409,7 @@ def schrodinger_residual(fp: FamilyParams, k: int, n: int = 1501) -> GridReport:
     """Pointwise residual of -zeta'' + (V - E_k) zeta via a 5-point stencil."""
     state = spectra.wavefunction(fp, k)
     energy = spectra.eigenenergy(fp, k)
-    xs, h = _stencil_grid(fp, n)
+    xs, h = stencil_grid(fp, n)
     v, _ = families.partner_potentials(fp, xs)
     drive = (v - energy) * np.asarray(state(xs))
     res = np.abs(-_second5(state, xs, h) + drive) / (1.0 + np.abs(drive))

@@ -221,3 +221,38 @@ def test_config_values_that_cannot_be_coerced_exit_2(capsys, tmp_path, key, valu
     cfg.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "verify", "si", "--config", str(cfg))
     assert rc == 2 and out == "" and "wrong type" in err
+
+
+EXT4 = ["--extension", "ext-4", "--m", "2.0", "--invariant", "1", "--beta", "2",
+        "--window", "0.75,1.1"]
+
+
+@pytest.mark.parametrize("command,grid,named", [
+    (["verify", "si", *MORSE], "0,1,-5", "-5"),
+    (["wavefunction", *MORSE], "0,1,-3", "-3"),
+    (["verify", "si", *MORSE], "inf,1,5", "inf"),
+    (["wavefunction", *MORSE], "nan,1,5", "nan"),
+    (["verify", "si", *MORSE], "0,1,0", "got 0"),
+    (["wavefunction", *MORSE], "0,1,0", "got 0"),
+    (["verify", "si", *MORSE], "1,0,5", "(1.0, 0.0)"),
+    (["verify", "cond2", *EXT4], "0.8,1,2", "got 2"),
+])
+def test_bad_grids_exit_2(capsys, command, grid, named):
+    rc, out, err = run(capsys, *command, f"--grid={grid}")
+    assert rc == 2 and out == "" and "check grid" in err and named in err
+
+
+@pytest.mark.parametrize("check", ["ladder", "orthonormal"])
+def test_grid_on_fixed_point_checks_exits_2(capsys, check):
+    rc, out, err = run(capsys, "verify", check, *MORSE, "--grid=0,1,5")
+    assert rc == 2 and out == "" and "does not apply" in err
+
+
+def test_ladder_json_reports_the_grid_it_ran(capsys):
+    rc, out, _ = run(capsys, "verify", "ladder", *MORSE, "--k", "1", "--json")
+    doc = json.loads(out)
+    a, b, n = doc["grid"]["a"], doc["grid"]["b"], doc["grid"]["N"]
+    assert rc == 0 and n == 801 and a <= doc["argmax_x"] <= b
+    # the worst point is one of the printed grid's points
+    i = (doc["argmax_x"] - a) / (b - a) * (n - 1)
+    assert abs(i - round(i)) < 1e-6

@@ -4,7 +4,7 @@ One job per invocation, described either by a JSON config document or by
 inline flags; identical configs print byte-identical output.  Floats are
 written with 17 significant digits so the reports round-trip.  Exit codes:
 0 pass, 1 tolerance failure, 2 validation or config error, 3 numerical
-failure.
+failure, 4 internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ EXIT_PASS = 0
 EXIT_TOLERANCE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 _CHECK_TOL = {
     "si": 1e-9,
@@ -320,12 +321,7 @@ def cmd_wavefunction(args) -> int:
     cfg = _job_config(args)
     fp = _need_family(_build_target(cfg))
     wf = spectra.wavefunction(fp, args.k)
-    a, b, n = verify.check_grid(cfg.grid) if cfg.grid else verify.default_grid(fp, 201)
-    clo, chi = fp.domain.clipped()
-    xs = np.linspace(a, b, n)
-    xs = xs[(xs >= clo) & (xs <= chi)]
-    if xs.size == 0:
-        raise ValidationError("grid lies entirely outside the clipped domain")
+    xs, _ = verify.grid_points(fp.domain, cfg.grid or verify.default_grid(fp, 201))
     zeta = np.asarray(wf(xs), dtype=float)
     v, _ = families.partner_potentials(fp, xs)
     norm = verify.quadrature(lambda t: wf(t) * wf(t), fp.domain, 1e-10)
@@ -337,7 +333,7 @@ def cmd_wavefunction(args) -> int:
             "k": args.k,
             "norm": norm,
             "imag_residue": residue,
-            "grid": {"a": a, "b": b, "N": n},
+            "grid": {"a": float(xs[0]), "b": float(xs[-1]), "N": int(xs.size)},
             "rows": [[float(x), float(z), float(p)] for x, z, p in zip(xs, zeta, v)],
         }
         print(_dumps(out))
@@ -350,10 +346,10 @@ def cmd_wavefunction(args) -> int:
     return EXIT_PASS
 
 
-def _check_report(target, report, grid, tol: float, as_json: bool,
+def _check_report(target, report, tol: float, as_json: bool,
                   extra: Optional[dict] = None) -> int:
     """One residual report line (or JSON object) for a family or an extension."""
-    out = verify.report_json(target, report, grid)
+    out = verify.report_json(target, report, report.grid)
     out["tol"] = tol
     passed = report.max_residual <= tol
     out["pass"] = bool(passed)
@@ -380,15 +376,11 @@ def cmd_verify(args) -> int:
                               "its own points".format(*cfg.grid, which))
     if which == "si":
         fp = _need_family(target)
-        grid = cfg.grid if cfg.grid else verify.default_grid(fp)
-        report = verify.si_residual(fp, grid)
-        return _check_report(fp, report, grid, tol, as_json)
+        return _check_report(fp, verify.si_residual(fp, cfg.grid), tol, as_json)
     if which == "ladder":
         fp = _need_family(target)
         report = verify.ladder_check(fp, args.k, _LADDER_POINTS)
-        xs, _ = verify.stencil_grid(fp, _LADDER_POINTS)
-        grid = (float(xs[0]), float(xs[-1]), _LADDER_POINTS)
-        return _check_report(fp, report, grid, tol, as_json, extra={"k": args.k})
+        return _check_report(fp, report, tol, as_json, extra={"k": args.k})
     if which == "orthonormal":
         fp = _need_family(target)
         gram = verify.orthonormality(fp, args.kmax)
@@ -411,14 +403,13 @@ def cmd_verify(args) -> int:
         return EXIT_PASS if passed else EXIT_TOLERANCE
     # extension checks
     spec = _need_extension(target)
-    grid = cfg.grid if cfg.grid else extensions.extension_grid(spec)
     if which == "cond1":
-        report = extensions.check_cond1(spec, grid)
+        report = extensions.check_cond1(spec, cfg.grid)
     elif which == "cond2":
-        report = extensions.check_cond2(spec, grid)
+        report = extensions.check_cond2(spec, cfg.grid)
     else:
-        report = extensions.extended_si_check(spec, grid)
-    return _check_report(spec, report, grid, tol, as_json)
+        report = extensions.extended_si_check(spec, cfg.grid)
+    return _check_report(spec, report, tol, as_json)
 
 
 def cmd_oracle_compare(args) -> int:
@@ -524,6 +515,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:  # the exit-code contract covers every input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

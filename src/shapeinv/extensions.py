@@ -28,7 +28,7 @@ from .errors import DenominatorZero, ValidationError
 from .families import (_FOLD_BETA_MEAN, _FOLD_BETA_MEAN_NEG, _FOLD_D_MEAN, _FOLD_D_ONLY,
                        FAMILY_SPECS, ConstructionData, Domain, _fold, _make_domain)
 from .specfun import hyp1f1_terminating, hyp2f1_terminating, jacobi_p, laguerre_l
-from .verify import GridReport, _report, check_grid
+from .verify import GridReport, _report, clip_window, grid_points
 
 MAX_ELL = 8
 
@@ -367,10 +367,7 @@ def build_extension(case, data: ConstructionData, ell: Optional[int] = None,
             raise ValidationError(f"folded parameter {name} is not finite: {v}")
     if window is None:
         window = cs.window
-    a, b = float(window[0]), float(window[1])
-    clo, chi = cs.domain.clipped()
-    a = a if not math.isfinite(clo) else max(a, clo)
-    b = b if not math.isfinite(chi) else min(b, chi)
+    a, b = clip_window(cs.domain, float(window[0]), float(window[1]))
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError(f"window ({window[0]}, {window[1]}) does not "
                               f"intersect the case domain")
@@ -439,27 +436,20 @@ def extension_grid(spec: ExtensionSpec, n: int = 501) -> tuple[float, float, int
     return (a, b, n)
 
 
-def _grid_points(spec: ExtensionSpec, grid) -> np.ndarray:
-    a, b, n = check_grid(grid if grid is not None else extension_grid(spec))
-    xs = np.linspace(a, b, n)
-    spec.domain.require_inside(xs)
-    return xs
-
-
 def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     """Compare the minus display at eps with the plus display at eps - 1.
 
     Residuals are scaled by 1/(1 + |W1p(eps - 1)|); the contract is a max
     of 1e-10.
     """
-    xs = _grid_points(spec, grid)
+    xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
     res = []
     for x in xs:
         minus = _w1(cs, False, float(x), e, r, l)
         plus_down = _w1(cs, True, float(x), e - 1, r, l)
         res.append(abs(minus - plus_down) / (1.0 + abs(plus_down)))
-    return _report(xs, np.asarray(res, dtype=float), 0)
+    return _report(xs, np.asarray(res, dtype=float), excluded)
 
 
 def _cond1_l(cs: CaseSpec, x: float, e, r, l):
@@ -482,7 +472,7 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
     |L(eps)| / (1 + |W0(eps)|^2), the same at eps - 1, and the unscaled
     cross-difference |L(eps) - L(eps - 1)|; the contract is 1e-8.
     """
-    xs = _grid_points(spec, grid)
+    xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
     res = []
     for x in xs:
@@ -491,7 +481,7 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
         r_up = abs(l_up) / (1.0 + abs(w0_up) ** 2)
         r_dn = abs(l_dn) / (1.0 + abs(w0_dn) ** 2)
         res.append(max(r_up, r_dn, abs(l_up - l_dn)))
-    return _report(xs, np.asarray(res, dtype=float), 0)
+    return _report(xs, np.asarray(res, dtype=float), excluded)
 
 
 def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
@@ -500,9 +490,9 @@ def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
     (W^2 + W')(eps) against (W^2 - W')(eps - 1) + R(eps - 1) with R taken
     from the base; scaled like the family-side check.
     """
-    xs = _grid_points(spec, grid)
+    xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     w = ExtendedSuperpotential(spec)
     v_plus = w._side(xs, 1.0)
     v_down = w._side(xs, -1.0, shift=1)
     res = np.abs(v_plus - v_down - base_remainder(spec, shift=1)) / (1.0 + np.abs(v_down))
-    return _report(xs, res, 0)
+    return _report(xs, res, excluded)

@@ -1,11 +1,11 @@
 """Spectra and normalized bound states of the thirteen families.
 
 Eigenenergies are summed from the families' remainders, E_k = sum over
-j = 1..k of R(eps - j); eigenfunctions are assembled from the polynomial
-evaluators with recursively defined normalization constants, one state
-builder per family.  Three families (hyperbolic Scarf and both
-trigonometric Rosen-Morse forms) run through complex arithmetic and are
-projected back to the reals after an imaginary-residue check.
+j = 1..k of R(eps - j), and so are the ladder normalizations; eigenfunctions
+are assembled from the polynomial evaluators, one state builder per family.
+Three families (hyperbolic Scarf and both trigonometric Rosen-Morse forms)
+run through complex arithmetic and are projected back to the reals after an
+imaginary-residue check.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import InadmissibleState, NumericalError, ValidationError
 from .families import FamilyParams
 
 IMAG_RESIDUE_TOL = 1e-9
-
-NORM_KINDS = ("a", "b", "c", "d", "e", "p", "u")
 
 
 def _check_index(k) -> int:
@@ -96,50 +94,29 @@ def admissible_range(fp: FamilyParams) -> AdmissibleRange:
     return AdmissibleRange(last)
 
 
-def norm_coefficient(kind: str, k: int, fp: FamilyParams) -> float:
-    """Evaluate one of the printed normalization recursions at level k.
+def norm_coefficient(fp: FamilyParams, k: int) -> float:
+    """Ladder normalization prod_{j=1..k} c_j / sqrt(E_j(e_j)), e_j = eps - (k - j).
 
-    Each step divides by a square root whose radicand must be positive;
-    the parameter argument moves by one unit per step (upward only for
-    kind b, as printed).
+    zeta_j(e) = A+(e) zeta_{j-1}(e - 1) / sqrt(E_j(e)), as |A+ zeta_{j-1}|^2 = E_j;
+    E_j(e_j) = E_{j-1}(e_{j-1}) + R(e_j - 1) is one running sum.  The
+    ratio-form families, whose polynomials take their parameters from
+    s = e_j - j = eps - k, carry c_j = (2 e_j - j) / e_j; the rest c_j = 1.
     """
-    if kind not in NORM_KINDS:
-        raise ValidationError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
     k = _check_index(k)
-    eps, rho = fp.eps, fp.rho
-    value = 1.0
-    e = eps
-
-    def radical(rad: float, j: int) -> float:
-        if not rad > 0:
-            raise InadmissibleState(
-                f"norm recursion {kind!r} hit a non-positive radicand {rad:.6g} "
-                f"at step k={j} (eps={eps:.6g}, rho={rho:.6g})")
-        return math.sqrt(rad)
-
-    for j in range(k, 0, -1):
-        if kind in ("e", "p", "u"):
-            if e == 0 or j == e:
-                raise InadmissibleState(
-                    f"norm recursion {kind!r} hit a zero denominator at step k={j}")
-        if kind == "a":
-            value /= radical((2 * e - j) * j, j)
-        elif kind == "b":
-            value /= radical(j * (2 * e - j), j)
-        elif kind == "c":
-            value /= radical(4 * rho * j, j)
-        elif kind == "d":
-            value /= radical(j * (j - 2 * e), j)
-        elif kind == "e":
-            rad = j * (2 * e - j) - rho ** 2 / (j - e) ** 2 + rho ** 2 / e ** 2
-            value *= (2 * e - j) / (e * radical(rad, j))
-        elif kind == "p":
-            rad = (j - e) ** 2 * e ** 2 / (j * (j - 2 * e) * rho ** 2)
-            value *= (2 * e - j) / e * radical(rad, j)
-        else:  # u
-            rad = j * (j - 2 * e) - rho ** 2 / (j - e) ** 2 + rho ** 2 / e ** 2
-            value *= (2 * e - j) / (e * radical(rad, j))
-        e -= 1
+    spec, value, energy = fp.spec, 1.0, 0.0
+    try:
+        for j in range(1, k + 1):
+            e = fp.eps - (k - j)
+            energy += spec.remainder(e - 1, fp.rho, fp.beta)
+            if not energy > 0:
+                raise InadmissibleState(f"E_{j} = {energy:.6g} is not positive on the "
+                                        f"ladder to k={k} (eps={fp.eps:.6g}, rho={fp.rho:.6g})")
+            value /= math.sqrt(energy)
+            if spec.v is None:
+                value *= (2 * e - j) / e
+    except ZeroDivisionError:  # integer eps in 0..k on a ratio-form family
+        raise InadmissibleState(f"zero denominator at step j={j} on the ladder to k={k} "
+                                f"(eps={fp.eps:.6g}, rho={fp.rho:.6g})") from None
     return value
 
 
@@ -182,7 +159,7 @@ class Wavefunction:
 
 def _scarf2_state(fp: FamilyParams, k: int) -> Wavefunction:
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("a", k, fp)
+    norm = norm_coefficient(fp, k)
     pref = (2.0 ** (e - 0.5)
             * specfun.gamma_abs_complex(complex(0.5 + e - k, -r))
             / (math.sqrt(math.pi) * math.sqrt(specfun.gamma(2 * (e - k))))
@@ -200,7 +177,7 @@ def _scarf2_state(fp: FamilyParams, k: int) -> Wavefunction:
 
 def _poschl_teller_state(fp: FamilyParams, k: int) -> Wavefunction:
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("b", k, fp)
+    norm = norm_coefficient(fp, k)
     pref = (2.0 ** e * math.factorial(k) * norm
             * math.sqrt(specfun.gamma(0.5 - k + e + r)
                         / (specfun.gamma(2 * (e - k))
@@ -218,7 +195,7 @@ def _poschl_teller_state(fp: FamilyParams, k: int) -> Wavefunction:
 def _morse_state(fp: FamilyParams, k: int, sign: float) -> Wavefunction:
     """Morse (sign +1) or its mirror image (sign -1)."""
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("a", k, fp)
+    norm = norm_coefficient(fp, k)
     pref = ((-1.0) ** k * 2.0 ** (e - k) * (sign * r) ** (e - k) * norm
             * math.factorial(k) / math.sqrt(specfun.gamma(2 * (e - k))))
 
@@ -234,7 +211,7 @@ def _morse_state(fp: FamilyParams, k: int, sign: float) -> Wavefunction:
 
 def _radial_state(fp: FamilyParams, k: int) -> Wavefunction:
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("c", k, fp)
+    norm = norm_coefficient(fp, k)
     pref = (math.sqrt(2.0 * r ** (0.5 + k - e) / specfun.gamma(0.5 + k - e))
             * math.factorial(k) * (-2.0) ** k * norm)
 
@@ -259,7 +236,7 @@ def _harmonic_state(fp: FamilyParams, k: int) -> Wavefunction:
 def _scarf1_state(fp: FamilyParams, k: int, trig: Callable) -> Wavefunction:
     """Trigonometric Scarf in u = sin x (tan form) or u = cos x (cot form)."""
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("d", k, fp)
+    norm = norm_coefficient(fp, k)
     pref = (2.0 ** e * math.factorial(k) * norm
             * math.sqrt(specfun.gamma(1 + 2 * k - 2 * e)
                         / (specfun.gamma(0.5 + k - e - r)
@@ -282,7 +259,7 @@ def _hyperbolic_ratio_state(fp: FamilyParams, k: int, gamma_ratio: Callable,
     the two bases raised to (s + t)/2 and (s - t)/2.
     """
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("e", k, fp)
+    norm = norm_coefficient(fp, k)
     s = e - k
     t = r / s
     pref = 2.0 ** (0.5 + k - e) * math.factorial(k) * math.sqrt(gamma_ratio(s, t)) * norm
@@ -299,7 +276,7 @@ def _hyperbolic_ratio_state(fp: FamilyParams, k: int, gamma_ratio: Callable,
 
 def _coulomb_state(fp: FamilyParams, k: int) -> Wavefunction:
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("p", k, fp)
+    norm = norm_coefficient(fp, k)
     lam = r / (e - k)
     rad = -r / (k - e) ** 2 * lam ** (2 * k - 2 * e) / specfun.gamma(2 * k - 2 * e)
     if not rad > 0:
@@ -321,7 +298,7 @@ def _trig_ratio_state(fp: FamilyParams, k: int, parts: Callable) -> Wavefunction
     Jacobi argument of the tan or cot form.
     """
     e, r = fp.eps, fp.rho
-    norm = norm_coefficient("u", k, fp)
+    norm = norm_coefficient(fp, k)
     s = e - k
     t = r / s
     pref = ((-1j) ** k * math.factorial(k) * norm

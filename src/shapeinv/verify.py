@@ -26,6 +26,7 @@ class GridReport:
     argmax_x: float
     points_used: int
     points_excluded: int
+    grid: tuple  # (first x, last x, count) of the points that ran
 
 
 @dataclass(frozen=True)
@@ -66,26 +67,36 @@ def _report(xs: np.ndarray, res: np.ndarray, excluded: int) -> GridReport:
         argmax_x=float(xs[idx]),
         points_used=int(res.size),
         points_excluded=int(excluded),
+        grid=(float(xs[0]), float(xs[-1]), int(xs.size)),
     )
 
 
-def check_grid(grid) -> tuple[float, float, int]:
-    """A check grid (a, b, N) with finite ends, a < b and N >= 3."""
+def clip_window(domain: families.Domain, lo: float, hi: float) -> tuple[float, float]:
+    """The interval [lo, hi] intersected with the clipped domain."""
+    clo, chi = domain.clipped()
+    return max(lo, clo), min(hi, chi)
+
+
+def grid_points(domain: families.Domain, grid) -> tuple[np.ndarray, int]:
+    """The points of a check grid (a, b, N) inside the clipped domain, and
+    the count of those dropped; needs finite a < b, N >= 3 and a point left."""
     a, b, n = grid
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError(f"check grid must be finite with a < b, got ({a}, {b})")
     if n < 3:
         raise ValidationError(f"check grid needs at least 3 points, got {n}")
-    return a, b, int(n)
+    xs = np.linspace(a, b, int(n))
+    clo, chi = domain.clipped()
+    xs = xs[(xs >= clo) & (xs <= chi)]
+    if xs.size == 0:
+        raise ValidationError(f"check grid ({a}, {b}, {n}) lies entirely outside "
+                              f"the clipped domain [{clo:.6g}, {chi:.6g}]")
+    return xs, int(n) - xs.size
 
 
 def default_grid(fp: FamilyParams, n: int = 2001) -> tuple[float, float, int]:
     """Family plotting window intersected with the clipped domain."""
-    clo, chi = fp.domain.clipped()
-    wlo, whi = fp.spec.window
-    lo = wlo if not math.isfinite(clo) else max(wlo, clo)
-    hi = whi if not math.isfinite(chi) else min(whi, chi)
-    return (lo, hi, n)
+    return (*clip_window(fp.domain, *fp.spec.window), n)
 
 
 def si_residual(fp: FamilyParams, grid=None) -> GridReport:
@@ -96,14 +107,7 @@ def si_residual(fp: FamilyParams, grid=None) -> GridReport:
     """
     down = families.translate_family(fp, 1)
     shift = families.remainder(down)
-    a, b, n = check_grid(grid if grid is not None else default_grid(fp))
-    xs = np.linspace(a, b, n)
-    clo, chi = fp.domain.clipped()
-    keep = (xs >= clo) & (xs <= chi)
-    excluded = int(n - keep.sum())
-    if excluded == n:
-        raise ValidationError("grid lies entirely outside the clipped domain")
-    xs = xs[keep]
+    xs, excluded = grid_points(fp.domain, grid if grid is not None else default_grid(fp))
     _, v_plus = families.partner_potentials(fp, xs)
     v_down, _ = families.partner_potentials(down, xs)
     res = np.abs(v_plus - v_down - shift) / (1.0 + np.abs(v_down))

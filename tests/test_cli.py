@@ -256,3 +256,34 @@ def test_ladder_json_reports_the_grid_it_ran(capsys):
     # the worst point is one of the printed grid's points
     i = (doc["argmax_x"] - a) / (b - a) * (n - 1)
     assert abs(i - round(i)) < 1e-6
+
+
+PT = ["--family", "poschl-teller", "--m=2", "--invariant", "1", "--d", "2"]
+EXT4_M3 = ["--extension", "4", "--m", "3", "--invariant", "1", "--d", "1"]
+
+
+@pytest.mark.parametrize("command", [["verify", "si", *PT], ["wavefunction", *PT]])
+def test_reports_print_the_grid_that_ran(capsys, command):
+    # -1 and 0 lie outside the clipped domain (0.001, inf) and are dropped
+    rc, out, _ = run(capsys, *command, "--grid=-1,2,4", "--json")
+    assert rc == 0 and json.loads(out)["grid"] == {"a": 1, "b": 2, "N": 2}
+
+
+def test_extension_check_clips_its_grid_to_the_domain(capsys):
+    rc, out, err = run(capsys, "verify", "cond1", *EXT4_M3, "--grid=-1,2,5", "--json")
+    doc = json.loads(out)
+    assert rc == 0 and err == "" and doc["grid"] == {"a": 0.5, "b": 2, "N": 3}
+    rc, out, err = run(capsys, "verify", "cond1", *EXT4_M3, "--grid=-3,-1,5")
+    assert rc == 2 and out == "" and "outside the clipped domain" in err
+
+
+def test_unexpected_exception_exits_4_without_traceback(capsys, monkeypatch):
+    from shapeinv import cli
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", broken)
+    rc, out, err = run(capsys, "spectrum", *MORSE)
+    assert rc == 4 and out == ""
+    assert err == "internal error: KeyError: 'boom'\n"

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from shapeinv import dual
@@ -81,3 +82,36 @@ def test_division_by_dual():
     q = 3.0 / x
     assert value(q) == pytest.approx(1.5)
     assert derivative(q) == pytest.approx(-3.0 / 4.0)
+
+
+ELEMENTARY = {
+    "sin": cmath.sin, "cos": cmath.cos, "sinh": cmath.sinh,
+    "cosh": cmath.cosh, "exp": cmath.exp,
+}
+NAMES = sorted(ELEMENTARY)
+
+
+def central(f, z: complex, h: float = 1e-5) -> complex:
+    """Fourth-order central difference along the real axis."""
+    return (f(z - 2 * h) - 8 * f(z - h) + 8 * f(z + h) - f(z + 2 * h)) / (12 * h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(f=st.sampled_from(NAMES), g=st.sampled_from(NAMES),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), c=st.floats(0.5, 3.0),
+       x=st.floats(-2.0, 2.0), y=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+def test_rational_combinations_match_central_differences(f, g, a, b, c, x, y):
+    """(a f(z) + b z) / (c + g(z)^2) on real (y = 0) and complex points."""
+    def through_dual(d):
+        return (a * getattr(dual, f)(d) + b * d) / (c + getattr(dual, g)(d) ** 2)
+
+    def plain(z):
+        return (a * ELEMENTARY[f](z) + b * z) / (c + ELEMENTARY[g](z) ** 2)
+
+    z = complex(x, y) if y else x
+    assume(abs(c + ELEMENTARY[g](z) ** 2) > 0.25)
+    d = through_dual(seed(z))
+    assert abs(value(d) - plain(z)) <= 1e-12 * max(1.0, abs(plain(z)))
+    want = central(plain, z)
+    assert abs(derivative(d) - want) <= 1e-7 * max(1.0, abs(want)), (f, g, z)
+    assert isinstance(value(d), complex) == isinstance(z, complex)

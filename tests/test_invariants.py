@@ -2,15 +2,24 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from shapeinv.errors import EvalDomainError, ExpressionError, ValidationError
 from shapeinv.invariants import (
+    FUNCTIONS,
+    NAMES,
+    Bin,
+    Call,
     InvariantExpr,
+    Neg,
+    Num,
     ParamVector,
+    Sym,
     check_invariance,
     eval_invariant,
     parse_invariant,
+    to_source,
     verify_invariant,
 )
 
@@ -48,6 +57,24 @@ def test_parse_round_trip_is_fixed_point():
         e1 = parse_invariant(src)
         e2 = parse_invariant(e1.source)
         assert e2.source == e1.source, src
+
+
+# Any AST the parser can produce: literals are unsigned (a minus sign
+# parses as Neg) and finite; -0.0 would print as Neg(0.0).
+ASTS = st.recursive(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs).map(Num)
+    | st.sampled_from(NAMES).map(Sym),
+    lambda sub: (sub.map(Neg)
+                 | st.builds(Call, st.sampled_from(FUNCTIONS), sub)
+                 | st.builds(Bin, st.sampled_from("+-*/^"), sub, sub)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(ast=ASTS)
+def test_random_ast_round_trips(ast):
+    text = to_source(ast)
+    assert parse_invariant(text).ast == ast, text
 
 
 def test_eval_basics():

@@ -75,19 +75,17 @@ def test_inadmissible_raises():
 
 def test_norm_recursion_values():
     fp = simple("scarf2", 3.4, 0.7)
-    assert norm_coefficient("a", 0, fp) == 1.0
-    assert norm_coefficient("a", 1, fp) == pytest.approx(
+    assert norm_coefficient(fp, 0) == 1.0
+    assert norm_coefficient(fp, 1) == pytest.approx(
         1.0 / math.sqrt(2 * 3.4 - 1), rel=1e-14)
     # two steps: eps drops by one between them
     want = 1.0 / math.sqrt((2 * 3.4 - 2) * 2) / math.sqrt(2 * (3.4 - 1) - 1)
-    assert norm_coefficient("a", 2, fp) == pytest.approx(want, rel=1e-14)
+    assert norm_coefficient(fp, 2) == pytest.approx(want, rel=1e-14)
     fp = simple("radial-osc", -0.5, 1.0)
-    assert norm_coefficient("c", 2, fp) == pytest.approx(
+    assert norm_coefficient(fp, 2) == pytest.approx(
         1.0 / math.sqrt(8.0) / math.sqrt(4.0), rel=1e-14)
-    with pytest.raises(ValidationError):
-        norm_coefficient("z", 1, fp)
     with pytest.raises(InadmissibleState):
-        norm_coefficient("a", 1, simple("scarf2", 0.3, 0.0))  # radicand < 0
+        norm_coefficient(simple("scarf2", 0.3, 0.0), 1)  # radicand < 0
 
 
 def count_nodes(wf, xs) -> int:

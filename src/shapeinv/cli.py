@@ -508,7 +508,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's floating-point warnings would break the one-line stderr
+        # contract of exit codes 2-4
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -255,8 +255,9 @@ def _hyperbolic_ratio_state(fp: FamilyParams, k: int, gamma_ratio: Callable,
                             coordinate: Callable, sides: Callable) -> Wavefunction:
     """Rosen-Morse (u = tanh x) and Eckart (u = coth x) states.
 
-    gamma_ratio(s, t) is the Gamma quotient under the root; sides(u) gives
-    the two bases raised to (s + t)/2 and (s - t)/2.
+    gamma_ratio(s, t) is the Gamma quotient under the root; sides(x) gives
+    the two bases u -/+ 1 (up to sign) raised to (s + t)/2 and (s - t)/2,
+    in forms free of the cancellation that rounds them to 0 in the tails.
     """
     e, r = fp.eps, fp.rho
     norm = norm_coefficient(fp, k)
@@ -267,11 +268,23 @@ def _hyperbolic_ratio_state(fp: FamilyParams, k: int, gamma_ratio: Callable,
 
     def body(x):
         u = coordinate(x)
-        lo, hi = sides(u)
+        lo, hi = sides(x)
         outer = lo ** ((s + t) / 2) * hi ** ((s - t) / 2)
         return pref * outer * specfun.jacobi_p(k, a_j, b_j, u)
 
     return Wavefunction(fp, k, body, False)
+
+
+def _tanh_sides(x):
+    """1 - tanh x and 1 + tanh x."""
+    with np.errstate(over="ignore"):
+        return 2.0 / (1.0 + np.exp(2.0 * x)), 2.0 / (1.0 + np.exp(-2.0 * x))
+
+
+def _coth_sides(x):
+    """coth x - 1 and coth x + 1."""
+    with np.errstate(over="ignore"):
+        return 2.0 / np.expm1(2.0 * x), -2.0 / np.expm1(-2.0 * x)
 
 
 def _coulomb_state(fp: FamilyParams, k: int) -> Wavefunction:
@@ -328,12 +341,12 @@ _STATES: dict[str, Callable[[FamilyParams, int], Wavefunction]] = {
         _hyperbolic_ratio_state,
         gamma_ratio=lambda s, t: specfun.gamma(2 * s) / (specfun.gamma(s - t)
                                                          * specfun.gamma(s + t)),
-        coordinate=np.tanh, sides=lambda u: (1.0 - u, 1.0 + u)),
+        coordinate=np.tanh, sides=_tanh_sides),
     "eckart": partial(
         _hyperbolic_ratio_state,
         gamma_ratio=lambda s, t: specfun.gamma(1 - s + t) / (specfun.gamma(1 - 2 * s)
                                                              * specfun.gamma(s + t)),
-        coordinate=lambda x: 1.0 / np.tanh(x), sides=lambda u: (u - 1.0, u + 1.0)),
+        coordinate=lambda x: 1.0 / np.tanh(x), sides=_coth_sides),
     "coulomb": _coulomb_state,
     "rosen-morse1": partial(_trig_ratio_state, parts=lambda x, q, r: (
         (2.0 * np.cos(x)) ** q * np.exp(r * x / q), -1j * np.tan(x))),

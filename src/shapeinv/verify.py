@@ -3,7 +3,9 @@
 Nothing in here trusts the closed-form spectra: the grid residual engine,
 the adaptive quadrature, and the finite-difference eigensolver only consume
 evaluable callables, so they can sit on the other side of every identity
-the library claims.
+the library claims.  The quadrature calls its integrand on the nodes of
+many panels at once: an integrand maps a 1-D array of any length to values
+broadcast to that shape.
 """
 
 from __future__ import annotations
@@ -117,29 +119,112 @@ def si_residual(fp: FamilyParams, grid=None) -> GridReport:
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Legendre quadrature
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule, n even.
+
+    Newton steps on P_n, evaluated by the three-term recurrence, from the
+    guesses cos(pi (i - 1/4) / (n + 1/2)); the rule is mirrored from the
+    positive roots, so it is exactly symmetric.
+    """
+    x = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if float(np.max(np.abs(step))) < 1e-16:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
+
+
+_GL_X, _GL_W = _gauss_legendre(20)
 
 _TAIL_REL = 1e-16
 _MAX_DEPTH = 30
+# pending panels bisected per integrand call, at most (40 nodes each), and
+# tail samples per call; a cap, not a breadth-first sweep, because a region
+# that never settles doubles its panels at every depth
+_BATCH = 64
+_TAIL_BLOCK = 8
 
 
-def _gl_panel(f, a: float, b: float) -> float:
+def _gl_panels(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """20-point Gauss-Legendre values of f on the panels [a_i, b_i], one call."""
     half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * _GL_X
-    return float(half * np.sum(_GL_W * np.asarray(f(xs), dtype=float)))
+    xs = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    vals = np.broadcast_to(np.asarray(f(xs.ravel()), dtype=float), (xs.size,))
+    return half * np.sum(_GL_W * vals.reshape(xs.shape), axis=1)
 
 
-def _adapt(f, a: float, b: float, budget: float, depth: int) -> float:
-    coarse = _gl_panel(f, a, b)
-    mid = 0.5 * (a + b)
-    fine = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
-    if abs(fine - coarse) <= max(budget, 1e-16 * abs(fine)):
-        return fine
-    if depth >= _MAX_DEPTH:
-        raise NonConvergence(
-            f"quadrature failed to settle on [{a:.6g}, {b:.6g}] after depth {_MAX_DEPTH}")
-    return (_adapt(f, a, mid, budget / 2, depth + 1)
-            + _adapt(f, mid, b, budget / 2, depth + 1))
+def _refine(f, lo: np.ndarray, hi: np.ndarray, budget: float) -> float:
+    """Sum of the adaptive integrals over the seed panels [lo_i, hi_i].
+
+    The recursion adapt(a, b) = fine when |fine - coarse| <= max(budget/2^depth,
+    1e-16 |fine|), else adapt(a, mid) + adapt(mid, b), run depth first and
+    leftmost first, but bisecting up to _BATCH pending panels per integrand
+    call; each half's value is its child's coarse value.  Leaves are summed
+    back in the recursion's order, and NonConvergence names the leftmost
+    panel still failing at depth 30, the one the recursion stops at.  A call
+    in which no panel settles halves the next batch (down to 2 panels), and
+    one in which any settles doubles it again: in a region that never
+    settles, the one-panel recursion walks only its leftmost path to depth 30.
+    """
+    # pending panels, leftmost last: ends, depth, coarse value, and the
+    # position of the panel's left end in units of a depth-30 panel
+    a, b = lo[::-1], hi[::-1]
+    depth = np.zeros(a.size, dtype=np.int64)
+    coarse = _gl_panels(f, lo, hi)[::-1]
+    pos = np.arange(a.size, dtype=np.int64)[::-1] << _MAX_DEPTH
+    leaves = []
+    failed = None
+    cap = _BATCH
+    while a.size:
+        ba, bb, bd, bc, bp = (v[-cap:][::-1] for v in (a, b, depth, coarse, pos))
+        a, b, depth, coarse, pos = (v[:-cap] for v in (a, b, depth, coarse, pos))
+        mid = 0.5 * (ba + bb)
+        halves = _gl_panels(f, np.concatenate((ba, mid)), np.concatenate((mid, bb)))
+        left, right = halves[:ba.size], halves[ba.size:]
+        fine = left + right
+        ok = np.abs(fine - bc) <= np.maximum(budget / 2.0 ** bd, 1e-16 * np.abs(fine))
+        cap = min(_BATCH, 2 * cap) if ok.any() else max(2, cap // 2)
+        stuck = ~ok & (bd >= _MAX_DEPTH)
+        if stuck.any():
+            # everything pending lies right of this panel: only the panels
+            # left of it can still fail first
+            i = int(np.argmax(stuck))
+            failed = (ba[i], bb[i])
+            a, b, depth, coarse, pos = (v[:0] for v in (a, b, depth, coarse, pos))
+            ok = ok[:i]
+        leaves.append((bp[:ok.size][ok], bd[:ok.size][ok], fine[:ok.size][ok]))
+        split = np.flatnonzero(~ok)
+        if split.size:
+            d = bd[split] + 1
+            kids = (np.column_stack((ba[split], mid[split])),
+                    np.column_stack((mid[split], bb[split])),
+                    np.column_stack((d, d)),
+                    np.column_stack((left[split], right[split])),
+                    np.column_stack((bp[split], bp[split] + (1 << (_MAX_DEPTH - d)))))
+            a, b, depth, coarse, pos = (np.concatenate((v, k.ravel()[::-1]))
+                                        for v, k in zip((a, b, depth, coarse, pos), kids))
+    if failed is not None:
+        raise NonConvergence(f"quadrature failed to settle on [{failed[0]:.6g}, "
+                             f"{failed[1]:.6g}] after depth {_MAX_DEPTH}")
+    pos, depth, fine = (np.concatenate(v) for v in zip(*leaves))
+    order = np.argsort(pos)
+    # merge adjacent siblings back into their parents, left + right
+    total, stack = 0.0, []
+    for d, v in zip(depth[order].tolist(), fine[order].tolist()):
+        while stack and stack[-1][0] == d:
+            v = stack.pop()[1] + v
+            d -= 1
+        if d:
+            stack.append((d, v))
+        else:
+            total += v
+    return total
 
 
 def _peak_sample(f, lo: float, hi: float) -> float:
@@ -159,15 +244,21 @@ def _peak_sample(f, lo: float, hi: float) -> float:
 def _march_tail(f, start: float, direction: float, thresh: float) -> float:
     t = start
     quiet = 0
-    while quiet < 3:
-        t = t * 1.3 if t * direction > 1 else t + direction
+    while True:
+        ts = []
+        for _ in range(_TAIL_BLOCK):
+            t = t * 1.3 if t * direction > 1 else t + direction
+            if abs(t) > 1e9:
+                break
+            ts.append(t)
+        if ts:
+            vals = np.abs(np.broadcast_to(np.asarray(f(np.array(ts))), (len(ts),)))
+            for t_i, small in zip(ts, (vals <= thresh).tolist()):
+                quiet = quiet + 1 if small else 0
+                if quiet == 3:
+                    return t_i
         if abs(t) > 1e9:
             raise NonConvergence("tail truncation point not found below |x| = 1e9")
-        if abs(float(np.max(np.abs(np.asarray(f(np.array([t]))))))) <= thresh:
-            quiet += 1
-        else:
-            quiet = 0
-    return t
 
 
 def _seed_panels(a: float, b: float, grade_lo: bool, grade_hi: bool) -> list:
@@ -192,7 +283,10 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
 
     Infinite tails are truncated where |f| stays below 1e-16 of its sampled
     peak; panels split until the local budget is met or depth 30 trips
-    NonConvergence.
+    NonConvergence.  Evaluation is batched: f receives a 1-D array of
+    nodes of any length (the nodes of up to 64 panels, or a block of tail
+    samples) and its result is broadcast to that shape, so an f that
+    returns a constant works too.
     """
     if isinstance(domain, families.Domain):
         a, b = domain.lo, domain.hi
@@ -214,11 +308,9 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
     if grade_hi and len(cuts) > 2:
         cuts = cuts[:-1]
     budget = float(tol) / max(1, len(cuts) - 1)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            total += _adapt(f, lo, hi, budget, 0)
-    return total
+    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
+    keep = hi > lo
+    return _refine(f, lo[keep], hi[keep], budget)
 
 
 # ---------------------------------------------------------------------------

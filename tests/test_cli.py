@@ -1,6 +1,10 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +291,18 @@ def test_unexpected_exception_exits_4_without_traceback(capsys, monkeypatch):
     rc, out, err = run(capsys, "spectrum", *MORSE)
     assert rc == 4 and out == ""
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+def test_numpy_warnings_stay_off_stderr():
+    # the poschl-teller states overflow in the tail (a FOUND defect that
+    # makes this job exit 3); numpy's warnings must not reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapeinv.cli", "verify", "orthonormal",
+         "--family=poschl-teller", "--m=2.0016969492986423", "--invariant=1",
+         "--beta=0.0", "--d=3.000469007512051", "--kmax=2", "--json"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

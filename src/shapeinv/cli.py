@@ -1,15 +1,19 @@
 """Command-line front end.
 
-One job per invocation, described either by a JSON config document or by
-inline flags; identical configs print byte-identical output.  Floats are
-written with 17 significant digits so the reports round-trip.  Exit codes:
-0 pass, 1 tolerance failure, 2 validation or config error, 3 numerical
-failure, 4 internal error (any other exception, reported on one line).
+One job per invocation: a config document whose keys are the fields of
+`JobConfig`, read from a file by `--config` or written as flags (`--m 1,2`
+is `"m": [1, 2]`, `--json` is `"format": "json"`).  Both are coerced by the
+same rules; each given flag replaces its key in the file's document.
+Identical jobs print byte-identical output.  Floats are written with 17
+significant digits so the reports round-trip.  Exit codes: 0 pass, 1
+tolerance failure, 2 validation or config error, 3 numerical failure, 4
+internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -29,16 +33,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
-_CHECK_TOL = {
-    "si": 1e-9,
-    "cond1": 1e-8,
-    "cond2": 1e-10,
-    "ext-si": 1e-7,
-    "ladder": 1e-5,
-    "orthonormal": 1e-6,
-}
 _ORACLE_TOL = 5e-3
-_LADDER_POINTS = 801
 
 
 def _fmt(x) -> str:
@@ -64,12 +59,10 @@ def _dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 # job configuration
 
-_CONFIG_KEYS = {"family", "extension", "m", "couplings", "rho_invariant",
-                "ell", "window", "grid", "oracle", "tol", "format"}
-
-
-@dataclass
+@dataclass(frozen=True)
 class JobConfig:
+    """One job; each field is the config-document key of the same name."""
+
     family: Optional[str] = None
     extension: Optional[str] = None
     m: Optional[tuple] = None
@@ -80,35 +73,66 @@ class JobConfig:
     grid: Optional[tuple] = None           # (a, b, n)
     oracle: Optional[tuple] = None         # (a, b, n)
     tol: Optional[float] = None
-    fmt: Optional[str] = None
+    format: Optional[str] = None
 
 
-def _floats(text: str, what: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}") from None
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(JobConfig)}
 
 
-def _parse_grid(text: str, what: str = "grid") -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValidationError(f"{what} must be 'a,b,N', got {text!r}")
-    try:
-        return (float(parts[0]), float(parts[1]), int(parts[2]))
-    except ValueError:
-        raise ValidationError(f"{what} must be 'a,b,N', got {text!r}") from None
+def _integer(value, what: str) -> int:
+    # int() alone would truncate 5.9 and parse "5"
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _box_from(value, what: str) -> tuple:
+def _box(value, what: str) -> tuple:
+    """(a, b, n) of a grid or oracle box: an object with a, b and n (or N),
+    or an array [a, b, N]."""
     if isinstance(value, dict):
-        try:
-            return (float(value["a"]), float(value["b"]), int(value.get("n", value.get("N"))))
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"{what} must carry numeric a, b, n") from None
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        return (float(value[0]), float(value[1]), int(value[2]))
-    raise ValidationError(f"{what} must be an object with a, b, n")
+        if not ({"a", "b"} <= value.keys() and {"n", "N"} & value.keys()):
+            raise ValidationError(f"{what} must carry numeric a, b, n")
+        value = [value["a"], value["b"], value.get("n", value.get("N"))]
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ValidationError(f"{what} must be an object with a, b, n")
+    return (float(value[0]), float(value[1]), _integer(value[2], f"{what} n"))
+
+
+def _coerce_config(doc: dict) -> dict:
+    """The JobConfig fields of a config document, read from a file or built
+    from the flags.  A value of the wrong type raises TypeError or ValueError."""
+    cfg = dict(doc)
+    if "m" in doc:
+        if not isinstance(doc["m"], list):
+            raise TypeError(f"m must be an array of numbers, got {doc['m']!r}")
+        cfg["m"] = tuple(float(v) for v in doc["m"])
+    if "couplings" in doc:
+        rows = []
+        for entry in doc["couplings"]:
+            if not isinstance(entry, dict) or "invariant" not in entry:
+                raise ValidationError("each coupling needs an 'invariant' source string")
+            rows.append((str(entry["invariant"]),
+                         float(entry.get("beta", 0.0)), float(entry.get("d", 0.0))))
+        cfg["couplings"] = tuple(rows)
+    rho_invariant = doc.get("rho_invariant")
+    if rho_invariant is not None and not isinstance(rho_invariant, str):
+        raise ValidationError("config value rho_invariant has the wrong type: expected an "
+                              f"invariant source string, got {type(rho_invariant).__name__}")
+    if "ell" in doc:
+        cfg["ell"] = _integer(doc["ell"], "ell")
+    if "window" in doc:
+        w = doc["window"]
+        if not (isinstance(w, list) and len(w) == 2):
+            raise ValidationError("window must be a two-element array [a, b]")
+        cfg["window"] = (float(w[0]), float(w[1]))
+    for key in ("grid", "oracle"):
+        if key in doc:
+            cfg[key] = _box(doc[key], key)
+    if "tol" in doc:
+        cfg["tol"] = float(doc["tol"])
+    if "format" in doc and doc["format"] not in ("text", "json", "csv"):
+        raise ValidationError(f"format must be text, json, or csv, got {doc['format']!r}")
+    return cfg
 
 
 def _config_from_file(path: str) -> JobConfig:
@@ -125,97 +149,63 @@ def _config_from_file(path: str) -> JobConfig:
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
     try:
-        return _coerce_config(doc)
+        return JobConfig(**_coerce_config(doc))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"config {path!r} has a value of the wrong type: {exc}") from None
 
 
-def _coerce_config(doc: dict) -> JobConfig:
-    cfg = JobConfig()
-    cfg.family = doc.get("family")
-    cfg.extension = doc.get("extension")
-    if "m" in doc:
-        cfg.m = tuple(float(v) for v in doc["m"])
-    if "couplings" in doc:
-        rows = []
-        for entry in doc["couplings"]:
-            if not isinstance(entry, dict) or "invariant" not in entry:
-                raise ValidationError("each coupling needs an 'invariant' source string")
-            rows.append((str(entry["invariant"]),
-                         float(entry.get("beta", 0.0)), float(entry.get("d", 0.0))))
-        cfg.couplings = tuple(rows)
-    cfg.rho_invariant = doc.get("rho_invariant")
-    if cfg.rho_invariant is not None and not isinstance(cfg.rho_invariant, str):
-        raise ValidationError("config value rho_invariant has the wrong type: expected an "
-                              f"invariant source string, got {type(cfg.rho_invariant).__name__}")
-    if "ell" in doc:
-        cfg.ell = int(doc["ell"])
-    if "window" in doc:
-        w = doc["window"]
-        if not (isinstance(w, (list, tuple)) and len(w) == 2):
-            raise ValidationError("window must be a two-element array [a, b]")
-        cfg.window = (float(w[0]), float(w[1]))
-    if "grid" in doc:
-        cfg.grid = _box_from(doc["grid"], "grid")
-    if "oracle" in doc:
-        cfg.oracle = _box_from(doc["oracle"], "oracle")
-    if "tol" in doc:
-        cfg.tol = float(doc["tol"])
-    if "format" in doc:
-        if doc["format"] not in ("text", "json", "csv"):
-            raise ValidationError(f"format must be text, json, or csv, got {doc['format']!r}")
-        cfg.fmt = doc["format"]
-    return cfg
+def _flag_numbers(text: str, what: str, form: str = "") -> list:
+    """The numbers of a comma-separated flag value.  A `form` ('a,b' or
+    'a,b,N') fixes how many there are, and its N must be an integer."""
+    parts = text.split(",")
+    kinds = ([int if name == "N" else float for name in form.split(",")] if form
+             else [float] * len(parts))
+    try:
+        if len(parts) != len(kinds):
+            raise ValueError(form)
+        return [kind(part) for kind, part in zip(kinds, parts)]
+    except ValueError:
+        shape = f"'{form}'" if form else "comma-separated numbers"
+        raise ValidationError(f"{what} must be {shape}, got {text!r}") from None
+
+
+def _flag_document(args) -> dict:
+    """The job flags that were given, as a config document."""
+    doc = {key: getattr(args, key) for key in ("family", "extension", "rho_invariant")
+           if getattr(args, key)}
+    if args.m:
+        doc["m"] = _flag_numbers(args.m, "--m")
+    if args.invariant or args.beta or args.d:
+        betas = _flag_numbers(args.beta, "--beta") if args.beta else [0.0]
+        ds = _flag_numbers(args.d, "--d") if args.d else [0.0]
+        # one beta or d stands for every coupling; without --invariant the
+        # couplings are on the invariant "1", as many as beta or d values
+        sources = args.invariant or ["1"] * max(len(betas), len(ds))
+        betas = betas * len(sources) if len(betas) == 1 else betas
+        ds = ds * len(sources) if len(ds) == 1 else ds
+        if not len(sources) == len(betas) == len(ds):
+            raise ValidationError("--invariant, --beta, --d counts must agree")
+        doc["couplings"] = [{"invariant": src, "beta": b, "d": d}
+                            for src, b, d in zip(sources, betas, ds)]
+    if args.ell is not None:
+        doc["ell"] = args.ell
+    if args.window:
+        doc["window"] = _flag_numbers(args.window, "--window", "a,b")
+    if args.grid:
+        doc["grid"] = _flag_numbers(args.grid, "grid", "a,b,N")
+    if getattr(args, "oracle_box", None):
+        doc["oracle"] = _flag_numbers(args.oracle_box, "--oracle", "a,b,N")
+    if args.tol is not None:
+        doc["tol"] = args.tol
+    if args.json:
+        doc["format"] = "json"
+    return doc
 
 
 def _job_config(args) -> JobConfig:
-    cfg = _config_from_file(args.config) if getattr(args, "config", None) else JobConfig()
-    if getattr(args, "family", None):
-        cfg.family = args.family
-    if getattr(args, "extension", None):
-        cfg.extension = args.extension
-    if getattr(args, "m", None):
-        cfg.m = _floats(args.m, "--m")
-    if getattr(args, "invariant", None):
-        exprs = list(args.invariant)
-        betas = _floats(args.beta, "--beta") if getattr(args, "beta", None) else (0.0,) * len(exprs)
-        ds = _floats(args.d, "--d") if getattr(args, "d", None) else (0.0,) * len(exprs)
-        if len(betas) == 1:
-            betas = betas * len(exprs)
-        if len(ds) == 1:
-            ds = ds * len(exprs)
-        if not (len(exprs) == len(betas) == len(ds)):
-            raise ValidationError("--invariant, --beta, --d counts must agree")
-        cfg.couplings = tuple(zip(exprs, betas, ds))
-    elif getattr(args, "beta", None) or getattr(args, "d", None):
-        betas = _floats(args.beta, "--beta") if args.beta else (0.0,)
-        ds = _floats(args.d, "--d") if args.d else (0.0,)
-        if len(betas) != len(ds):
-            if len(betas) == 1:
-                betas = betas * len(ds)
-            elif len(ds) == 1:
-                ds = ds * len(betas)
-            else:
-                raise ValidationError("--beta and --d counts must agree")
-        cfg.couplings = tuple(("1", b, d) for b, d in zip(betas, ds))
-    if getattr(args, "rho_invariant", None):
-        cfg.rho_invariant = args.rho_invariant
-    if getattr(args, "ell", None) is not None:
-        cfg.ell = args.ell
-    if getattr(args, "window", None):
-        w = _floats(args.window, "--window")
-        if len(w) != 2:
-            raise ValidationError("--window must be 'a,b'")
-        cfg.window = (w[0], w[1])
-    if getattr(args, "grid", None):
-        cfg.grid = _parse_grid(args.grid)
-    if getattr(args, "oracle_box", None):
-        cfg.oracle = _parse_grid(args.oracle_box, "--oracle")
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "json", False):
-        cfg.fmt = "json"
-    return cfg
+    """The --config document, coerced whole, with each given flag in place of its key."""
+    cfg = _config_from_file(args.config) if args.config else JobConfig()
+    return dataclasses.replace(cfg, **_coerce_config(_flag_document(args)))
 
 
 def _build_target(cfg: JobConfig):
@@ -241,17 +231,28 @@ def _build_target(cfg: JobConfig):
                                       window=cfg.window)
 
 
-def _need_family(target) -> FamilyParams:
-    if not isinstance(target, FamilyParams):
+def _need(target, kind: type):
+    """The target, if it is the kind (FamilyParams or ExtensionSpec) the command needs."""
+    if isinstance(target, kind):
+        return target
+    if kind is FamilyParams:
         raise ValidationError("this command needs a base family, not an extension")
-    return target
+    raise ValidationError("this command needs an extension; base families use 'verify si'")
 
 
-def _need_extension(target) -> ExtensionSpec:
-    if not isinstance(target, ExtensionSpec):
-        raise ValidationError("this command needs an extension; "
-                              "base families use 'verify si'")
-    return target
+def _verdict(out: dict, value: float, tol: float, as_json: bool, summary: str,
+             after: Optional[dict] = None) -> int:
+    """Print a report with its verdict on `value <= tol`: the JSON object
+    gains tol and pass (then the `after` fields), the text is one line."""
+    passed = value <= tol
+    out["tol"] = tol
+    out["pass"] = bool(passed)
+    out.update(after or {})
+    if as_json:
+        print(_dumps(out))
+    else:
+        print(f"{summary} tol={_fmt(tol)} {'PASS' if passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -272,61 +273,53 @@ def cmd_families_list(args) -> int:
     return EXIT_PASS
 
 
-def _energy_table(args, oracle: bool):
-    """Config, family, admissible levels up to --kmax, E_k, tolerance, and,
-    if asked, the FD box with its gaps lambda_k - lambda_0."""
+def cmd_spectrum(args) -> int:
+    """E_k of the admissible levels up to --kmax; with the FD oracle (switched
+    on by `spectrum --oracle`, always on `oracle compare`) also each gap
+    lambda_k - lambda_0 and its deviation from E_k, judged against the tolerance."""
+    compare = args.command == "oracle"
     cfg = _job_config(args)
-    fp = _need_family(_build_target(cfg))
+    fp = _need(_build_target(cfg), FamilyParams)
     ks = spectra.admissible_range(fp).levels(args.kmax)
     if not ks:
         raise ValidationError(f"family {fp.id!r} has no admissible levels here")
-    energies = [spectra.eigenenergy(fp, k) for k in ks]
+    levels = [{"k": k, "energy": spectra.eigenenergy(fp, k)} for k in ks]
     tol = cfg.tol if cfg.tol is not None else _ORACLE_TOL
-    box = gaps = None
-    if oracle:
+    oracle = {}   # the JSON "oracle" entry: the FD box, when the oracle ran
+    worst = 0.0
+    if compare or args.oracle:
         box = verify.OracleSpec(*cfg.oracle) if cfg.oracle else verify.reference_oracle(fp)
         lam = verify.fd_spectrum(fp, box, max(ks) + 1)
-        gaps = [lam[k] - lam[0] for k in ks]
-    return cfg, fp, ks, energies, tol, box, gaps
-
-
-def cmd_spectrum(args) -> int:
-    cfg, fp, ks, energies, tol, box, gaps = _energy_table(args, args.oracle)
-    if cfg.fmt == "json":
-        out = {
-            "family": fp.id,
-            "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
-            "levels": [{"k": k, "energy": e} for k, e in zip(ks, energies)],
-        }
-        if gaps is not None:
-            for row, g in zip(out["levels"], gaps):
-                row["oracle_gap"] = g
-                row["deviation"] = abs(g - row["energy"])
-            out["oracle"] = {"a": box.a, "b": box.b, "N": box.n}
+        for row in levels:
+            row["oracle_gap"] = lam[row["k"]] - lam[0]
+            row["deviation"] = abs(row["oracle_gap"] - row["energy"])
+        worst = max(row["deviation"] for row in levels)
+        oracle["oracle"] = {"a": box.a, "b": box.b, "N": box.n}
+    head = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta}}
+    # the compare report names its box before the levels
+    out = {**head, **oracle, "levels": levels} if compare else {**head, "levels": levels, **oracle}
+    as_json = cfg.format == "json"
+    if not as_json:
+        print("k\tE_k" + ("\toracle_gap\tdeviation" if oracle else ""))
+        for row in levels:
+            print("\t".join([str(row["k"])] + [_fmt(v) for v in list(row.values())[1:]]))
+    if compare:
+        return _verdict(out, worst, tol, as_json, f"max_deviation={_fmt(worst)}")
+    if as_json:
         print(_dumps(out))
-    else:
-        header = "k\tE_k" + ("\toracle_gap\tdeviation" if gaps is not None else "")
-        print(header)
-        for i, (k, e) in enumerate(zip(ks, energies)):
-            line = f"{k}\t{_fmt(e)}"
-            if gaps is not None:
-                line += f"\t{_fmt(gaps[i])}\t{_fmt(abs(gaps[i] - e))}"
-            print(line)
-    if gaps is not None and max(abs(g - e) for g, e in zip(gaps, energies)) > tol:
-        return EXIT_TOLERANCE
-    return EXIT_PASS
+    return EXIT_TOLERANCE if oracle and not worst <= tol else EXIT_PASS
 
 
 def cmd_wavefunction(args) -> int:
     cfg = _job_config(args)
-    fp = _need_family(_build_target(cfg))
+    fp = _need(_build_target(cfg), FamilyParams)
     wf = spectra.wavefunction(fp, args.k)
     xs, _ = verify.grid_points(fp.domain, cfg.grid or verify.default_grid(fp, 201))
     zeta = np.asarray(wf(xs), dtype=float)
     v, _ = families.partner_potentials(fp, xs)
     norm = verify.quadrature(lambda t: wf(t) * wf(t), fp.domain, 1e-10)
     residue = wf.imag_residue(xs)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         out = {
             "family": fp.id,
             "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
@@ -346,94 +339,61 @@ def cmd_wavefunction(args) -> int:
     return EXIT_PASS
 
 
-def _check_report(target, report, tol: float, as_json: bool,
-                  extra: Optional[dict] = None) -> int:
-    """One residual report line (or JSON object) for a family or an extension."""
+def _residual(target, report, **after) -> tuple:
+    """A grid residual report of a family or an extension, as _verdict takes it."""
+    kind = "family" if isinstance(target, FamilyParams) else "extension"
     out = verify.report_json(target, report, report.grid)
-    out["tol"] = tol
-    passed = report.max_residual <= tol
-    out["pass"] = bool(passed)
-    if extra:
-        out.update(extra)
-    if as_json:
-        print(_dumps(out))
-    else:
-        kind = "family" if isinstance(target, FamilyParams) else "extension"
-        print(f"{kind}={out['family']} max_residual={_fmt(report.max_residual)} "
-              f"mean={_fmt(report.mean_residual)} argmax_x={_fmt(report.argmax_x)} "
-              f"tol={_fmt(tol)} {'PASS' if passed else 'FAIL'}")
-    return EXIT_PASS if passed else EXIT_TOLERANCE
+    summary = (f"{kind}={out['family']} max_residual={_fmt(report.max_residual)} "
+               f"mean={_fmt(report.mean_residual)} argmax_x={_fmt(report.argmax_x)}")
+    return out, report.max_residual, summary, after
+
+
+def _own_points(cfg: JobConfig, check: str) -> None:
+    if cfg.grid is not None:
+        raise ValidationError("grid {},{},{} does not apply to verify {}, which chooses "
+                              "its own points".format(*cfg.grid, check))
+
+
+def _ladder(fp, cfg, args) -> tuple:
+    _own_points(cfg, "ladder")
+    return _residual(fp, verify.ladder_check(fp, args.k), k=args.k)
+
+
+def _orthonormal(fp, cfg, args) -> tuple:
+    _own_points(cfg, "orthonormal")
+    gram = verify.orthonormality(fp, args.kmax)
+    out = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
+           **dataclasses.asdict(gram)}
+    summary = (f"family={fp.id} levels={list(gram.levels)} "
+               f"max_deviation={_fmt(gram.max_deviation)}")
+    return out, gram.max_deviation, summary, {}
+
+
+# check -> (default tolerance, target kind, runner(target, cfg, args) giving
+# the JSON report, its worst value, the text summary and the JSON fields that
+# follow the verdict)
+_CHECKS = {
+    "si": (1e-9, FamilyParams,
+           lambda fp, cfg, args: _residual(fp, verify.si_residual(fp, cfg.grid))),
+    "cond1": (1e-8, ExtensionSpec,
+              lambda spec, cfg, args: _residual(spec, extensions.check_cond1(spec, cfg.grid))),
+    "cond2": (1e-10, ExtensionSpec,
+              lambda spec, cfg, args: _residual(spec, extensions.check_cond2(spec, cfg.grid))),
+    "ext-si": (1e-7, ExtensionSpec,
+               lambda spec, cfg, args: _residual(spec, extensions.extended_si_check(
+                   spec, cfg.grid))),
+    "ladder": (1e-5, FamilyParams, _ladder),
+    "orthonormal": (1e-6, FamilyParams, _orthonormal),
+}
 
 
 def cmd_verify(args) -> int:
     cfg = _job_config(args)
-    which = args.check
-    tol = cfg.tol if cfg.tol is not None else _CHECK_TOL[which]
-    target = _build_target(cfg)
-    as_json = cfg.fmt == "json"
-    if which in ("ladder", "orthonormal") and cfg.grid is not None:
-        raise ValidationError("grid {},{},{} does not apply to verify {}, which chooses "
-                              "its own points".format(*cfg.grid, which))
-    if which == "si":
-        fp = _need_family(target)
-        return _check_report(fp, verify.si_residual(fp, cfg.grid), tol, as_json)
-    if which == "ladder":
-        fp = _need_family(target)
-        report = verify.ladder_check(fp, args.k, _LADDER_POINTS)
-        return _check_report(fp, report, tol, as_json, extra={"k": args.k})
-    if which == "orthonormal":
-        fp = _need_family(target)
-        gram = verify.orthonormality(fp, args.kmax)
-        passed = gram.max_deviation <= tol
-        out = {
-            "family": fp.id,
-            "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
-            "levels": list(gram.levels),
-            "max_deviation": gram.max_deviation,
-            "entries": [[i, j, val] for i, j, val in gram.entries],
-            "tol": tol,
-            "pass": bool(passed),
-        }
-        if as_json:
-            print(_dumps(out))
-        else:
-            print(f"family={fp.id} levels={list(gram.levels)} "
-                  f"max_deviation={_fmt(gram.max_deviation)} tol={_fmt(tol)} "
-                  f"{'PASS' if passed else 'FAIL'}")
-        return EXIT_PASS if passed else EXIT_TOLERANCE
-    # extension checks
-    spec = _need_extension(target)
-    if which == "cond1":
-        report = extensions.check_cond1(spec, cfg.grid)
-    elif which == "cond2":
-        report = extensions.check_cond2(spec, cfg.grid)
-    else:
-        report = extensions.extended_si_check(spec, cfg.grid)
-    return _check_report(spec, report, tol, as_json)
-
-
-def cmd_oracle_compare(args) -> int:
-    cfg, fp, ks, energies, tol, box, gaps = _energy_table(args, True)
-    devs = [abs(g - e) for g, e in zip(gaps, energies)]
-    passed = max(devs) <= tol
-    if cfg.fmt == "json":
-        out = {
-            "family": fp.id,
-            "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
-            "oracle": {"a": box.a, "b": box.b, "N": box.n},
-            "levels": [{"k": k, "energy": e, "oracle_gap": g, "deviation": d}
-                       for k, e, g, d in zip(ks, energies, gaps, devs)],
-            "tol": tol,
-            "pass": bool(passed),
-        }
-        print(_dumps(out))
-    else:
-        print("k\tE_k\toracle_gap\tdeviation")
-        for k, e, g, d in zip(ks, energies, gaps, devs):
-            print(f"{k}\t{_fmt(e)}\t{_fmt(g)}\t{_fmt(d)}")
-        print(f"max_deviation={_fmt(max(devs))} tol={_fmt(tol)} "
-              f"{'PASS' if passed else 'FAIL'}")
-    return EXIT_PASS if passed else EXIT_TOLERANCE
+    default_tol, kind, run = _CHECKS[args.check]
+    tol = cfg.tol if cfg.tol is not None else default_tol
+    target = _need(_build_target(cfg), kind)
+    out, value, summary, after = run(target, cfg, args)
+    return _verdict(out, value, tol, cfg.format == "json", summary, after)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf.set_defaults(func=cmd_wavefunction)
 
     p_ver = sub.add_parser("verify", help="run one named check")
-    p_ver.add_argument("check",
-                       choices=("si", "cond1", "cond2", "ext-si", "ladder", "orthonormal"))
+    p_ver.add_argument("check", choices=tuple(_CHECKS))
     _add_job_flags(p_ver)
     p_ver.add_argument("--k", type=int, default=1, help="ladder step index")
     p_ver.add_argument("--kmax", type=int, default=3,
@@ -500,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest level index to compare")
     p_cmp.add_argument("--oracle", dest="oracle_box",
                        help="FD truncation box 'a,b,N' (default: sized from the ground state)")
-    p_cmp.set_defaults(func=cmd_oracle_compare)
+    p_cmp.set_defaults(func=cmd_spectrum)
     return parser
 
 

@@ -217,6 +217,7 @@ def test_trig_rosen_morse_at_eps_zero_exits_2(capsys):
     ("couplings", [{"invariant": "1", "beta": "x"}]),
     ("couplings", [{"invariant": "1", "d": [1]}]),
     ("rho_invariant", 5),
+    ("m", "25"), ("ell", 2.7), ("grid", {"a": 0, "b": 1, "n": 5.9}),
 ])
 def test_config_values_that_cannot_be_coerced_exit_2(capsys, tmp_path, key, value):
     doc = {"family": "morse", "m": [2.5], "couplings": [{"invariant": "1", "d": 1.0}]}
@@ -306,3 +307,68 @@ def test_numpy_warnings_stay_off_stderr():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+MORSE_DOC = {"family": "morse", "m": [2.5], "couplings": [{"invariant": "1", "d": 1.0}]}
+EXT2 = ["--extension=ext-2", "--m=1.0", "--invariant=1", "--d=-3", "--ell=2",
+        "--window=0.2,1.2", "--grid=0.3,1.1,9"]
+EXT2_DOC = {"extension": "ext-2", "m": [1.0], "couplings": [{"invariant": "1", "d": -3}],
+            "ell": 2, "window": [0.2, 1.2], "grid": {"a": 0.3, "b": 1.1, "n": 9}}
+
+
+@pytest.mark.parametrize("command,flags,doc,rest", [
+    (["spectrum"], MORSE, MORSE_DOC, ["--kmax=2"]),
+    (["wavefunction"], [*MORSE, "--grid=0.1,4,7"], {**MORSE_DOC, "grid": [0.1, 4, 7]},
+     ["--k=1"]),
+    (["verify", "si"], [*MORSE, "--json"], {**MORSE_DOC, "format": "json"}, []),
+    (["verify", "ladder"], MORSE, MORSE_DOC, ["--k=1"]),
+    (["oracle", "compare"], [*MORSE, "--oracle=-3,30,600"],
+     {**MORSE_DOC, "oracle": {"a": -3, "b": 30, "N": 600}}, ["--kmax=1"]),
+    (["verify", "cond1"], EXT2, EXT2_DOC, []),
+])
+def test_flags_and_config_document_print_the_same(capsys, tmp_path, command, flags, doc,
+                                                  rest):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(doc))
+    by_flags = run(capsys, *command, *flags, *rest)
+    by_doc = run(capsys, *command, "--config", str(cfg), *rest)
+    assert by_flags[0] == 0 and by_flags == by_doc
+
+
+@pytest.mark.parametrize("flags", [
+    MORSE, ["--family=scarf2", "--m=3.2", "--invariant=1", "--d=0.4", "--tol=1e-9"]])
+def test_spectrum_oracle_prints_the_oracle_compare_rows(capsys, flags):
+    rc1, spectrum, _ = run(capsys, "spectrum", *flags, "--oracle", "--kmax=2")
+    rc2, compare, _ = run(capsys, "oracle", "compare", *flags, "--kmax=2")
+    assert rc1 == rc2 and spectrum.splitlines() == compare.splitlines()[:-1]
+    assert compare.splitlines()[-1].startswith("max_deviation=")
+    _, spectrum, _ = run(capsys, "spectrum", *flags, "--oracle", "--kmax=2", "--json")
+    _, compare, _ = run(capsys, "oracle", "compare", *flags, "--kmax=2", "--json")
+    spectrum, compare = json.loads(spectrum), json.loads(compare)
+    assert spectrum["levels"] == compare["levels"] and spectrum["oracle"] == compare["oracle"]
+    assert set(compare) - set(spectrum) == {"tol", "pass"}
+
+
+def test_one_beta_or_d_stands_for_every_coupling(capsys):
+    job = ["spectrum", "--family=morse", "--m=2.5", "--json"]
+    short = run(capsys, *job, "--beta=0.1,0.2", "--d=1")
+    spelled_out = run(capsys, *job, "--invariant=1", "--invariant=1", "--beta=0.1,0.2",
+                      "--d=1,1")
+    assert short[0] == 0 and short == spelled_out
+
+
+@pytest.mark.parametrize("couplings", [
+    ["--beta=1,2", "--d=1,2,3"],
+    ["--invariant=1", "--beta=1,2"],
+    ["--invariant=1", "--invariant=1", "--d=1,2,3"],
+])
+def test_coupling_count_mismatch_exits_2(capsys, couplings):
+    rc, out, err = run(capsys, "spectrum", "--family=morse", "--m=2.5", *couplings)
+    assert rc == 2 and out == "" and "counts must agree" in err
+
+
+def test_config_is_coerced_whole_before_flags_replace_its_keys(capsys, tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({**MORSE_DOC, "m": "25"}))
+    rc, out, err = run(capsys, "spectrum", "--config", str(cfg), "--m=2.5")
+    assert rc == 2 and out == "" and "wrong type" in err

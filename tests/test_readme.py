@@ -70,3 +70,28 @@ def test_readme_example(capsys, command, shown):
     assert rc == 0
     if shown:
         assert _matches(shown, printed), "\n".join(printed)
+
+
+def _python_blocks() -> list:
+    """The source of every ```python block, in README order."""
+    blocks, current = [], None
+    for line in README.read_text().splitlines():
+        if current is None:
+            if line.strip() == "```python":
+                current = []
+        elif line.startswith("```"):
+            blocks.append("\n".join(current))
+            current = None
+        else:
+            current.append(line)
+    return blocks
+
+
+def test_readme_python_blocks_run(capsys):
+    # in order and in one namespace, as a reader pastes them: later blocks
+    # use the names the first one imports
+    blocks = _python_blocks()
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

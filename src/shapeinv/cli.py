@@ -170,14 +170,15 @@ def _flag_numbers(text: str, what: str, form: str = "") -> list:
 
 
 def _flag_document(args) -> dict:
-    """The job flags that were given, as a config document."""
+    """The job flags that were given, as a config document.  A flag given
+    with an empty value (`--m=`) is given: its value fails to parse."""
     doc = {key: getattr(args, key) for key in ("family", "extension", "rho_invariant")
-           if getattr(args, key)}
-    if args.m:
+           if getattr(args, key) is not None}
+    if args.m is not None:
         doc["m"] = _flag_numbers(args.m, "--m")
-    if args.invariant or args.beta or args.d:
-        betas = _flag_numbers(args.beta, "--beta") if args.beta else [0.0]
-        ds = _flag_numbers(args.d, "--d") if args.d else [0.0]
+    if args.invariant or args.beta is not None or args.d is not None:
+        betas = _flag_numbers(args.beta, "--beta") if args.beta is not None else [0.0]
+        ds = _flag_numbers(args.d, "--d") if args.d is not None else [0.0]
         # one beta or d stands for every coupling; without --invariant the
         # couplings are on the invariant "1", as many as beta or d values
         sources = args.invariant or ["1"] * max(len(betas), len(ds))
@@ -189,11 +190,11 @@ def _flag_document(args) -> dict:
                             for src, b, d in zip(sources, betas, ds)]
     if args.ell is not None:
         doc["ell"] = args.ell
-    if args.window:
+    if args.window is not None:
         doc["window"] = _flag_numbers(args.window, "--window", "a,b")
-    if args.grid:
+    if args.grid is not None:
         doc["grid"] = _flag_numbers(args.grid, "grid", "a,b,N")
-    if getattr(args, "oracle_box", None):
+    if getattr(args, "oracle_box", None) is not None:
         doc["oracle"] = _flag_numbers(args.oracle_box, "--oracle", "a,b,N")
     if args.tol is not None:
         doc["tol"] = args.tol

@@ -328,33 +328,58 @@ def _potential_of(target) -> Callable:
         "fd_spectrum target must be a FamilyParams, an extension, or a callable")
 
 
+# rows per block of the Sturm sweep: the shifted diagonal a_i - lambda of a
+# block is formed by one broadcast subtract and its negative pivots are
+# counted by one call, so the per-row cost is the two in-place calls of the
+# pivot recurrence
+_STURM_BLOCK = 64
+
+
 def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray:
-    """Number of Dirichlet eigenvalues strictly below each lambda."""
+    """Number of Dirichlet eigenvalues strictly below each lambda.
+
+    One pass over the matrix for all lambdas of any shape, with the pivots
+    d_i = (a_i - lambda) - off2 / d_{i-1}.  An exactly zero pivot is taken
+    as -1e-300, so it counts as negative and the next pivot is large and
+    positive.  Zero pivots are rare: a block is swept without the rule and
+    swept again row by row, with it, only if it holds a zero.
+    """
     tiny = 1e-300
     lams = np.asarray(lams, dtype=float)
     d = diag[0] - lams
     d[d == 0.0] = -tiny
     counts = (d < 0).astype(int)
-    # one pass over the matrix for all lambdas; the buffers are reused so
-    # the per-row cost is a handful of numpy calls and no allocation
+    column = (-1,) + (1,) * lams.ndim
+    # row 0 of the buffer carries the last pivot of the previous block
+    buf = np.empty((_STURM_BLOCK + 1,) + lams.shape)
+    buf[0] = d
+    views = list(buf)
     quot = np.empty_like(d)
-    neg = np.empty(d.shape, dtype=bool)
     # near-zero pivots overflow the quotient; the sign logic still holds
     with np.errstate(over="ignore", divide="ignore"):
-        for a in diag[1:].tolist():
-            np.divide(off2, d, out=quot)
-            np.subtract(a, lams, out=d)
-            d -= quot
-            if not d.all():
-                d[d == 0.0] = -tiny
-            np.less(d, 0.0, out=neg)
-            counts += neg
+        for start in range(1, diag.size, _STURM_BLOCK):
+            rows = diag[start:start + _STURM_BLOCK].reshape(column)
+            blk = buf[1:1 + rows.shape[0]]
+            np.subtract(rows, lams, blk)
+            for prev, cur in zip(views, views[1:1 + rows.shape[0]]):
+                np.divide(off2, prev, quot)
+                np.subtract(cur, quot, cur)
+            if not blk.all():
+                # an exact zero pivot: sweep the block again with the rule
+                np.subtract(rows, lams, blk)
+                for prev, cur in zip(views, views[1:1 + rows.shape[0]]):
+                    np.divide(off2, prev, quot)
+                    np.subtract(cur, quot, cur)
+                    cur[cur == 0.0] = -tiny
+            counts += np.count_nonzero(blk < 0, axis=0)
+            buf[0] = blk[-1]
     return counts
 
 
 # interior sample points of each bracket per Sturm sweep; a sweep costs one
-# Python-level pass over the matrix whatever the number of points, so the
-# bracket shrinks 65-fold for about the price of one bisection step
+# Python-level pass over the matrix whatever the number of points (two numpy
+# calls per row, see _sturm_counts), so the bracket shrinks 65-fold for about
+# the price of one bisection step
 _MULTISECTION = np.arange(1, 65) / 65.0
 
 
@@ -367,9 +392,13 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     the Gershgorin floor, which brackets every level however wide the
     Gershgorin span; each later sweep samples 64 interior points of every
     bracket, until the widest bracket is within 1e-11 (1 + max |lambda|).
+    The matrix has N - 2 rows, so a larger count raises ValidationError.
     """
     if count < 1:
         raise ValidationError("eigenvalue count must be >= 1")
+    if count > oracle.n - 2:
+        raise ValidationError(f"the oracle grid of N = {oracle.n} points has {oracle.n - 2} "
+                              f"levels; {count} were asked for")
     pot = _potential_of(target)
     h = (oracle.b - oracle.a) / (oracle.n - 1)
     xs = oracle.a + h * np.arange(1, oracle.n - 1)

@@ -372,3 +372,30 @@ def test_config_is_coerced_whole_before_flags_replace_its_keys(capsys, tmp_path)
     cfg.write_text(json.dumps({**MORSE_DOC, "m": "25"}))
     rc, out, err = run(capsys, "spectrum", "--config", str(cfg), "--m=2.5")
     assert rc == 2 and out == "" and "wrong type" in err
+
+
+@pytest.mark.parametrize("job,flag", [
+    (["spectrum", "--family=morse", "--beta=0", "--d=1"], "--m="),
+    (["spectrum", "--family=morse", "--m=2.5", "--d=1"], "--beta="),
+    (["spectrum", "--family=morse", "--m=2.5", "--beta=0"], "--d="),
+    (["verify", "si", *MORSE], "--grid="),
+    (["verify", "cond2", *EXT4[:-2]], "--window="),
+])
+def test_empty_flag_value_exits_2(capsys, job, flag):
+    rc, out, err = run(capsys, *job, flag)
+    assert rc == 2 and out == "" and f"{flag[2:-1]} must be" in err and "got ''" in err
+
+
+def test_empty_flag_beside_config_does_not_keep_the_document_value(capsys, tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(MORSE_DOC))
+    rc, out, err = run(capsys, "spectrum", "--config", str(cfg), "--m=")
+    assert rc == 2 and out == "" and "--m must be comma-separated numbers, got ''" in err
+
+
+def test_oracle_levels_beyond_the_grid_rows_exit_2(capsys):
+    # a 500-point box has 498 levels; more used to print the bracket end
+    rc, out, err = run(capsys, "oracle", "compare", "--family", "harm-osc", "--m", "0",
+                       "--invariant", "1", "--beta", "1", "--d", "0.5", "--kmax", "600",
+                       "--oracle=-10,10,500")
+    assert rc == 2 and out == "" and "498 levels; 601 were asked for" in err

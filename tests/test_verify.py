@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -122,6 +122,96 @@ def test_fd_sweep_count_guard(monkeypatch):
     monkeypatch.setattr(verify, "_sturm_counts", counted)
     fd_spectrum(fp, box, 3)
     assert 1 <= sweeps[0] <= 12, sweeps[0]
+
+
+def _sturm_counts_by_row(diag, off2, lams):
+    """The per-row Sturm sweep that the blocked kernel must match bit for bit."""
+    tiny = 1e-300
+    lams = np.asarray(lams, dtype=float)
+    d = diag[0] - lams
+    d[d == 0.0] = -tiny
+    counts = (d < 0).astype(int)
+    quot = np.empty_like(d)
+    neg = np.empty(d.shape, dtype=bool)
+    with np.errstate(over="ignore", divide="ignore"):
+        for a in diag[1:].tolist():
+            np.divide(off2, d, out=quot)
+            np.subtract(a, lams, out=d)
+            d -= quot
+            if not d.all():
+                d[d == 0.0] = -tiny
+            np.less(d, 0.0, out=neg)
+            counts += neg
+    return counts
+
+
+BLOCK = verify._STURM_BLOCK
+# row 0 is swept on its own, so N = BLOCK + 1 rows fill exactly one block
+ROW_COUNTS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK - 5]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.one_of(st.sampled_from(ROW_COUNTS), st.integers(1, 4 * BLOCK)),
+       scale=st.floats(1e-2, 1e4), off=st.floats(1e-3, 1e8),
+       shape=st.sampled_from([(1,), (7,), (3, 5), (2, 64)]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sturm_counts_match_the_per_row_sweep(n, scale, off, shape, seed):
+    rng = np.random.default_rng(seed)
+    diag = 2.0 * off ** 0.5 + scale * rng.standard_normal(n)
+    spread = 2.0 * off ** 0.5 + scale
+    lams = rng.uniform(diag.min() - spread, diag.max() + spread, size=shape)
+    got = verify._sturm_counts(diag, off, lams)
+    want = _sturm_counts_by_row(diag, off, lams)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# rows of exactly zero pivot at lambda = 0: row 0, both sides of the first
+# and second block boundaries (rows BLOCK, BLOCK + 1, 2 BLOCK) and the last
+ZERO_ROWS = [0, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.sampled_from([BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2, 3 * BLOCK]),
+       zeros=st.sets(st.sampled_from(ZERO_ROWS + ["last"]), min_size=1),
+       s=st.sampled_from([1.0, 2.0 ** 14]), two_d=st.booleans())
+def test_sturm_counts_exact_zero_pivots(n, zeros, s, two_d):
+    # off2 = s^2: a pivot of s stays s on rows a = 2s and a row a = s
+    # makes it exactly 0; that zero is taken as -1e-300, the next pivot is
+    # huge (inf for s = 2^14) and the one after that is its row's a, so a
+    # row a = s brings the pivot back to s
+    rows = {n - 1 if z == "last" else z for z in zeros}
+    rows = sorted(z for z in rows if z < n)
+    rows = [z for i, z in enumerate(rows) if i == 0 or z - rows[i - 1] >= 3]
+    assume(rows)
+    diag = np.full(n, 2.0 * s)
+    diag[0] = s
+    for z in rows:
+        diag[z] = 0.0 if z == 0 else s
+        if z + 2 < n:
+            diag[z + 2] = s
+    off2 = s * s
+    pivots, d = [], 0.0
+    for i, a in enumerate(diag):
+        d = a if i == 0 else a - off2 / d
+        pivots.append(d)
+        d = d or -1e-300
+    assert [i for i, p in enumerate(pivots) if p == 0.0] == rows
+    lams = np.array([0.0, s, -s, 0.5 * s, 2.0 * s, 3.9 * s, 1e-300])
+    if two_d:
+        lams = np.stack([lams, lams[::-1] + s])
+    got = verify._sturm_counts(diag, off2, lams)
+    assert np.array_equal(got, _sturm_counts_by_row(diag, off2, lams))
+
+
+def test_fd_count_above_the_grid_rows_raises():
+    # the matrix of an N-point box has N - 2 levels; the highest one is found
+    box = OracleSpec(-3.0, 3.0, 500)
+    diag, off2 = _fd_matrix(lambda xs: xs ** 2, box)
+    off = -math.sqrt(off2) * np.ones(diag.size - 1)
+    want = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    got = fd_spectrum(lambda xs: xs ** 2, box, box.n - 2)
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+    with pytest.raises(ValidationError, match="498 levels; 499 were asked for"):
+        fd_spectrum(lambda xs: xs ** 2, box, box.n - 1)
 
 
 def test_quadrature_gaussian():

@@ -4,6 +4,13 @@ A Dual carries (val, eps) = (f(x), f'(x)) through arithmetic, so rational
 superpotential pieces and their derivatives come out of one evaluation pass
 with no finite differencing.  Components may be float or complex; the
 polynomial recurrences only ever combine Duals with +, -, *, /.
+
+The elementary functions below also take a plain numpy array, which goes
+through the numpy ufunc (real or complex) in one call: the value-only
+passes (the extension denominator scan and cond2) evaluate a whole grid at
+once that way.  Python scalars and Duals keep `math`/`cmath`, which on
+scalars are faster than numpy's scalar path; that branch goes once the
+Dual checks (cond1, ext-si, the pointwise potential) carry arrays too.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _SCALARS = (int, float, complex)
 
@@ -86,7 +95,9 @@ def seed(x: float) -> Dual:
     return Dual(x, 1.0)
 
 
-def _lift(fn_real, fn_cplx, d, dfn):
+def _lift(fn_real, fn_cplx, fn_array, d, dfn):
+    if isinstance(d, np.ndarray):
+        return fn_array(d)
     if isinstance(d, Dual):
         f = fn_cplx(d.val) if isinstance(d.val, complex) else fn_real(d.val)
         return Dual(f, dfn(d.val) * d.eps)
@@ -94,27 +105,27 @@ def _lift(fn_real, fn_cplx, d, dfn):
 
 
 def sin(d):
-    return _lift(math.sin, cmath.sin, d,
+    return _lift(math.sin, cmath.sin, np.sin, d,
                  lambda v: cmath.cos(v) if isinstance(v, complex) else math.cos(v))
 
 
 def cos(d):
-    return _lift(math.cos, cmath.cos, d,
+    return _lift(math.cos, cmath.cos, np.cos, d,
                  lambda v: -(cmath.sin(v) if isinstance(v, complex) else math.sin(v)))
 
 
 def sinh(d):
-    return _lift(math.sinh, cmath.sinh, d,
+    return _lift(math.sinh, cmath.sinh, np.sinh, d,
                  lambda v: cmath.cosh(v) if isinstance(v, complex) else math.cosh(v))
 
 
 def cosh(d):
-    return _lift(math.cosh, cmath.cosh, d,
+    return _lift(math.cosh, cmath.cosh, np.cosh, d,
                  lambda v: cmath.sinh(v) if isinstance(v, complex) else math.sinh(v))
 
 
 def exp(d):
-    return _lift(math.exp, cmath.exp, d,
+    return _lift(math.exp, cmath.exp, np.exp, d,
                  lambda v: cmath.exp(v) if isinstance(v, complex) else math.exp(v))
 
 

@@ -71,7 +71,8 @@ class CaseSpec:
 
 # One W1 function per case.  Both displays are spelled out with their own
 # literal parameter offsets, so cond2 compares two transcriptions; xd may be
-# a float (values only) or a Dual seed (values and derivatives).
+# a float or a numpy array of points (values only) or a Dual seed (values
+# and derivatives).
 
 def _w1_case1(plus, xd, e, r, l):
     den = 2 * e + 1 - 2 * r * dual.cosh(xd) if plus \
@@ -283,13 +284,24 @@ def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
     return w1_branch(spec, x, 1, shift) - w1_branch(spec, x, -1, shift)
 
 
+def _require_finite(cs: CaseSpec, xs: np.ndarray, vals: np.ndarray) -> None:
+    """DenominatorZero at the first point where vals is not finite."""
+    finite = np.isfinite(vals)
+    if not np.all(finite):
+        loc = float(xs[int(np.argmin(finite))])
+        raise DenominatorZero(f"case {cs.num}: denominator not finite near x = {loc:.6g}", loc)
+
+
 def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
                        window: tuple[float, float], n: int) -> None:
     """Reject parameter sets whose bottoms vanish somewhere on the window.
 
     Both branches at both eps and eps - 1, since every check evaluates the
-    translated display too.  Real bottoms are bisected to the root; the
-    complex-path case can only be screened by magnitude.
+    translated display too.  Each bottom is evaluated once over the whole
+    scan grid (the W1 functions and the specfun recurrences take arrays);
+    an overflow there reads as a non-finite bottom.  Real bottoms are then
+    bisected to the root point by point; the complex-path case can only be
+    screened by magnitude.
     """
     a, b = window
     xs = np.linspace(a, b, max(4 * n + 1, 1001))
@@ -300,15 +312,13 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
                 raise DenominatorZero(
                     f"case {cs.num}: constant factor {c:.3e} vanishes at eps - {shift}")
         for branch in (1, -1):
-            def bot(x: float):
+            def bot(x):
                 return cs.w1(branch > 0, x, ee, r, l)[2]
 
-            vals = np.array([bot(float(x)) for x in xs])
+            with np.errstate(all="ignore"):
+                vals = bot(xs)
             mags = np.abs(vals)
-            if not np.all(np.isfinite(mags)):
-                loc = float(xs[int(np.argmin(np.isfinite(mags)))])
-                raise DenominatorZero(
-                    f"case {cs.num}: denominator not finite near x = {loc:.6g}", loc)
+            _require_finite(cs, xs, mags)
             neighbor = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
             tiny = mags < 1e-12 * (1.0 + neighbor)
             if np.any(tiny):
@@ -439,17 +449,19 @@ def extension_grid(spec: ExtensionSpec, n: int = 501) -> tuple[float, float, int
 def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     """Compare the minus display at eps with the plus display at eps - 1.
 
-    Residuals are scaled by 1/(1 + |W1p(eps - 1)|); the contract is a max
-    of 1e-10.
+    Both displays are evaluated once over the whole grid.  Residuals are
+    scaled by 1/(1 + |W1p(eps - 1)|); the contract is a max of 1e-10.  A
+    grid that reaches a pole or an overflow outside the certified window
+    raises DenominatorZero, as the scan does.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
-    res = []
-    for x in xs:
-        minus = _w1(cs, False, float(x), e, r, l)
-        plus_down = _w1(cs, True, float(x), e - 1, r, l)
-        res.append(abs(minus - plus_down) / (1.0 + abs(plus_down)))
-    return _report(xs, np.asarray(res, dtype=float), excluded)
+    with np.errstate(all="ignore"):
+        minus = _w1(cs, False, xs, e, r, l)
+        plus_down = _w1(cs, True, xs, e - 1, r, l)
+        res = np.abs(minus - plus_down) / (1.0 + np.abs(plus_down))
+    _require_finite(cs, xs, res)
+    return _report(xs, res, excluded)
 
 
 def _cond1_l(cs: CaseSpec, x: float, e, r, l):

@@ -11,11 +11,15 @@ random draws, and marks the expression VERIFIED on success.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
+
+import numpy as np
 
 from .errors import EvalDomainError, ExpressionError, ValidationError
 
@@ -269,6 +273,12 @@ class InvariantExpr:
     verified: bool = False
 
     def max_param_index(self) -> int:
+        return self._max_param_index
+
+    # computed once per expression and kept outside the dataclass fields, so
+    # ==, repr and dataclasses.replace do not see it
+    @functools.cached_property
+    def _max_param_index(self) -> int:
         def walk(node: Node) -> int:
             if isinstance(node, Sym) and node.name in _PARAM_NAMES:
                 return int(node.name[1:])
@@ -300,6 +310,8 @@ def _apply_fn(fn: str, x: float) -> float:
         return getattr(math, fn)(x)
     except OverflowError as exc:
         raise EvalDomainError(f"overflow in {fn}({x})") from exc
+    except ValueError as exc:  # sin, cos and tan of an infinite value
+        raise EvalDomainError(f"{fn} of non-finite value {x}") from exc
 
 
 def eval_node(node: Node, env: dict[str, float]) -> float:
@@ -330,12 +342,59 @@ def eval_node(node: Node, env: dict[str, float]) -> float:
                 return a / b
             if a == 0.0 and b < 0.0:
                 raise EvalDomainError("zero raised to a negative power")
-            if a < 0.0 and b != round(b):
+            if a < 0.0 and (b != b or b != round(b)):
                 raise EvalDomainError(f"negative base {a} with non-integer exponent {b}")
             return a ** b
         except OverflowError as exc:
             raise EvalDomainError(f"overflow in {a} {node.op} {b}") from exc
     raise TypeError(f"not an AST node: {node!r}")
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sinh": np.sinh,
+           "cosh": np.cosh, "tanh": np.tanh, "exp": np.exp, "ln": np.log,
+           "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _eval_draws(node: Node, env: dict, bad: np.ndarray):
+    """eval_node over arrays of draws at once.
+
+    Every draw on which eval_node raises EvalDomainError is set in `bad`
+    (in place); the values returned there are arbitrary.
+    """
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Sym):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_eval_draws(node.arg, env, bad)
+    if isinstance(node, Call):
+        x = _eval_draws(node.arg, env, bad)
+        y = _UFUNCS[node.fn](x)
+        if node.fn == "ln":
+            bad |= x <= 0.0
+        elif node.fn == "sqrt":
+            bad |= x < 0.0
+        elif node.fn in ("sin", "cos", "tan"):
+            bad |= np.isinf(x)
+        elif node.fn in ("sinh", "cosh", "exp"):
+            bad |= np.isinf(y) & np.isfinite(x)
+        return y
+    a = _eval_draws(node.lhs, env, bad)
+    b = _eval_draws(node.rhs, env, bad)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        bad |= b == 0.0
+        return a / b
+    y = np.power(a, b)
+    bad |= (a == 0.0) & (b < 0.0)
+    bad |= (a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))
+    bad |= np.isinf(y) & np.isfinite(a) & np.isfinite(b)
+    return y
 
 
 def eval_invariant(expr: InvariantExpr, p: ParamVector) -> float:
@@ -382,6 +441,49 @@ class InvarianceResult:
 
 SHIFTS = (1, 2, 3)
 _RESAMPLE_CAP = 10
+_DRAW_BLOCK = 1024    # draws per array pass, so memory stays bounded in `trials`
+
+
+def _trial(expr: InvariantExpr, n: int, tol: float, draws) -> tuple:
+    """One trial by the scalar rule over an iterator of draws: the violation
+    it finds (or None) and the number of draws it took."""
+    last_error: EvalDomainError | None = None
+    for used, m in enumerate(itertools.islice(draws, _RESAMPLE_CAP), 1):
+        p = ParamVector(m)
+        try:
+            base = eval_invariant(expr, p)
+            for shift in SHIFTS:
+                shifted = eval_invariant(expr, p.translate(shift))
+                delta = abs(shifted - base)
+                if delta > tol * (1.0 + abs(base)):
+                    return Violation(m=m, shift=shift, delta=delta), used
+            return None, used
+        except EvalDomainError as exc:
+            last_error = exc
+    raise EvalDomainError(
+        f"could not sample {expr.source!r} on [-5,5]^{n}: {last_error}")
+
+
+def _screen(expr: InvariantExpr, m: np.ndarray, tol: float) -> list:
+    """For each draw (a row of m), whether the scalar rule surely passes it:
+    no domain error at the base point or a shift, and no shift moving the
+    value by more than half the tolerance."""
+    k, n = m.shape
+    if expr.max_param_index() > n:
+        return [False] * k
+    # rows: the base point, then the shifts; M by fsum, as ParamVector has it
+    pts = m[None, :, :] - np.array((0,) + SHIFTS, dtype=float)[:, None, None]
+    env = {f"m{i + 1}": pts[:, :, i] for i in range(n)}
+    env["M"] = np.array([math.fsum(row) for row in pts.reshape(-1, n).tolist()]
+                        ).reshape(pts.shape[:2]) / n
+    env["pi"] = math.pi
+    env["e"] = math.e
+    bad = np.zeros(pts.shape[:2], dtype=bool)
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(_eval_draws(expr.ast, env, bad), bad.shape)
+        bad |= ~np.isfinite(vals)
+        moved = np.abs(vals[1:] - vals[0]) > 0.5 * tol * (1.0 + np.abs(vals[0]))
+    return (~(bad.any(axis=0) | moved.any(axis=0))).tolist()
 
 
 def check_invariance(expr: InvariantExpr, n: int, trials: int = 64,
@@ -391,33 +493,38 @@ def check_invariance(expr: InvariantExpr, n: int, trials: int = 64,
     Each trial draws m uniform in [-5, 5]^n and tests every shift in
     {1, 2, 3}; a draw whose evaluation hits a domain error is redrawn up
     to 10 times before the failure propagates.
+
+    Draws are taken from the seeded stream ahead of need, up to 1024 at a
+    time, and screened at once: the base points and their three shifts are
+    one array.  A trial whose next draw passes the screen passes.  Any other
+    trial (a domain error, or a shift that moves the value by more than half
+    the tolerance) is decided by the scalar rule, on the same draws in the
+    same order, redraws included.  So the verdict, the violation and the
+    error text are those of the scalar rule.
     """
     if trials < 16:
         raise ValidationError(f"check_invariance needs trials >= 16, got {trials}")
     if not 1 <= n <= 9:
         raise ValidationError(f"n must be in 1..9, got {n}")
     rng = random.Random(seed)
-    for _ in range(trials):
-        last_error: EvalDomainError | None = None
-        for _attempt in range(_RESAMPLE_CAP):
-            m = tuple(rng.uniform(-5.0, 5.0) for _ in range(n))
-            p = ParamVector(m)
-            try:
-                base = eval_invariant(expr, p)
-                for shift in SHIFTS:
-                    shifted = eval_invariant(expr, p.translate(shift))
-                    delta = abs(shifted - base)
-                    if delta > tol * (1.0 + abs(base)):
-                        return InvarianceResult(
-                            expr=expr.source, verified=False, trials=trials, tol=tol,
-                            violation=Violation(m=m, shift=shift, delta=delta))
-                last_error = None
-                break
-            except EvalDomainError as exc:
-                last_error = exc
-        if last_error is not None:
-            raise EvalDomainError(
-                f"could not sample {expr.source!r} on [-5,5]^{n}: {last_error}")
+
+    def draw() -> tuple:
+        return tuple(rng.uniform(-5.0, 5.0) for _ in range(n))
+
+    ahead, clean, i = [], [], 0    # draws taken ahead, their screen, the next one
+    for t in range(trials):
+        if i == len(ahead):
+            ahead = [draw() for _ in range(min(trials - t, _DRAW_BLOCK))]
+            clean, i = _screen(expr, np.array(ahead), tol), 0
+        if clean[i]:
+            i += 1
+            continue
+        # the scalar rule from this draw on; past the block it draws afresh
+        violation, used = _trial(expr, n, tol, itertools.chain(ahead[i:], iter(draw, None)))
+        if violation is not None:
+            return InvarianceResult(expr=expr.source, verified=False, trials=trials,
+                                    tol=tol, violation=violation)
+        i = min(i + used, len(ahead))
     return InvarianceResult(expr=expr.source, verified=True, trials=trials, tol=tol)
 
 

@@ -216,34 +216,40 @@ def test_criterion_05_ladder_consistency():
            f"max residual {worst:.3e} over {count} checks")
 
 
-def draw_extension(case: int, rng: random.Random):
+def extension_box(case: int, rng: random.Random):
+    """One raw (eps, rho, ell) draw from the criterion 06 box of a case."""
     u = rng.uniform
     pick = rng.choice
+    if case == 1:
+        e, r, l = u(1.6, 4.0), u(-3.0, -0.2), None
+    elif case == 2:
+        e, r, l = u(0.6, 1.6), u(-3.5, -2.2), pick((1, 2, 3))
+    elif case == 3:
+        l = pick((1, 2, 3))
+        e = u(0.2, 1.2)
+        r = -(l + e + 0.7) - u(0.0, 1.8)
+    elif case == 4:
+        e, r, l = u(1.6, 4.0), u(-3.0, -0.3), None
+    elif case == 5:
+        e, r, l = u(-2.5, -0.7), u(0.3, 3.0), pick((1, 2, 3))
+    elif case in (6, 7):
+        e, r, l = u(0.8, 3.0), 0.0, pick((1, 2, 3))
+    elif case == 8:
+        e, r, l = u(2.2, 4.0), u(-0.5, 0.5), None
+    elif case == 9:
+        l = pick((1, 2))
+        e = u(0.3, 1.2)
+        r = 0.7 * u(-1.0, 1.0) * (1 + 2 * l + 2 * e) / 2
+    elif case == 10:
+        e, r, l = u(2.2, 3.4), pick((-1, 1)) * u(0.05, 0.4), pick((1, 2))
+    else:
+        e, r, l = u(0.5, 2.5), u(-2.0, 2.0), pick((1, 2, 3))
+    return e, r, l
+
+
+def draw_extension(case: int, rng: random.Random):
     while True:
-        if case == 1:
-            e, r, l = u(1.6, 4.0), u(-3.0, -0.2), None
-        elif case == 2:
-            e, r, l = u(0.6, 1.6), u(-3.5, -2.2), pick((1, 2, 3))
-        elif case == 3:
-            l = pick((1, 2, 3))
-            e = u(0.2, 1.2)
-            r = -(l + e + 0.7) - u(0.0, 1.8)
-        elif case == 4:
-            e, r, l = u(1.6, 4.0), u(-3.0, -0.3), None
-        elif case == 5:
-            e, r, l = u(-2.5, -0.7), u(0.3, 3.0), pick((1, 2, 3))
-        elif case in (6, 7):
-            e, r, l = u(0.8, 3.0), 0.0, pick((1, 2, 3))
-        elif case == 8:
-            e, r, l = u(2.2, 4.0), u(-0.5, 0.5), None
-        elif case == 9:
-            l = pick((1, 2))
-            e = u(0.3, 1.2)
-            r = 0.7 * u(-1.0, 1.0) * (1 + 2 * l + 2 * e) / 2
-        elif case == 10:
-            e, r, l = u(2.2, 3.4), pick((-1, 1)) * u(0.05, 0.4), pick((1, 2))
-        else:
-            e, r, l = u(0.5, 2.5), u(-2.0, 2.0), pick((1, 2, 3))
+        e, r, l = extension_box(case, rng)
         fold = ext.CASE_SPECS[case].fold
         if fold in (ext._FOLD_PLUS_BETA, ext._FOLD_MINUS_BETA):
             c = Coupling(TRIV, 0.0, r)

@@ -125,6 +125,34 @@ def test_denominator_zero_exits_3(capsys):
     assert "denominator" in err.lower()
 
 
+@pytest.mark.parametrize("src", ["sin(exp(700)*exp(700))",
+                                 "(0-1)^(exp(700)*exp(700)-exp(700)*exp(700))"])
+def test_unsampleable_invariant_exits_3(capsys, src):
+    # sin(inf) and round(nan) raise ValueError in Python; both are domain
+    # errors of the expression, so the certification cannot sample it
+    rc, out, err = run(capsys, "spectrum", "--family=morse", "--m=2.5",
+                       f"--invariant={src}", "--d=1")
+    assert rc == 3 and out == ""
+    assert err.startswith("numerical failure: could not sample") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case,window", [("1", "-800,800"), ("4", "-1e200,1e200")])
+def test_wide_extension_window_exits_3(capsys, case, window):
+    # the bottoms overflow far out on the window: a non-finite denominator
+    rc, out, err = run(capsys, "verify", "cond2", "--extension", case, "--m", "3",
+                       "--invariant", "1", "--d", "1", f"--window={window}")
+    assert rc == 3 and out == ""
+    assert err.startswith("numerical failure: case ") and err.count("\n") == 1
+    assert "denominator not finite near x = " in err
+
+
+def test_cond2_grid_past_the_window_exits_3(capsys):
+    # the window scan passes; the check grid runs on past the cosh overflow
+    rc, _, err = run(capsys, "verify", "cond2", "--extension", "1", "--m", "3",
+                     "--invariant", "1", "--d=-1", "--grid", "0.1,800,11")
+    assert rc == 3 and "denominator not finite near x = 720.01" in err
+
+
 def test_target_validation(capsys):
     rc, _, err = run(capsys, "spectrum", "--m", "2.5")
     assert rc == 2 and "family or extension" in err

@@ -1,5 +1,6 @@
 """Expression DSL: parsing, round-trips, invariance checking."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,31 @@ def test_eval_domain_errors():
         eval_invariant(parse_invariant("sqrt(0-2)"), p)
     with pytest.raises(EvalDomainError):
         eval_invariant(parse_invariant("m2"), p)  # index above n
+
+
+@pytest.mark.parametrize("src", ["sin(exp(700)*exp(700))",
+                                 "(0-1)^(exp(700)*exp(700)-exp(700)*exp(700))"])
+def test_non_finite_arguments_are_domain_errors(src):
+    # math.sin(inf) and round(nan) raise ValueError; the evaluator maps both
+    expr = parse_invariant(src)
+    with pytest.raises(EvalDomainError):
+        eval_invariant(expr, ParamVector((1.0,)))
+    with pytest.raises(EvalDomainError, match="^could not sample"):
+        check_invariance(expr, 1)
+
+
+def test_max_param_index_is_cached_outside_the_fields():
+    src = "m1 + sin(m3) * M"
+    e = parse_invariant(src)
+    assert e.max_param_index() == 3
+    assert "_max_param_index" in vars(e)        # computed once, then read
+    fresh = parse_invariant(src)
+    assert e == fresh and repr(e) == repr(fresh) and hash(e) == hash(fresh)
+    marked = dataclasses.replace(e, verified=True)
+    assert marked.verified and marked.max_param_index() == 3
+    other = dataclasses.replace(e, ast=parse_invariant("m5").ast)
+    assert other.max_param_index() == 5
+    assert [f.name for f in dataclasses.fields(InvariantExpr)] == ["source", "ast", "verified"]
 
 
 def test_check_invariance_accepts_period_one():

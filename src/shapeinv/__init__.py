@@ -36,6 +36,7 @@ from .families import (
     Coupling,
     ConstructionData,
     FamilySpec,
+    StateForm,
     FamilyParams,
     FAMILY_IDS,
     family_ids,
@@ -57,6 +58,7 @@ from .spectra import (
     admissible_range,
     eigenenergy,
     norm_coefficient,
+    state_constant,
     wavefunction,
     eigenstate,
 )
@@ -100,12 +102,12 @@ __all__ = [
     "EvalDomainError", "GammaPole", "DenominatorZero", "NonConvergence",
     "ParamVector", "InvariantExpr", "InvarianceResult", "parse_invariant",
     "verify_invariant", "check_invariance", "eval_invariant",
-    "Domain", "Coupling", "ConstructionData", "FamilySpec", "FamilyParams",
+    "Domain", "Coupling", "ConstructionData", "FamilySpec", "StateForm", "FamilyParams",
     "FAMILY_IDS", "family_ids", "get_spec", "build_family", "translate_family",
     "superpotential", "partner_potentials", "riccati_g", "coupling_v",
     "remainder", "construction_remainder", "classic_reconstruction",
     "AdmissibleRange", "Wavefunction", "EigenState", "admissible_range",
-    "eigenenergy", "norm_coefficient", "wavefunction", "eigenstate",
+    "eigenenergy", "norm_coefficient", "state_constant", "wavefunction", "eigenstate",
     "CaseSpec", "ExtensionSpec", "ExtendedSuperpotential", "EXTENSION_IDS",
     "extension_ids", "build_extension", "extended_superpotential",
     "w1_branch", "w1_difference", "base_remainder", "extension_grid",

@@ -284,6 +284,17 @@ def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
     return w1_branch(spec, x, 1, shift) - w1_branch(spec, x, -1, shift)
 
 
+def _pointwise(fn, xs) -> np.ndarray:
+    """fn at each point of xs; an overflow at a point reads as a non-finite value."""
+    out = []
+    for x in xs:
+        try:
+            out.append(fn(x))
+        except OverflowError:
+            out.append(math.nan)
+    return np.array(out)
+
+
 def _require_finite(cs: CaseSpec, xs: np.ndarray, vals: np.ndarray) -> None:
     """DenominatorZero at the first point where vals is not finite."""
     finite = np.isfinite(vals)
@@ -414,9 +425,7 @@ class ExtendedSuperpotential:
             d = self._dual(t, shift)
             return value(d) ** 2 + sign * derivative(d)
 
-        if np.ndim(x) == 0:
-            return one(x)
-        return np.reshape(np.array([one(t) for t in np.asarray(x).ravel()]), np.shape(x))
+        return np.reshape(_pointwise(one, np.ravel(x)), np.shape(x))[()]
 
     def potential(self, x):
         """V = W^2 - W'; accepts scalars or arrays (evaluated pointwise)."""
@@ -482,29 +491,36 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
     W1p^2 + W1p' + W1m^2 + W1m' + 2 W0 (W1p - W1m) - 2 W1p W1m
     must vanish identically.  The pointwise residual is the largest of
     |L(eps)| / (1 + |W0(eps)|^2), the same at eps - 1, and the unscaled
-    cross-difference |L(eps) - L(eps - 1)|; the contract is 1e-8.
+    cross-difference |L(eps) - L(eps - 1)|; the contract is 1e-8.  A point
+    that overflows reads as non-finite, and the scan's rule raises
+    DenominatorZero there.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
-    res = []
-    for x in xs:
+
+    def residual(x):
         l_up, w0_up = _cond1_l(cs, float(x), e, r, l)
         l_dn, w0_dn = _cond1_l(cs, float(x), e - 1, r, l)
         r_up = abs(l_up) / (1.0 + abs(w0_up) ** 2)
         r_dn = abs(l_dn) / (1.0 + abs(w0_dn) ** 2)
-        res.append(max(r_up, r_dn, abs(l_up - l_dn)))
-    return _report(xs, np.asarray(res, dtype=float), excluded)
+        return max(r_up, r_dn, abs(l_up - l_dn))
+
+    res = _pointwise(residual, xs)
+    _require_finite(cs, xs, res)
+    return _report(xs, res, excluded)
 
 
 def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
     """Partner-vs-translated residual for the extended superpotential.
 
     (W^2 + W')(eps) against (W^2 - W')(eps - 1) + R(eps - 1) with R taken
-    from the base; scaled like the family-side check.
+    from the base; scaled like the family-side check.  A non-finite residual
+    (an overflow past the certified window) raises DenominatorZero.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     w = ExtendedSuperpotential(spec)
     v_plus = w._side(xs, 1.0)
     v_down = w._side(xs, -1.0, shift=1)
     res = np.abs(v_plus - v_down - base_remainder(spec, shift=1)) / (1.0 + np.abs(v_down))
+    _require_finite(spec.case, xs, res)
     return _report(xs, res, excluded)

@@ -7,7 +7,8 @@ Riccati solution G (G' + G^2 = alpha) and first-order solutions v_j
 (v_j' + v_j G = beta_j); five more take the ratio form k = rho/eps + eps G.
 The invariants I_j enter only through the folded effective parameters
 (eps, rho) or (beta, rho).  Each family is written down once, as its
-FamilySpec record in FAMILY_SPECS.
+FamilySpec record in FAMILY_SPECS, with the StateForm from which spectra
+derives every normalized state.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import numpy as np
 
 from .errors import EvalDomainError, RangeViolation, UnverifiedInvariant, ValidationError
 from .invariants import InvariantExpr, ParamVector, eval_invariant
+from .specfun import log_gamma
 
 _INF = float("inf")
 _PI = math.pi
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -240,6 +243,109 @@ def _below_eps(e: float, r: float) -> int:
 
 
 @dataclass(frozen=True)
+class StateForm:
+    """A family's normalized states zeta_k = C_k exp(L(x)) P_k(z(x)).
+
+    The ladder zeta_k(eps) = A+ zeta_{k-1}(eps - 1) / sqrt(E_k) gives C_k =
+    step^k k! N_k C_0(eps - k) (spectra.state_constant), so only the ground
+    state's log C_0(eps, rho, beta) is written down, with the per-rung
+    step(eps, rho, beta), the specfun poly and its params(eps, rho, k), and
+    terms(x, eps, rho, beta, k) -> (L, z), L a sum of exponents times
+    log-bases.  far(x) -> (log|z|, z/|z|) serves past |z| = 1e8.  An
+    imaginary step goes with an imaginary z: those states run complex.
+    """
+
+    log_c0: Callable[[float, float, float], float]
+    step: Callable[[float, float, float], complex]
+    poly: str
+    params: Callable[[float, float, int], tuple]
+    terms: Callable
+    far: Optional[Callable] = None
+
+
+def _fixed(value):
+    return lambda e, r, b: value
+
+
+# log-bases free of overflow, and of cancellation near their zeros
+
+def _log_cosh(x):
+    a = np.abs(x)
+    return a - _LOG2 + np.log1p(np.exp(-2.0 * a))
+
+
+def _log_far(x):
+    """log cosh x and log|sinh x| where they pass log 1e8: |x| - log 2 to rounding."""
+    return np.abs(x) - _LOG2
+
+
+def _log_cosh_sides(x):
+    """log(cosh x - 1) and log(cosh x + 1) for x > 0."""
+    return x - _LOG2 + 2.0 * np.log(-np.expm1(-x)), x - _LOG2 + 2.0 * np.log1p(np.exp(-x))
+
+
+def _log_tanh_sides(x):
+    """log(1 - tanh x) and log(1 + tanh x)."""
+    tail = _LOG2 - np.log1p(np.exp(-np.abs(2.0 * x)))
+    return tail - np.maximum(2.0 * x, 0.0), tail - np.maximum(-2.0 * x, 0.0)
+
+
+def _log_coth_sides(x):
+    """log(coth x - 1) and log(coth x + 1) for x > 0."""
+    tail = _LOG2 - np.log(-np.expm1(-2.0 * x))
+    return tail - 2.0 * x, tail
+
+
+def _scarf2_terms(x, e, r, b, k):
+    sh = np.sinh(x)
+    return -r * np.arctan(sh) - e * _log_cosh(x), -1j * sh
+
+
+def _poschl_teller_terms(x, e, r, b, k):
+    lo, hi = _log_cosh_sides(x)
+    return 0.5 * (r - e) * lo - 0.5 * (e + r) * hi, -np.cosh(x)
+
+
+def _morse_terms(x, e, r, b, k, sign=1.0):
+    w = np.exp(-sign * x)
+    return -sign * r * w - (e - k) * sign * x, 2 * sign * r * w
+
+
+def _harmonic_terms(x, e, r, b, k):
+    y = x + r / b
+    return -b * y ** 2 / 2, math.sqrt(b) * y
+
+
+def _scarf1_terms(x, e, r, b, k, trig=np.sin):
+    u = trig(x)
+    # the bases 1 -/+ u round to 0 at the walls, where log 0 = -inf is the limit
+    with np.errstate(divide="ignore"):
+        return -0.5 * (e + r) * np.log(1.0 - u) - 0.5 * (e - r) * np.log(1.0 + u), u
+
+
+def _ratio_terms(x, e, r, b, k, sides=_log_tanh_sides, coordinate=np.tanh):
+    s = e - k
+    lo, hi = sides(x)
+    return 0.5 * (s + r / s) * lo + 0.5 * (s - r / s) * hi, coordinate(x)
+
+
+_MORSE_STATE = dict(log_c0=lambda e, r, b: e * (_LOG2 + math.log(abs(r))) - 0.5 * log_gamma(2 * e),
+                    step=_fixed(-1.0), poly="laguerre_l", params=lambda e, r, k: (2 * e - 2 * k,))
+_SCARF_STATE = dict(step=_fixed(2.0), poly="jacobi_p",
+                    params=lambda e, r, k: (-0.5 - e - r, -0.5 - e + r))
+_SCARF1_STATE = dict(
+    log_c0=lambda e, r, b: e * _LOG2 + 0.5 * (log_gamma(1 - 2 * e) - log_gamma(0.5 - e - r)
+                                              - log_gamma(0.5 - e + r)), **_SCARF_STATE)
+_RATIO_STATE = dict(step=_fixed(1.0), poly="jacobi_p",
+                    params=lambda e, r, k: (e - k + r / (e - k), e - k - r / (e - k)))
+_TRIG_RATIO_STATE = dict(
+    log_c0=lambda e, r, b: (log_gamma(complex(1 - e, -r / e))
+                            - 0.5 * (math.log(_PI) + log_gamma(1 - 2 * e))),
+    step=_fixed(-1j), poly="jacobi_p",
+    params=lambda e, r, k: (complex(e - k, r / (e - k)), complex(e - k, -r / (e - k))))
+
+
+@dataclass(frozen=True)
 class FamilySpec:
     """Everything one family needs; spectra derives E_k as sum_j R(eps - j).
 
@@ -249,7 +355,7 @@ class FamilySpec:
     (eps, rho, beta) the constant R.  Levels are admissible up to
     max_level(eps, rho) (default: no bound), or, where gamma_args is set,
     while the Gamma arguments at s = eps - k, t = rho/s stay positive and
-    E_k rises.
+    E_k rises.  state is the normalized states' StateForm.
     oracle_floor is the smallest half-width of the FD oracle box.
     """
 
@@ -262,6 +368,7 @@ class FamilySpec:
     ranges: tuple[tuple[str, Callable[[float, float, float], bool]], ...]
     g: Callable
     remainder: Callable[[float, float, float], float]
+    state: StateForm
     k: Optional[Callable] = None
     v: Optional[Callable] = None
     max_level: Callable[[float, float], Optional[int]] = _unbounded
@@ -276,58 +383,90 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-8.0, 8.0),
                ranges=(_EPS_POSITIVE,), g=_g_tanh, v=_v_scarf2,
                k=lambda x, e, r, b: _v_scarf2(x, e, r),
-               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps),
+               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               state=StateForm(
+                   log_c0=lambda e, r, b: ((e - 0.5) * _LOG2 + log_gamma(complex(0.5 + e, -r))
+                                           - 0.5 * (math.log(_PI) + log_gamma(2 * e))),
+                   step=_fixed(2j), poly="jacobi_p",
+                   params=lambda e, r, k: (complex(-0.5 - e, r), complex(-0.5 - e, -r)),
+                   terms=_scarf2_terms, far=lambda x: (_log_far(x), -1j * np.sign(x)))),
     FamilySpec("poschl-teller", "Poschl-Teller, k = eps*coth(x) - rho*csch(x)",
                _make_domain(0.0, _INF), 1.0, _FOLD_BETA_MEAN, (0.0, 12.0),
                ranges=(_EPS_POSITIVE, ("eps - rho < 1/2", lambda e, r, b: e - r < 0.5)),
                g=_g_coth, v=_v_poschl_teller,
                k=lambda x, e, r, b: _v_poschl_teller(x, e, r),
-               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps),
+               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               state=StateForm(
+                   log_c0=lambda e, r, b: e * _LOG2 + 0.5 * (
+                       log_gamma(0.5 + e + r) - log_gamma(2 * e) - log_gamma(0.5 - e + r)),
+                   terms=_poschl_teller_terms, far=lambda x: (_log_far(x), -1.0),
+                   **_SCARF_STATE)),
     FamilySpec("morse", "Morse, k = eps - rho*exp(-x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-2.0, 14.0),
                ranges=(_EPS_POSITIVE, _RHO_POSITIVE), g=_g_constant(1.0), v=_v_morse,
                k=lambda x, e, r, b: _v_morse(x, e, r),
                remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
-               oracle_floor=25.0),
+               state=StateForm(terms=_morse_terms, **_MORSE_STATE), oracle_floor=25.0),
     FamilySpec("morse-mirror", "mirrored Morse, k = -eps - rho*exp(x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-14.0, 2.0),
                ranges=(_EPS_POSITIVE, ("rho < 0", lambda e, r, b: r < 0)),
                g=_g_constant(-1.0), v=partial(_v_morse, sign=-1.0),
                k=lambda x, e, r, b: _v_morse(x, e, r, -1.0),
                remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               state=StateForm(terms=partial(_morse_terms, sign=-1.0), **_MORSE_STATE),
                oracle_floor=25.0),
     FamilySpec("radial-osc", "radial oscillator, k = eps/x + rho*x",
                _make_domain(0.0, _INF), 0.0, _FOLD_D_MEAN, (0.0, 10.0),
                ranges=(_EPS_BELOW_HALF, _RHO_POSITIVE), g=_g_inverse, v=_v_radial,
                k=lambda x, e, r, b: _v_radial(x, 2 * r, e),
-               remainder=lambda e, r, b: 4 * r),
+               remainder=lambda e, r, b: 4 * r,
+               state=StateForm(
+                   log_c0=lambda e, r, b: 0.5 * (_LOG2 + (0.5 - e) * math.log(r)
+                                                 - log_gamma(0.5 - e)),
+                   step=_fixed(-2.0), poly="laguerre_l", params=lambda e, r, k: (-0.5 - e,),
+                   terms=lambda x, e, r, b, k: (-r * x ** 2 / 2 - e * np.log(x), r * x ** 2))),
     FamilySpec("harm-osc", "shifted harmonic oscillator, k = beta*x + rho",
                _make_domain(-_INF, _INF), 0.0, _FOLD_SLOPE, (-10.0, 10.0),
                ranges=(("beta > 0", lambda e, r, b: b > 0),), g=_g_constant(0.0), v=_v_harmonic,
                k=lambda x, e, r, b: _v_harmonic(x, b, r),
-               remainder=lambda e, r, b: 2 * b),
+               remainder=lambda e, r, b: 2 * b,
+               state=StateForm(log_c0=lambda e, r, b: 0.25 * math.log(b / _PI),
+                               step=lambda e, r, b: math.sqrt(b), poly="hermite_h",
+                               params=lambda e, r, k: (), terms=_harmonic_terms)),
     FamilySpec("scarf1", "trigonometric Scarf, k = -eps*tan(x) - rho*sec(x)",
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_BETA_MEAN_NEG,
                (-_PI / 2, _PI / 2),
                ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_neg_tan, v=_v_scarf1,
                k=lambda x, e, r, b: _v_scarf1(x, -e, r),
-               remainder=lambda e, r, b: -2 * e - 1),
+               remainder=lambda e, r, b: -2 * e - 1,
+               state=StateForm(terms=_scarf1_terms, **_SCARF1_STATE)),
     FamilySpec("scarf1-cot", "trigonometric Scarf cot form, k = eps*cot(x) + rho*csc(x)",
                _make_domain(0.0, _PI), -1.0, _FOLD_BETA_MEAN_NEG, (0.0, _PI),
                ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_cot, v=_v_scarf1_cot,
                k=lambda x, e, r, b: _v_scarf1_cot(x, -e, r),
-               remainder=lambda e, r, b: -2 * e - 1),
+               remainder=lambda e, r, b: -2 * e - 1,
+               state=StateForm(terms=partial(_scarf1_terms, trig=np.cos), **_SCARF1_STATE)),
     FamilySpec("rosen-morse2", "hyperbolic Rosen-Morse, k = eps*tanh(x) + rho/eps",
                _make_domain(-_INF, _INF), 1.0, _FOLD_RATIO, (-8.0, 8.0),
                ranges=(_EPS_NONZERO, ("eps > rho/eps", lambda e, r, b: e > r / e),
                        _ABOVE_THRESHOLD),
                g=_g_tanh, remainder=lambda e, r, b: 1 + 2 * e - _ratio_shift(e, r),
-               gamma_args=lambda s, t: (2 * s, s - t, s + t)),
+               gamma_args=lambda s, t: (2 * s, s - t, s + t),
+               state=StateForm(
+                   log_c0=lambda e, r, b: (0.5 - e) * _LOG2 + 0.5 * (
+                       log_gamma(2 * e) - log_gamma(e - r / e) - log_gamma(e + r / e)),
+                   terms=_ratio_terms, **_RATIO_STATE)),
     FamilySpec("eckart", "Eckart, k = eps*coth(x) + rho/eps",
                _make_domain(0.0, _INF), 1.0, _FOLD_RATIO, (0.0, 12.0),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF, _ABOVE_THRESHOLD),
                g=_g_coth, remainder=lambda e, r, b: 1 + 2 * e - _ratio_shift(e, r),
-               gamma_args=lambda s, t: (1 - s + t, 1 - 2 * s, s + t), oracle_floor=25.0),
+               gamma_args=lambda s, t: (1 - s + t, 1 - 2 * s, s + t),
+               state=StateForm(
+                   log_c0=lambda e, r, b: (0.5 - e) * _LOG2 + 0.5 * (
+                       log_gamma(1 - e + r / e) - log_gamma(1 - 2 * e) - log_gamma(e + r / e)),
+                   terms=partial(_ratio_terms, sides=_log_coth_sides,
+                                 coordinate=lambda x: 1.0 / np.tanh(x)), **_RATIO_STATE),
+               oracle_floor=25.0),
     FamilySpec("coulomb", "Coulomb, k = eps/x + rho/eps",
                _make_domain(0.0, _INF), 0.0, _FOLD_RATIO, (0.0, 20.0),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF,
@@ -335,16 +474,29 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                g=_g_inverse, remainder=lambda e, r, b: -_ratio_shift(e, r),
                # Gamma(2k - 2 eps) positive at k = 0 requires eps < 0; then
                # every level is admissible and E_k climbs toward the threshold
-               max_level=lambda e, r: None if e < 0 else -1, oracle_floor=25.0),
+               max_level=lambda e, r: None if e < 0 else -1,
+               state=StateForm(
+                   log_c0=lambda e, r, b: 0.5 * (math.log(-r) - 2 * math.log(-e)
+                                                 - 2 * e * math.log(r / e) - log_gamma(-2 * e)),
+                   step=_fixed(-1.0), poly="laguerre_l", params=lambda e, r, k: (-1 - 2 * e,),
+                   terms=lambda x, e, r, b, k: (-e * np.log(2.0 * x) + r * x / (k - e),
+                                                2 * r * x / (e - k))),
+               oracle_floor=25.0),
     FamilySpec("rosen-morse1", "trigonometric Rosen-Morse, k = -eps*tan(x) + rho/eps",
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_RATIO,
                (-_PI / 2, _PI / 2),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_neg_tan,
-               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r)),
+               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r),
+               state=StateForm(terms=lambda x, e, r, b, k: (
+                   (k - e) * np.log(2.0 * np.cos(x)) + r * x / (k - e), -1j * np.tan(x)),
+                   **_TRIG_RATIO_STATE)),
     FamilySpec("rosen-morse1-cot", "trigonometric Rosen-Morse cot form, k = eps*cot(x) + rho/eps",
                _make_domain(0.0, _PI), -1.0, _FOLD_RATIO, (0.0, _PI),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_cot,
-               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r)),
+               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r),
+               state=StateForm(terms=lambda x, e, r, b, k: (
+                   (k - e) * np.log(2.0 * np.sin(x)) + r * (2 * x - _PI) / (2 * (k - e)),
+                   1j / np.tan(x)), **_TRIG_RATIO_STATE)),
 )}
 
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILY_SPECS)

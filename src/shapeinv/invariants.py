@@ -130,6 +130,13 @@ class _Tokenizer:
         self.tokens.append(("end", "", len(src)))
 
 
+# deepest nesting the parser accepts: each parenthesis, call, unary minus,
+# exponent and chained operator counts one level, so the tree walks
+# (to_source, eval_node, _eval_draws, max_param_index) recurse at most this
+# deep and the parser about five frames per level, far below Python's limit
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over: expr > term > factor > power > atom."""
 
@@ -137,6 +144,13 @@ class _Parser:
         self.src = src
         self.tokens = _Tokenizer(src).tokens
         self.idx = 0
+        self.depth = 0
+
+    def deeper(self, off: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_NESTING} levels at offset {off}", off)
 
     def peek(self):
         return self.tokens[self.idx]
@@ -159,39 +173,44 @@ class _Parser:
             raise ExpressionError(f"unexpected trailing input {text!r} at offset {off}", off)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def chain(self, ops: str, operand) -> Node:
+        """A left-associated chain of ops; each link nests one level deeper."""
+        outer = self.depth
+        node = operand()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = Bin(text, node, self.term())
-            else:
+            kind, text, off = self.peek()
+            if kind != "op" or text not in ops:
+                self.depth = outer
                 return node
+            self.advance()
+            self.deeper(off)
+            node = Bin(text, node, operand())
+
+    def expr(self) -> Node:
+        return self.chain("+-", self.term)
 
     def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = Bin(text, node, self.factor())
-            else:
-                return node
+        return self.chain("*/", self.factor)
+
+    def nested(self, off: int, parse) -> Node:
+        self.deeper(off)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def factor(self) -> Node:
-        kind, text, _ = self.peek()
+        kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
+            return Neg(self.nested(off, self.factor))
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return Bin("^", base, self.factor())
+            return Bin("^", base, self.nested(off, self.factor))
         return base
 
     def atom(self) -> Node:
@@ -201,14 +220,14 @@ class _Parser:
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(off, self.expr)
                 self.expect_op(")")
                 return Call(text, arg)
             if text in NAMES:
                 return Sym(text)
             raise ExpressionError(f"unknown identifier {text!r} at offset {off}", off)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.nested(off, self.expr)
             self.expect_op(")")
             return node
         raise ExpressionError(f"expected a value at offset {off}", off)

@@ -27,17 +27,12 @@ def _check_degree(k: int):
         raise EvalDomainError(f"polynomial degree {k} exceeds supported maximum {MAX_DEGREE}")
 
 
-def jacobi_p(k: int, a, b, z):
-    """Jacobi polynomial P_k^(a,b)(z) by the three-term recurrence.
-
-    a, b may be complex; z may be scalar, array, or Dual.
-    """
-    _check_degree(k)
-    one = z * 0 + 1.0
+def _jacobi(k: int, a, b, z, w, ww, one):
+    """w^k P_k^(a,b)(z/w) by the three-term recurrence, ww = w^2."""
     if k == 0:
         return one
     p_prev = one
-    p_cur = (a - b) * 0.5 * one + (a + b + 2) * 0.5 * z
+    p_cur = (a - b) * 0.5 * w + (a + b + 2) * 0.5 * z
     for n in range(2, k + 1):
         s = 2 * n + a + b
         den = 2 * n * (n + a + b) * (s - 2)
@@ -47,9 +42,25 @@ def jacobi_p(k: int, a, b, z):
         c1 = (s - 1) * (s * (s - 2))
         c2 = (s - 1) * (a * a - b * b)
         c3 = 2 * (n + a - 1) * (n + b - 1) * s
-        p_next = ((c1 * z + c2 * one) * p_cur - c3 * p_prev) / den
+        p_next = ((c1 * z + c2 * w) * p_cur - c3 * ww * p_prev) / den
         p_prev, p_cur = p_cur, p_next
     return p_cur
+
+
+def jacobi_p(k: int, a, b, z):
+    """Jacobi polynomial P_k^(a,b)(z) by the three-term recurrence.
+
+    a, b may be complex; z may be scalar, array, or Dual.
+    """
+    _check_degree(k)
+    one = z * 0 + 1.0
+    return _jacobi(k, a, b, z, one, 1.0, one)
+
+
+def jacobi_p_homogeneous(k: int, a, b, z, w):
+    """w^k P_k^(a,b)(z/w) by the same recurrence, finite where P_k(z/w) overflows."""
+    _check_degree(k)
+    return _jacobi(k, a, b, z, w, w * w, w * 0 + 1.0)
 
 
 def laguerre_l(k: int, a, z):
@@ -80,12 +91,25 @@ def hermite_h(k: int, z):
     return p_cur
 
 
-def _as_nonpositive_int(upper) -> int:
+def _term_count(upper):
+    """-upper when upper is a non-positive integer (the sum then stops), else None."""
     r = round(float(upper))
-    if r > 0 or abs(upper - r) > _INT_TOL:
-        raise EvalDomainError(
-            f"terminating hypergeometric sum needs a non-positive integer upper parameter, got {upper!r}")
-    return int(r)
+    return -int(r) if r <= 0 and abs(upper - r) <= _INT_TOL else None
+
+
+def _terminating_sum(name: str, n_terms: int, rising, lower, z):
+    """1 + sum of n_terms terms, term_j = term_{j-1} rising(j) z / ((lower + j - 1) j)."""
+    one = z * 0 + 1.0
+    total = one
+    term = one
+    for j in range(1, n_terms + 1):
+        den = lower + j - 1
+        if abs(den) < _INT_TOL:
+            raise GammaPole(
+                f"{name} lower parameter {lower} hits a pole at term {j} inside the truncated sum")
+        term = term * (rising(j) / (den * j)) * z
+        total = total + term
+    return total
 
 
 def hyp1f1_terminating(upper, lower, z):
@@ -93,42 +117,21 @@ def hyp1f1_terminating(upper, lower, z):
 
     upper must be a non-positive integer so the series terminates.
     """
-    n_terms = -_as_nonpositive_int(upper)
-    one = z * 0 + 1.0
-    total = one
-    term = one
-    for j in range(1, n_terms + 1):
-        den = lower + j - 1
-        if abs(den) < _INT_TOL:
-            raise GammaPole(
-                f"1F1 lower parameter {lower} hits a pole at term {j} inside the truncated sum")
-        term = term * ((upper + j - 1) / (den * j)) * z
-        total = total + term
-    return total
+    n_terms = _term_count(upper)
+    if n_terms is None:
+        raise EvalDomainError(
+            f"terminating hypergeometric sum needs a non-positive integer upper parameter, got {upper!r}")
+    return _terminating_sum("1F1", n_terms, lambda j: upper + j - 1, lower, z)
 
 
 def hyp2f1_terminating(upper_a, upper_b, lower, z):
     """2F1(upper_a, upper_b; lower; z) truncated at the terminating upper parameter."""
-    candidates = []
-    for u in (upper_a, upper_b):
-        r = round(float(u))
-        if r <= 0 and abs(u - r) <= _INT_TOL:
-            candidates.append(-int(r))
+    candidates = [n for n in map(_term_count, (upper_a, upper_b)) if n is not None]
     if not candidates:
         raise EvalDomainError(
             f"2F1 needs a non-positive integer upper parameter, got ({upper_a!r}, {upper_b!r})")
-    n_terms = min(candidates)
-    one = z * 0 + 1.0
-    total = one
-    term = one
-    for j in range(1, n_terms + 1):
-        den = lower + j - 1
-        if abs(den) < _INT_TOL:
-            raise GammaPole(
-                f"2F1 lower parameter {lower} hits a pole at term {j} inside the truncated sum")
-        term = term * ((upper_a + j - 1) * (upper_b + j - 1) / (den * j)) * z
-        total = total + term
-    return total
+    return _terminating_sum("2F1", min(candidates),
+                            lambda j: (upper_a + j - 1) * (upper_b + j - 1), lower, z)
 
 
 # Lanczos approximation, g = 7, 9 coefficients.  Valid on Re z > 0.5 after
@@ -147,36 +150,42 @@ _LANCZOS_C = (
 )
 
 
-def _lanczos_gamma(z: complex) -> complex:
+def _log_lanczos_gamma(z: complex) -> float:
+    """log |Gamma(z)| for Re z >= 0.5."""
     z = z - 1.0
     x = _LANCZOS_C[0]
     for i in range(1, 9):
         x += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return (0.5 * math.log(2.0 * math.pi) + ((z + 0.5) * cmath.log(t)).real - t.real
+            + math.log(abs(x)))
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for real x > 0."""
-    if x <= 0.0:
-        raise GammaPole(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+def _off_poles(x: float) -> float:
+    if x <= 0.0 and abs(x - round(x)) < 1e-12:
+        raise GammaPole(f"gamma pole at {x}")
+    return x
+
+
+def log_gamma(z) -> float:
+    """log |Gamma(z)| for real or complex z off the poles, finite where Gamma overflows.
+
+    Real z takes math.lgamma, complex z the Lanczos sum in log form.
+    """
+    z = complex(z)
+    if z.imag == 0.0:
+        return math.lgamma(_off_poles(z.real))
+    if z.real >= 0.5:
+        return _log_lanczos_gamma(z)
+    # |Gamma(z)| = pi / (|sin(pi z)| |Gamma(1-z)|)
+    return math.log(math.pi / abs(cmath.sin(cmath.pi * z))) - _log_lanczos_gamma(1.0 - z)
 
 
 def gamma(x: float) -> float:
     """Gamma(x) for real x away from the poles at non-positive integers."""
-    if x <= 0.0 and abs(x - round(x)) < 1e-12:
-        raise GammaPole(f"gamma pole at {x}")
-    return math.gamma(x)
+    return math.gamma(_off_poles(x))
 
 
 def gamma_abs_complex(z: complex) -> float:
-    """|Gamma(z)| for complex z, via Lanczos plus the reflection formula."""
-    z = complex(z)
-    if z.imag == 0.0:
-        return abs(gamma(z.real))
-    if z.real >= 0.5:
-        return abs(_lanczos_gamma(z))
-    # |Gamma(z)| = pi / (|sin(pi z)| |Gamma(1-z)|)
-    s = cmath.sin(cmath.pi * z)
-    return math.pi / (abs(s) * abs(_lanczos_gamma(1.0 - z)))
+    """|Gamma(z)| for complex z: exp of log_gamma."""
+    return math.exp(log_gamma(z))

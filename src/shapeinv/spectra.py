@@ -1,10 +1,11 @@
 """Spectra and normalized bound states of the thirteen families.
 
 Eigenenergies are summed from the families' remainders, E_k = sum over
-j = 1..k of R(eps - j), and so are the ladder normalizations; eigenfunctions
-are assembled from the polynomial evaluators, one state builder per family.
-Three families (hyperbolic Scarf and both trigonometric Rosen-Morse forms)
-run through complex arithmetic and are projected back to the reals after an
+j = 1..k of R(eps - j), and so are the ladder normalizations.  Every state
+is evaluated by one log-space rule from its family's StateForm, with C_k
+derived from the ground-state normalization at eps - k.  Three families
+(hyperbolic Scarf and both trigonometric Rosen-Morse forms) run through
+complex arithmetic and are projected back to the reals after an
 imaginary-residue check.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,213 +151,51 @@ class Wavefunction:
             raise NumericalError(
                 f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_TOL:g} "
                 f"for family {self.family.id!r}, k={self.k}")
-        real = arr.real
-        if np.isscalar(raw) or real.ndim == 0:
-            return float(real)
-        return real
+        return float(arr.real) if arr.ndim == 0 else arr.real
 
 
-def _scarf2_state(fp: FamilyParams, k: int) -> Wavefunction:
-    e, r = fp.eps, fp.rho
+def state_constant(fp: FamilyParams, k: int) -> tuple[float, complex]:
+    """log|C_k| and C_k/|C_k|, C_k = step^k k! N_k C_0(eps - k) (no k! for Hermite)."""
+    k = _check_index(k)
+    form, e, r, b = fp.spec.state, fp.eps, fp.rho, fp.beta
     norm = norm_coefficient(fp, k)
-    pref = (2.0 ** (e - 0.5)
-            * specfun.gamma_abs_complex(complex(0.5 + e - k, -r))
-            / (math.sqrt(math.pi) * math.sqrt(specfun.gamma(2 * (e - k))))
-            * math.factorial(k) * norm) * 1j ** k
-    a_j = complex(-0.5 - e, r)
-    b_j = complex(-0.5 - e, -r)
-
-    def body(x):
-        sh = np.sinh(x)
-        outer = np.exp(-r * np.arctan(sh)) * np.cosh(x) ** (-e)
-        return pref * outer * specfun.jacobi_p(k, a_j, b_j, -1j * sh)
-
-    return Wavefunction(fp, k, body, True)
-
-
-def _poschl_teller_state(fp: FamilyParams, k: int) -> Wavefunction:
-    e, r = fp.eps, fp.rho
-    norm = norm_coefficient(fp, k)
-    pref = (2.0 ** e * math.factorial(k) * norm
-            * math.sqrt(specfun.gamma(0.5 - k + e + r)
-                        / (specfun.gamma(2 * (e - k))
-                           * specfun.gamma(0.5 + k - e + r))))
-    a_j, b_j = -0.5 - e - r, -0.5 - e + r
-
-    def body(x):
-        ch = np.cosh(x)
-        outer = (ch - 1.0) ** ((-e + r) / 2) * (ch + 1.0) ** (-(e + r) / 2)
-        return pref * outer * specfun.jacobi_p(k, a_j, b_j, -ch)
-
-    return Wavefunction(fp, k, body, False)
-
-
-def _morse_state(fp: FamilyParams, k: int, sign: float) -> Wavefunction:
-    """Morse (sign +1) or its mirror image (sign -1)."""
-    e, r = fp.eps, fp.rho
-    norm = norm_coefficient(fp, k)
-    pref = ((-1.0) ** k * 2.0 ** (e - k) * (sign * r) ** (e - k) * norm
-            * math.factorial(k) / math.sqrt(specfun.gamma(2 * (e - k))))
-
-    def body(x):
-        xa = np.asarray(x, dtype=float)
-        w = np.exp(-sign * xa)
-        # decay factors fused into one exponent to dodge overflow
-        outer = np.exp(-sign * r * w - (e - k) * sign * xa)
-        return pref * outer * specfun.laguerre_l(k, 2 * e - 2 * k, 2 * sign * r * w)
-
-    return Wavefunction(fp, k, body, False)
-
-
-def _radial_state(fp: FamilyParams, k: int) -> Wavefunction:
-    e, r = fp.eps, fp.rho
-    norm = norm_coefficient(fp, k)
-    pref = (math.sqrt(2.0 * r ** (0.5 + k - e) / specfun.gamma(0.5 + k - e))
-            * math.factorial(k) * (-2.0) ** k * norm)
-
-    def body(x):
-        return (pref * np.exp(-r * x ** 2 / 2) * x ** (-e)
-                * specfun.laguerre_l(k, -0.5 - e, r * x ** 2))
-
-    return Wavefunction(fp, k, body, False)
-
-
-def _harmonic_state(fp: FamilyParams, k: int) -> Wavefunction:
-    b, r = fp.beta, fp.rho
-    pref = (b / math.pi) ** 0.25 / math.sqrt(math.factorial(k) * 2.0 ** k)
-
-    def body(x):
-        y = np.asarray(x, dtype=float) + r / b
-        return pref * np.exp(-b * y ** 2 / 2) * specfun.hermite_h(k, math.sqrt(b) * y)
-
-    return Wavefunction(fp, k, body, False)
-
-
-def _scarf1_state(fp: FamilyParams, k: int, trig: Callable) -> Wavefunction:
-    """Trigonometric Scarf in u = sin x (tan form) or u = cos x (cot form)."""
-    e, r = fp.eps, fp.rho
-    norm = norm_coefficient(fp, k)
-    pref = (2.0 ** e * math.factorial(k) * norm
-            * math.sqrt(specfun.gamma(1 + 2 * k - 2 * e)
-                        / (specfun.gamma(0.5 + k - e - r)
-                           * specfun.gamma(0.5 + k - e + r))))
-    a_j, b_j = -0.5 - e - r, -0.5 - e + r
-
-    def body(x):
-        u = trig(x)
-        outer = (1.0 - u) ** (-(e + r) / 2) * (1.0 + u) ** (-(e - r) / 2)
-        return pref * outer * specfun.jacobi_p(k, a_j, b_j, u)
-
-    return Wavefunction(fp, k, body, False)
-
-
-def _hyperbolic_ratio_state(fp: FamilyParams, k: int, gamma_ratio: Callable,
-                            coordinate: Callable, sides: Callable) -> Wavefunction:
-    """Rosen-Morse (u = tanh x) and Eckart (u = coth x) states.
-
-    gamma_ratio(s, t) is the Gamma quotient under the root; sides(x) gives
-    the two bases u -/+ 1 (up to sign) raised to (s + t)/2 and (s - t)/2,
-    in forms free of the cancellation that rounds them to 0 in the tails.
-    """
-    e, r = fp.eps, fp.rho
-    norm = norm_coefficient(fp, k)
-    s = e - k
-    t = r / s
-    pref = 2.0 ** (0.5 + k - e) * math.factorial(k) * math.sqrt(gamma_ratio(s, t)) * norm
-    a_j, b_j = s + t, s - t
-
-    def body(x):
-        u = coordinate(x)
-        lo, hi = sides(x)
-        outer = lo ** ((s + t) / 2) * hi ** ((s - t) / 2)
-        return pref * outer * specfun.jacobi_p(k, a_j, b_j, u)
-
-    return Wavefunction(fp, k, body, False)
-
-
-def _tanh_sides(x):
-    """1 - tanh x and 1 + tanh x."""
-    with np.errstate(over="ignore"):
-        return 2.0 / (1.0 + np.exp(2.0 * x)), 2.0 / (1.0 + np.exp(-2.0 * x))
-
-
-def _coth_sides(x):
-    """coth x - 1 and coth x + 1."""
-    with np.errstate(over="ignore"):
-        return 2.0 / np.expm1(2.0 * x), -2.0 / np.expm1(-2.0 * x)
-
-
-def _coulomb_state(fp: FamilyParams, k: int) -> Wavefunction:
-    e, r = fp.eps, fp.rho
-    norm = norm_coefficient(fp, k)
-    lam = r / (e - k)
-    rad = -r / (k - e) ** 2 * lam ** (2 * k - 2 * e) / specfun.gamma(2 * k - 2 * e)
-    if not rad > 0:
-        raise InadmissibleState(
-            f"coulomb prefactor radicand {rad:.6g} is not positive at k={k}")
-    pref = (-1.0) ** k * math.factorial(k) * math.sqrt(rad) * norm
-
-    def body(x):
-        return (pref * (2.0 * x) ** (-e) * np.exp(r * x / (k - e))
-                * specfun.laguerre_l(k, -1 - 2 * e, 2 * r * x / (e - k)))
-
-    return Wavefunction(fp, k, body, False)
-
-
-def _trig_ratio_state(fp: FamilyParams, k: int, parts: Callable) -> Wavefunction:
-    """Trigonometric Rosen-Morse states, complex path.
-
-    parts(x, q, rho) with q = k - eps gives the outer factor and the
-    Jacobi argument of the tan or cot form.
-    """
-    e, r = fp.eps, fp.rho
-    norm = norm_coefficient(fp, k)
-    s = e - k
-    t = r / s
-    pref = ((-1j) ** k * math.factorial(k) * norm
-            * specfun.gamma_abs_complex(complex(1 + k - e, -t))
-            / math.sqrt(math.pi * specfun.gamma(1 + 2 * k - 2 * e)))
-    a_j = complex(s, t)
-    b_j = complex(s, -t)
-
-    def body(x):
-        outer, z = parts(np.asarray(x, dtype=float), k - e, r)
-        return pref * outer * specfun.jacobi_p(k, a_j, b_j, z)
-
-    return Wavefunction(fp, k, body, True)
-
-
-# One normalized-state builder per family, keyed like families.FAMILY_SPECS.
-_STATES: dict[str, Callable[[FamilyParams, int], Wavefunction]] = {
-    "scarf2": _scarf2_state,
-    "poschl-teller": _poschl_teller_state,
-    "morse": partial(_morse_state, sign=1.0),
-    "morse-mirror": partial(_morse_state, sign=-1.0),
-    "radial-osc": _radial_state,
-    "harm-osc": _harmonic_state,
-    "scarf1": partial(_scarf1_state, trig=np.sin),
-    "scarf1-cot": partial(_scarf1_state, trig=np.cos),
-    "rosen-morse2": partial(
-        _hyperbolic_ratio_state,
-        gamma_ratio=lambda s, t: specfun.gamma(2 * s) / (specfun.gamma(s - t)
-                                                         * specfun.gamma(s + t)),
-        coordinate=np.tanh, sides=_tanh_sides),
-    "eckart": partial(
-        _hyperbolic_ratio_state,
-        gamma_ratio=lambda s, t: specfun.gamma(1 - s + t) / (specfun.gamma(1 - 2 * s)
-                                                             * specfun.gamma(s + t)),
-        coordinate=lambda x: 1.0 / np.tanh(x), sides=_coth_sides),
-    "coulomb": _coulomb_state,
-    "rosen-morse1": partial(_trig_ratio_state, parts=lambda x, q, r: (
-        (2.0 * np.cos(x)) ** q * np.exp(r * x / q), -1j * np.tan(x))),
-    "rosen-morse1-cot": partial(_trig_ratio_state, parts=lambda x, q, r: (
-        (2.0 * np.sin(x)) ** q * np.exp(r * (2 * x - math.pi) / (2 * q)), 1j / np.tan(x))),
-}
+    step = form.step(e, r, b)
+    log_c = (form.log_c0(e - k, r, b) + math.log(abs(norm)) + k * math.log(abs(step))
+             + (math.lgamma(k + 1) if form.poly != "hermite_h" else 0.0))
+    return log_c, (step / abs(step)) ** k * math.copysign(1.0, norm)
 
 
 def wavefunction(fp: FamilyParams, k: int) -> Wavefunction:
-    """Assemble the closed-form normalized state zeta_k of V(x; fp)."""
-    return _STATES[fp.id](fp, _admissible(fp, k))
+    """The normalized state zeta_k of V(x; fp), by the family's StateForm.
+
+    zeta_k(x) = phase exp(log|C_k| + L(x)) P_k(z(x)), one exp so that neither
+    factor overflows alone.  Past |z| = 1e8 (far form) k log|z| joins the exp,
+    and P_k is homogeneous: |z|^-k P_k(z) = w^k P_k(u/w), u = z/|z|, w = 1/|z|.
+    """
+    k = _admissible(fp, k)
+    log_c, phase = state_constant(fp, k)
+    form, e, r, b = fp.spec.state, fp.eps, fp.rho, fp.beta
+    args, terms, far = (k, *form.params(e, r, k)), form.terms, form.far
+
+    def near(log_outer, z):
+        return phase * np.exp(log_c + log_outer) * getattr(specfun, form.poly)(*args, z)
+
+    def body(x):
+        if far is None:
+            return near(*terms(x, e, r, b, k))
+        # cosh and sinh overflow past |x| = 710, inside the far form's reach
+        with np.errstate(all="ignore"):
+            log_outer, z = terms(x, e, r, b, k)
+            big = np.abs(z) > 1e8
+            if not big.any():
+                return near(log_outer, z)
+            # one pass over every point: u = z, w = 1 where |z| <= 1e8
+            log_z, unit = far(x)
+            poly = specfun.jacobi_p_homogeneous(*args, np.where(big, unit, z),
+                                                np.where(big, np.exp(-log_z), 1.0))
+            return (phase * np.exp(log_c + log_outer + k * np.where(big, log_z, 0.0)) * poly)[()]
+
+    return Wavefunction(fp, k, body, isinstance(phase, complex))
 
 
 @dataclass(frozen=True)

@@ -227,21 +227,39 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, budget: float) -> float:
     return total
 
 
-def _peak_sample(f, lo: float, hi: float) -> float:
+def _peak_sample(f, lo: float, hi: float) -> tuple[float, float, float]:
+    """Peak |f| on a sample window, and the outermost samples above 1e-16 of it.
+
+    An infinite side of the window doubles while the sampled maximum sits on
+    its edge, or while nothing sampled is nonzero, out to |x| = 1e9, so a
+    peak far from the origin is found.
+    """
     a = lo if math.isfinite(lo) else min(-4.0, hi - 1.0) if math.isfinite(hi) else -4.0
     b = hi if math.isfinite(hi) else max(4.0, lo + 1.0) if math.isfinite(lo) else 4.0
     if math.isfinite(lo) and not math.isfinite(hi):
         b = lo + max(8.0, 2 * abs(lo) + 1.0)
     if math.isfinite(hi) and not math.isfinite(lo):
         a = hi - max(8.0, 2 * abs(hi) + 1.0)
-    width = b - a
-    xs = np.linspace(a + 1e-9 * width, b - 1e-9 * width, 257)
-    vals = np.abs(np.asarray(f(xs), dtype=float))
-    peak = float(np.max(vals[np.isfinite(vals)], initial=0.0))
-    return peak if peak > 0 else 1.0
+    while True:
+        width = b - a
+        xs = np.linspace(a + 1e-9 * width, b - 1e-9 * width, 257)
+        vals = np.abs(np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape))
+        vals[~np.isfinite(vals)] = 0.0
+        top = int(np.argmax(vals))
+        grow_lo = not math.isfinite(lo) and a > -1e9 and (top == 0 or vals[top] == 0)
+        grow_hi = not math.isfinite(hi) and b < 1e9 and (top == 256 or vals[top] == 0)
+        if not (grow_lo or grow_hi):
+            break
+        a, b = (max(a - width, -1e9) if grow_lo else a), (min(b + width, 1e9) if grow_hi else b)
+    peak = float(vals[top]) if vals[top] > 0 else 1.0
+    loud = xs[vals > _TAIL_REL * peak]
+    if not loud.size:
+        return peak, math.inf, -math.inf
+    return peak, float(loud[0]), float(loud[-1])
 
 
-def _march_tail(f, start: float, direction: float, thresh: float) -> float:
+def _march_tail(f, start: float, direction: float, thresh: float, beyond: float) -> float:
+    """First of three quiet samples in a row, counting only those past beyond."""
     t = start
     quiet = 0
     while True:
@@ -254,7 +272,7 @@ def _march_tail(f, start: float, direction: float, thresh: float) -> float:
         if ts:
             vals = np.abs(np.broadcast_to(np.asarray(f(np.array(ts))), (len(ts),)))
             for t_i, small in zip(ts, (vals <= thresh).tolist()):
-                quiet = quiet + 1 if small else 0
+                quiet = quiet + 1 if small and (t_i - beyond) * direction > 0 else 0
                 if quiet == 3:
                     return t_i
         if abs(t) > 1e9:
@@ -282,11 +300,11 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
     """Adaptive composite Gauss-Legendre integral of f over the domain.
 
     Infinite tails are truncated where |f| stays below 1e-16 of its sampled
-    peak; panels split until the local budget is met or depth 30 trips
-    NonConvergence.  Evaluation is batched: f receives a 1-D array of
-    nodes of any length (the nodes of up to 64 panels, or a block of tail
-    samples) and its result is broadcast to that shape, so an f that
-    returns a constant works too.
+    peak, beyond the outermost sample above that; panels split until the
+    local budget is met or depth 30 trips NonConvergence.  Evaluation is
+    batched: f receives a 1-D array of nodes of any length (the nodes of up
+    to 64 panels, or a block of tail samples) and its result is broadcast
+    to that shape, so an f that returns a constant works too.
     """
     if isinstance(domain, families.Domain):
         a, b = domain.lo, domain.hi
@@ -294,12 +312,13 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
         a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ValidationError("quadrature domain must satisfy a < b")
-    thresh = _TAIL_REL * _peak_sample(f, a, b)
+    peak, loud_lo, loud_hi = _peak_sample(f, a, b)
+    thresh = _TAIL_REL * peak
     grade_lo, grade_hi = math.isfinite(a), math.isfinite(b)
     if not grade_hi:
-        b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh)
+        b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh, loud_hi)
     if not grade_lo:
-        a = _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh)
+        a = _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh, loud_lo)
     cuts = _seed_panels(a, b, grade_lo, grade_hi)
     # the outermost graded sliver (width 2^-50 of the span) carries ~1e-17
     # of any integrable mass but its nodes round onto the endpoint; drop it

@@ -323,18 +323,37 @@ def test_unexpected_exception_exits_4_without_traceback(capsys, monkeypatch):
 
 
 def test_numpy_warnings_stay_off_stderr():
-    # the poschl-teller states overflow in the tail (a FOUND defect that
-    # makes this job exit 3); numpy's warnings must not reach stderr
+    # the scarf1 state overflows in numpy where 1 - sin x rounds to 0 at the
+    # wall (a FOUND defect that makes this job exit 3); numpy's warnings
+    # must not reach stderr
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-m", "shapeinv.cli", "verify", "orthonormal",
-         "--family=poschl-teller", "--m=2.0016969492986423", "--invariant=1",
-         "--beta=0.0", "--d=3.000469007512051", "--kmax=2", "--json"],
+        [sys.executable, "-m", "shapeinv.cli", "wavefunction", "--family=scarf1",
+         "--m=-0.3032802384493791", "--invariant=1", "--d=0.538051002893123", "--k=0"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("check", ["cond1", "ext-si"])
+def test_per_point_checks_past_the_window_exit_3(capsys, check):
+    # math.cosh overflows at x = 720.01 in the Dual pass: read as non-finite
+    rc, out, err = run(capsys, "verify", check, "--extension", "1", "--m", "3",
+                       "--invariant", "1", "--d=-1", "--grid", "0.1,800,11")
+    assert rc == 3 and out == "" and err.count("\n") == 1
+    assert "denominator not finite near x = 720.01" in err
+
+
+@pytest.mark.parametrize("source,offset", [
+    ("+".join(["1"] * 1500), 201), ("(" * 200 + "1" + ")" * 200, 100), ("-" * 990 + "1", 100),
+], ids=["long-sum", "nested-parentheses", "unary-minuses"])
+def test_deeply_nested_invariants_exit_2(capsys, source, offset):
+    rc, out, err = run(capsys, "spectrum", "--family", "morse", "--m", "2.5",
+                       f"--invariant={source}", "--d", "1")
+    assert rc == 2 and out == ""
+    assert f"nests deeper than 100 levels at offset {offset}" in err
 
 
 MORSE_DOC = {"family": "morse", "m": [2.5], "couplings": [{"invariant": "1", "d": 1.0}]}

@@ -8,9 +8,8 @@ printed E_k and serve as the reference oracle.
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from shapeinv import spectra
 from shapeinv.errors import RangeViolation
-from shapeinv.families import FAMILY_IDS
+from shapeinv.families import FAMILY_IDS, FAMILY_SPECS, StateForm
 from shapeinv.spectra import admissible_range, eigenenergy
 
 from test_families import simple
@@ -82,7 +81,7 @@ DRAWS = {
 
 
 def test_state_builders_cover_every_family():
-    assert tuple(spectra._STATES) == FAMILY_IDS
+    assert all(isinstance(FAMILY_SPECS[fid].state, StateForm) for fid in FAMILY_IDS)
     assert set(CLOSED_FORMS) == set(DRAWS) == set(FAMILY_IDS)
 
 

@@ -182,3 +182,15 @@ def test_verify_deterministic_across_calls():
     a = check_invariance(parse_invariant("m1"), 1, seed=7)
     b = check_invariance(parse_invariant("m1"), 1, seed=7)
     assert a.violation.m == b.violation.m
+
+
+def test_nesting_cap_leaves_the_deepest_accepted_tree_walkable():
+    from shapeinv.invariants import MAX_NESTING
+    for src in ("+".join(["m1"] * (MAX_NESTING + 1)), "(" * MAX_NESTING + "m1" + ")" * MAX_NESTING,
+                "-" * MAX_NESTING + "m1", "sin(" * MAX_NESTING + "m1" + ")" * MAX_NESTING):
+        expr = parse_invariant(src)
+        assert parse_invariant(expr.source).ast == expr.ast
+        assert expr.max_param_index() == 1
+        assert math.isfinite(eval_invariant(expr, ParamVector((0.3,))))
+    with pytest.raises(ExpressionError):
+        parse_invariant("sin(" * (MAX_NESTING + 1) + "m1" + ")" * (MAX_NESTING + 1))

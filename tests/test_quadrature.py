@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from shapeinv import spectra, verify
+from shapeinv import families, spectra, verify
 from shapeinv.cli import main
 from shapeinv.errors import NonConvergence
 
@@ -50,14 +50,16 @@ def _adapt(f, a, b, budget, depth):
             + _adapt(f, mid, b, budget / 2, depth + 1))
 
 
-def _march_tail(f, start, direction, thresh):
+def _march_tail(f, start, direction, thresh, beyond):
+    # a quiet sample counts only past the outermost loud one of the peak sample
     t = start
     quiet = 0
     while quiet < 3:
         t = t * 1.3 if t * direction > 1 else t + direction
         if abs(t) > 1e9:
             raise NonConvergence("tail truncation point not found below |x| = 1e9")
-        if abs(float(np.max(np.abs(np.asarray(f(np.array([t]))))))) <= thresh:
+        small = abs(float(np.max(np.abs(np.asarray(f(np.array([t]))))))) <= thresh
+        if small and (t - beyond) * direction > 0:
             quiet += 1
         else:
             quiet = 0
@@ -66,12 +68,13 @@ def _march_tail(f, start, direction, thresh):
 
 def oracle_quadrature(f, domain, tol=1e-10):
     a, b = float(domain[0]), float(domain[1])
-    thresh = verify._TAIL_REL * verify._peak_sample(f, a, b)
+    peak, loud_lo, loud_hi = verify._peak_sample(f, a, b)
+    thresh = verify._TAIL_REL * peak
     grade_lo, grade_hi = math.isfinite(a), math.isfinite(b)
     if not grade_hi:
-        b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh)
+        b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh, loud_hi)
     if not grade_lo:
-        a = _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh)
+        a = _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh, loud_lo)
     cuts = verify._seed_panels(a, b, grade_lo, grade_hi)
     if grade_lo and len(cuts) > 2:
         cuts = cuts[1:]
@@ -130,6 +133,18 @@ def test_polynomial_times_gaussian_on_infinite_lines(coef, s, m, side):
 ], ids=["pole", "nan-half", "no-tail"])
 def test_integrands_that_never_settle(f, domain):
     assert _outcome(verify.quadrature, f, domain)[0] == "NonConvergence"
+    assert_same_outcome(f, domain)
+
+
+# peaks outside the first sample window [-4, 4]: the window doubles toward
+# them, and the tail march counts quiet samples only past them
+@pytest.mark.parametrize("f,domain,want", [
+    (lambda x: np.exp(-(x - 40.0) ** 2), (-math.inf, math.inf), math.sqrt(math.pi)),
+    (lambda x: np.exp(-0.005 * (x + 300.0) ** 2), (-math.inf, math.inf),
+     math.sqrt(200.0 * math.pi)),
+], ids=["narrow-at-40", "wide-at-minus-300"])
+def test_far_peaks(f, domain, want):
+    assert verify.quadrature(f, domain) == pytest.approx(want, rel=1e-13)
     assert_same_outcome(f, domain)
 
 
@@ -195,17 +210,43 @@ def test_eckart_norm_settles_in_the_tail(capsys):
     assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("family", ["rosen-morse2", "eckart"])
+# each log-base against the log of the plain expression where that neither
+# cancels nor overflows, and finite where it does
+LOG_BASES = {
+    "rosen-morse2": (families._log_tanh_sides, lambda x: (1.0 - np.tanh(x), 1.0 + np.tanh(x)),
+                     True),
+    "eckart": (families._log_coth_sides,
+               lambda x: (1.0 / np.tanh(x) - 1.0, 1.0 / np.tanh(x) + 1.0), False),
+    "poschl-teller": (families._log_cosh_sides, lambda x: (np.cosh(x) - 1.0, np.cosh(x) + 1.0),
+                      False),
+    "log-cosh": (lambda x: (families._log_cosh(x),), lambda x: (np.cosh(x),), True),
+}
+
+
+@pytest.mark.parametrize("family", list(LOG_BASES))
 def test_hyperbolic_ratio_bases_are_exact(family):
-    x = np.array([1e-3, 0.5, 3.0, 20.0, 200.0])
-    if family == "rosen-morse2":
-        lo, hi = spectra._tanh_sides(np.concatenate((-x, x)))
-        u = np.tanh(np.concatenate((-x, x)))
-    else:
-        lo, hi = spectra._coth_sides(x)
-        u = 1.0 / np.tanh(x)
-    # against the subtractions where those do not cancel, and positive where they do
-    assert np.all(lo > 0) and np.all(hi > 0)
-    for got, want in ((lo, np.abs(1.0 - u)), (hi, 1.0 + u)):
-        fair = want > 0.5
-        assert np.allclose(got[fair], want[fair], rtol=1e-14, atol=0)
+    log_sides, plain_sides, both_signs = LOG_BASES[family]
+    x = np.array([1e-9, 1e-3, 0.5, 3.0, 20.0, 200.0, 800.0])
+    if both_signs:
+        x = np.concatenate((-x, x))
+    with np.errstate(all="ignore"):
+        plain = plain_sides(x)
+    for got, want in zip(log_sides(x), plain):
+        assert np.all(np.isfinite(got))
+        fair = (want > 0.5) & (want < 1e300)
+        assert np.allclose(got[fair], np.log(want[fair]), rtol=1e-14, atol=1e-15)
+
+
+def test_far_log_is_log_cosh_and_log_sinh_past_the_far_threshold():
+    # |z| = cosh x (poschl-teller) or |sinh x| (scarf2) passes 1e8 at |x| = 19.1
+    x = np.array([19.2, 20.0, 50.0, 300.0, 700.0])
+    x = np.concatenate((-x, x))
+    for want in (np.log(np.cosh(x)), np.log(np.abs(np.sinh(x)))):
+        assert np.allclose(families._log_far(x), want, rtol=1e-15, atol=0)
+
+
+def test_poschl_teller_base_near_zero():
+    # cosh x - 1 rounds to 0 below x ~ 1e-8; log(cosh x - 1) = 2 log x - log 2 + x^2/12 + O(x^4)
+    x = np.array([1e-12, 1e-9, 1e-6, 1e-3])
+    lo, _ = families._log_cosh_sides(x)
+    assert np.allclose(lo, 2 * np.log(x) - math.log(2.0) + x ** 2 / 12, rtol=1e-15, atol=0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -86,6 +87,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _number(value, what: str) -> float:
+    # float() alone would parse "1.5" and take True as 1
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _box(value, what: str) -> tuple:
     """(a, b, n) of a grid or oracle box: an object with a, b and n (or N),
     or an array [a, b, N]."""
@@ -95,7 +103,8 @@ def _box(value, what: str) -> tuple:
         value = [value["a"], value["b"], value.get("n", value.get("N"))]
     if not (isinstance(value, list) and len(value) == 3):
         raise ValidationError(f"{what} must be an object with a, b, n")
-    return (float(value[0]), float(value[1]), _integer(value[2], f"{what} n"))
+    return (_number(value[0], f"{what} a"), _number(value[1], f"{what} b"),
+            _integer(value[2], f"{what} n"))
 
 
 def _coerce_config(doc: dict) -> dict:
@@ -105,14 +114,14 @@ def _coerce_config(doc: dict) -> dict:
     if "m" in doc:
         if not isinstance(doc["m"], list):
             raise TypeError(f"m must be an array of numbers, got {doc['m']!r}")
-        cfg["m"] = tuple(float(v) for v in doc["m"])
+        cfg["m"] = tuple(_number(v, "m") for v in doc["m"])
     if "couplings" in doc:
         rows = []
         for entry in doc["couplings"]:
             if not isinstance(entry, dict) or "invariant" not in entry:
                 raise ValidationError("each coupling needs an 'invariant' source string")
-            rows.append((str(entry["invariant"]),
-                         float(entry.get("beta", 0.0)), float(entry.get("d", 0.0))))
+            rows.append((str(entry["invariant"]), _number(entry.get("beta", 0.0), "beta"),
+                         _number(entry.get("d", 0.0), "d")))
         cfg["couplings"] = tuple(rows)
     rho_invariant = doc.get("rho_invariant")
     if rho_invariant is not None and not isinstance(rho_invariant, str):
@@ -124,12 +133,14 @@ def _coerce_config(doc: dict) -> dict:
         w = doc["window"]
         if not (isinstance(w, list) and len(w) == 2):
             raise ValidationError("window must be a two-element array [a, b]")
-        cfg["window"] = (float(w[0]), float(w[1]))
+        cfg["window"] = (_number(w[0], "window a"), _number(w[1], "window b"))
     for key in ("grid", "oracle"):
         if key in doc:
             cfg[key] = _box(doc[key], key)
     if "tol" in doc:
-        cfg["tol"] = float(doc["tol"])
+        cfg["tol"] = _number(doc["tol"], "tol")
+        if not 0.0 <= cfg["tol"] < math.inf:
+            raise ValidationError(f"tol must be finite and at least 0, got {doc['tol']!r}")
     if "format" in doc and doc["format"] not in ("text", "json", "csv"):
         raise ValidationError(f"format must be text, json, or csv, got {doc['format']!r}")
     return cfg
@@ -241,10 +252,17 @@ def _need(target, kind: type):
     raise ValidationError("this command needs an extension; base families use 'verify si'")
 
 
+def _require_finite(values, what: str) -> None:
+    """A non-finite number, before it is printed, is a numerical failure."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalError(f"{what} is not finite: {', '.join(map(_fmt, values))}")
+
+
 def _verdict(out: dict, value: float, tol: float, as_json: bool, summary: str,
              after: Optional[dict] = None) -> int:
     """Print a report with its verdict on `value <= tol`: the JSON object
     gains tol and pass (then the `after` fields), the text is one line."""
+    _require_finite([value], "the value judged against tol")
     passed = value <= tol
     out["tol"] = tol
     out["pass"] = bool(passed)
@@ -281,21 +299,22 @@ def cmd_spectrum(args) -> int:
     compare = args.command == "oracle"
     cfg = _job_config(args)
     fp = _need(_build_target(cfg), FamilyParams)
-    ks = spectra.admissible_range(fp).levels(args.kmax)
-    if not ks:
+    levels = [{"k": k, "energy": energy} for k, energy in spectra.energy_table(fp, args.kmax)]
+    if not levels:
         raise ValidationError(f"family {fp.id!r} has no admissible levels here")
-    levels = [{"k": k, "energy": spectra.eigenenergy(fp, k)} for k in ks]
     tol = cfg.tol if cfg.tol is not None else _ORACLE_TOL
     oracle = {}   # the JSON "oracle" entry: the FD box, when the oracle ran
     worst = 0.0
     if compare or args.oracle:
         box = verify.OracleSpec(*cfg.oracle) if cfg.oracle else verify.reference_oracle(fp)
-        lam = verify.fd_spectrum(fp, box, max(ks) + 1)
+        lam = verify.fd_spectrum(fp, box, len(levels))
         for row in levels:
             row["oracle_gap"] = lam[row["k"]] - lam[0]
             row["deviation"] = abs(row["oracle_gap"] - row["energy"])
         worst = max(row["deviation"] for row in levels)
         oracle["oracle"] = {"a": box.a, "b": box.b, "N": box.n}
+    for row in levels:
+        _require_finite(list(row.values())[1:], f"the level table at k={row['k']}")
     head = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta}}
     # the compare report names its box before the levels
     out = {**head, **oracle, "levels": levels} if compare else {**head, "levels": levels, **oracle}

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvalDomainError, RangeViolation, UnverifiedInvariant, ValidationError
-from .invariants import InvariantExpr, ParamVector, eval_invariant
+from .invariants import InvariantExpr, ParamVector, eval_invariant, fsum
 from .specfun import log_gamma
 
 _INF = float("inf")
@@ -108,8 +108,8 @@ _FOLD_RATIO = "eps = M + sum d_j I_j, rho = extra invariant"
 
 def _coupling_sums(data: ConstructionData) -> tuple[float, float, float]:
     values = [eval_invariant(c.invariant, data.p) for c in data.couplings]
-    sum_beta = math.fsum(c.beta * v for c, v in zip(data.couplings, values))
-    sum_d = math.fsum(c.d * v for c, v in zip(data.couplings, values))
+    sum_beta = fsum(c.beta * v for c, v in zip(data.couplings, values))
+    sum_d = fsum(c.d * v for c, v in zip(data.couplings, values))
     return data.p.mean, sum_beta, sum_d
 
 

@@ -14,7 +14,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import random
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
@@ -26,6 +28,15 @@ from .errors import EvalDomainError, ExpressionError, ValidationError
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "ln", "sqrt", "abs")
 _PARAM_NAMES = tuple(f"m{i}" for i in range(1, 10))
 NAMES = _PARAM_NAMES + ("M", "pi", "e")
+
+
+def fsum(values) -> float:
+    """math.fsum, or the plain sum (inf or nan) where fsum overflows or meets inf - inf."""
+    values = list(values)
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,7 @@ class ParamVector:
 
     @property
     def mean(self) -> float:
-        return math.fsum(self.m) / len(self.m)
+        return fsum(self.m) / len(self.m)
 
     def translate(self, t: float) -> "ParamVector":
         return ParamVector(tuple(v - t for v in self.m))
@@ -85,49 +96,23 @@ class Call:
 Node = Union[Num, Sym, Neg, Bin, Call]
 
 
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._run()
+# one token per match over the DSL's ASCII alphabet: a blank run, an
+# operator, a run of digits and dots, a name, or any other character
+_TOKEN = re.compile(r"(?P<blank>\s+)|(?P<op>[-+*/^()])|(?P<num>[0-9.]+)"
+                    r"|(?P<name>[A-Za-z]\w*)|(?P<bad>.)", re.ASCII | re.DOTALL)
 
-    def _run(self):
-        src = self.src
-        i = 0
-        while i < len(src):
-            c = src[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^()":
-                self.tokens.append(("op", c, i))
-                i += 1
-                continue
-            if c.isdigit() or c == ".":
-                j = i
-                seen_dot = False
-                while j < len(src) and (src[j].isdigit() or src[j] == "."):
-                    if src[j] == ".":
-                        if seen_dot:
-                            raise ExpressionError(f"malformed number at offset {i}", i)
-                        seen_dot = True
-                    j += 1
-                text = src[i:j]
-                if text == ".":
-                    raise ExpressionError(f"malformed number at offset {i}", i)
-                self.tokens.append(("num", text, i))
-                i = j
-                continue
-            if c.isalpha():
-                j = i
-                while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", src[i:j], i))
-                i = j
-                continue
-            raise ExpressionError(f"unexpected character {c!r} at offset {i}", i)
-        self.tokens.append(("end", "", len(src)))
+
+def _tokens(src: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for match in _TOKEN.finditer(src):
+        kind, text, off = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {text!r} at offset {off}", off)
+        if kind == "num" and (text == "." or text.count(".") > 1):
+            raise ExpressionError(f"malformed number at offset {off}", off)
+        if kind != "blank":
+            tokens.append((kind, text, off))
+    return tokens + [("end", "", len(src))]
 
 
 # deepest nesting the parser accepts: each parenthesis, call, unary minus,
@@ -142,7 +127,7 @@ class _Parser:
 
     def __init__(self, src: str):
         self.src = src
-        self.tokens = _Tokenizer(src).tokens
+        self.tokens = _tokens(src)
         self.idx = 0
         self.depth = 0
 
@@ -247,10 +232,9 @@ def _prec(node: Node) -> int:
 def _num_literal(v: float) -> str:
     # Plain decimal only: the lexer has no exponent syntax ('e' is Euler's
     # number), so expand while keeping exact float round-trip.
-    if v != v or v in (float("inf"), float("-inf")):
+    if not math.isfinite(v):
         raise ValidationError(f"cannot print non-finite literal {v}")
-    text = format(Decimal(repr(v)), "f")
-    return text
+    return format(Decimal(repr(v)), "f")
 
 
 def to_source(node: Node) -> str:
@@ -333,6 +317,12 @@ def _apply_fn(fn: str, x: float) -> float:
         raise EvalDomainError(f"{fn} of non-finite value {x}") from exc
 
 
+# the arithmetic of eval_node (floats) and _eval_draws (arrays); each keeps
+# its own domain checks
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": operator.pow}
+
+
 def eval_node(node: Node, env: dict[str, float]) -> float:
     if isinstance(node, Num):
         return node.value
@@ -349,21 +339,14 @@ def eval_node(node: Node, env: dict[str, float]) -> float:
         a = eval_node(node.lhs, env)
         b = eval_node(node.rhs, env)
         try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b == 0.0:
-                    raise EvalDomainError("division by zero")
-                return a / b
-            if a == 0.0 and b < 0.0:
-                raise EvalDomainError("zero raised to a negative power")
-            if a < 0.0 and (b != b or b != round(b)):
-                raise EvalDomainError(f"negative base {a} with non-integer exponent {b}")
-            return a ** b
+            if node.op == "/" and b == 0.0:
+                raise EvalDomainError("division by zero")
+            if node.op == "^":
+                if a == 0.0 and b < 0.0:
+                    raise EvalDomainError("zero raised to a negative power")
+                if a < 0.0 and (b != b or b != round(b)):
+                    raise EvalDomainError(f"negative base {a} with non-integer exponent {b}")
+            return _ARITHMETIC[node.op](a, b)
         except OverflowError as exc:
             raise EvalDomainError(f"overflow in {a} {node.op} {b}") from exc
     raise TypeError(f"not an AST node: {node!r}")
@@ -400,19 +383,13 @@ def _eval_draws(node: Node, env: dict, bad: np.ndarray):
         return y
     a = _eval_draws(node.lhs, env, bad)
     b = _eval_draws(node.rhs, env, bad)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
+    y = _ARITHMETIC[node.op](a, b)
     if node.op == "/":
         bad |= b == 0.0
-        return a / b
-    y = np.power(a, b)
-    bad |= (a == 0.0) & (b < 0.0)
-    bad |= (a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))
-    bad |= np.isinf(y) & np.isfinite(a) & np.isfinite(b)
+    elif node.op == "^":
+        bad |= (a == 0.0) & (b < 0.0)
+        bad |= (a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))
+        bad |= np.isinf(y) & np.isfinite(a) & np.isfinite(b)
     return y
 
 
@@ -425,7 +402,7 @@ def eval_invariant(expr: InvariantExpr, p: ParamVector) -> float:
     env["pi"] = math.pi
     env["e"] = math.e
     value = eval_node(expr.ast, env)
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise EvalDomainError(f"expression evaluated to non-finite value {value}")
     return value
 
@@ -495,8 +472,8 @@ def _screen(expr: InvariantExpr, m: np.ndarray, tol: float) -> list:
     env = {f"m{i + 1}": pts[:, :, i] for i in range(n)}
     env["M"] = np.array([math.fsum(row) for row in pts.reshape(-1, n).tolist()]
                         ).reshape(pts.shape[:2]) / n
-    env["pi"] = math.pi
-    env["e"] = math.e
+    # numpy scalars, so that pi/(pi-pi) divides as the arrays do
+    env["pi"], env["e"] = np.float64(math.pi), np.float64(math.e)
     bad = np.zeros(pts.shape[:2], dtype=bool)
     with np.errstate(all="ignore"):
         vals = np.broadcast_to(_eval_draws(expr.ast, env, bad), bad.shape)

@@ -56,11 +56,24 @@ def _admissible(fp: FamilyParams, k) -> int:
     return k
 
 
+def _ladder_energies(fp: FamilyParams, kmax: int) -> list[float]:
+    """E_0..E_kmax by one running sum, E_k = E_{k-1} + R(eps - k): the sum
+    over j = 1..k of R(eps - j), taken left to right."""
+    rem, energies = fp.spec.remainder, [0.0]
+    for k in range(1, kmax + 1):
+        energies.append(energies[-1] + rem(fp.eps - k, fp.rho, fp.beta))
+    return energies
+
+
 def eigenenergy(fp: FamilyParams, k: int) -> float:
     """E_k = sum_{j=1..k} R(eps - j): each step down the ladder adds R."""
-    k = _admissible(fp, k)
-    rem = fp.spec.remainder
-    return sum((rem(fp.eps - j, fp.rho, fp.beta) for j in range(1, k + 1)), 0.0)
+    return _ladder_energies(fp, _admissible(fp, k))[-1]
+
+
+def energy_table(fp: FamilyParams, kmax: int) -> list[tuple[int, float]]:
+    """(k, E_k) of the admissible levels up to kmax, from one running sum."""
+    ks = admissible_range(fp).levels(kmax)
+    return list(zip(ks, _ladder_energies(fp, len(ks) - 1)))
 
 
 _SCAN_CAP = 65536

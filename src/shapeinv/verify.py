@@ -165,25 +165,23 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, budget: float) -> float:
     The recursion adapt(a, b) = fine when |fine - coarse| <= max(budget/2^depth,
     1e-16 |fine|), else adapt(a, mid) + adapt(mid, b), run depth first and
     leftmost first, but bisecting up to _BATCH pending panels per integrand
-    call; each half's value is its child's coarse value.  Leaves are summed
-    back in the recursion's order, and NonConvergence names the leftmost
+    call; each half's value is its child's coarse value.  The accepted
+    panels are summed by one np.sum, and NonConvergence names the leftmost
     panel still failing at depth 30, the one the recursion stops at.  A call
     in which no panel settles halves the next batch (down to 2 panels), and
     one in which any settles doubles it again: in a region that never
     settles, the one-panel recursion walks only its leftmost path to depth 30.
     """
-    # pending panels, leftmost last: ends, depth, coarse value, and the
-    # position of the panel's left end in units of a depth-30 panel
+    # pending panels, leftmost last: ends, depth and coarse value
     a, b = lo[::-1], hi[::-1]
     depth = np.zeros(a.size, dtype=np.int64)
     coarse = _gl_panels(f, lo, hi)[::-1]
-    pos = np.arange(a.size, dtype=np.int64)[::-1] << _MAX_DEPTH
-    leaves = []
+    accepted = []
     failed = None
     cap = _BATCH
     while a.size:
-        ba, bb, bd, bc, bp = (v[-cap:][::-1] for v in (a, b, depth, coarse, pos))
-        a, b, depth, coarse, pos = (v[:-cap] for v in (a, b, depth, coarse, pos))
+        ba, bb, bd, bc = (v[-cap:][::-1] for v in (a, b, depth, coarse))
+        a, b, depth, coarse = (v[:-cap] for v in (a, b, depth, coarse))
         mid = 0.5 * (ba + bb)
         halves = _gl_panels(f, np.concatenate((ba, mid)), np.concatenate((mid, bb)))
         left, right = halves[:ba.size], halves[ba.size:]
@@ -196,35 +194,18 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, budget: float) -> float:
             # left of it can still fail first
             i = int(np.argmax(stuck))
             failed = (ba[i], bb[i])
-            a, b, depth, coarse, pos = (v[:0] for v in (a, b, depth, coarse, pos))
+            a, b, depth, coarse = (v[:0] for v in (a, b, depth, coarse))
             ok = ok[:i]
-        leaves.append((bp[:ok.size][ok], bd[:ok.size][ok], fine[:ok.size][ok]))
+        accepted.append(fine[:ok.size][ok])
+        # the halves of each split panel, pushed so that the leftmost is last
         split = np.flatnonzero(~ok)
-        if split.size:
-            d = bd[split] + 1
-            kids = (np.column_stack((ba[split], mid[split])),
-                    np.column_stack((mid[split], bb[split])),
-                    np.column_stack((d, d)),
-                    np.column_stack((left[split], right[split])),
-                    np.column_stack((bp[split], bp[split] + (1 << (_MAX_DEPTH - d)))))
-            a, b, depth, coarse, pos = (np.concatenate((v, k.ravel()[::-1]))
-                                        for v, k in zip((a, b, depth, coarse, pos), kids))
+        kids = ((ba, mid), (mid, bb), (bd + 1, bd + 1), (left, right))
+        a, b, depth, coarse = (np.concatenate((v, np.column_stack(k)[split].ravel()[::-1]))
+                               for v, k in zip((a, b, depth, coarse), kids))
     if failed is not None:
         raise NonConvergence(f"quadrature failed to settle on [{failed[0]:.6g}, "
                              f"{failed[1]:.6g}] after depth {_MAX_DEPTH}")
-    pos, depth, fine = (np.concatenate(v) for v in zip(*leaves))
-    order = np.argsort(pos)
-    # merge adjacent siblings back into their parents, left + right
-    total, stack = 0.0, []
-    for d, v in zip(depth[order].tolist(), fine[order].tolist()):
-        while stack and stack[-1][0] == d:
-            v = stack.pop()[1] + v
-            d -= 1
-        if d:
-            stack.append((d, v))
-        else:
-            total += v
-    return total
+    return float(np.sum(np.concatenate(accepted)))
 
 
 def _peak_sample(f, lo: float, hi: float) -> tuple[float, float, float]:
@@ -234,12 +215,8 @@ def _peak_sample(f, lo: float, hi: float) -> tuple[float, float, float]:
     its edge, or while nothing sampled is nonzero, out to |x| = 1e9, so a
     peak far from the origin is found.
     """
-    a = lo if math.isfinite(lo) else min(-4.0, hi - 1.0) if math.isfinite(hi) else -4.0
-    b = hi if math.isfinite(hi) else max(4.0, lo + 1.0) if math.isfinite(lo) else 4.0
-    if math.isfinite(lo) and not math.isfinite(hi):
-        b = lo + max(8.0, 2 * abs(lo) + 1.0)
-    if math.isfinite(hi) and not math.isfinite(lo):
-        a = hi - max(8.0, 2 * abs(hi) + 1.0)
+    a = lo if math.isfinite(lo) else hi - max(8.0, 2 * abs(hi) + 1) if math.isfinite(hi) else -4.0
+    b = hi if math.isfinite(hi) else lo + max(8.0, 2 * abs(lo) + 1) if math.isfinite(lo) else 4.0
     while True:
         width = b - a
         xs = np.linspace(a + 1e-9 * width, b - 1e-9 * width, 257)

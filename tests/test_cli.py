@@ -246,6 +246,11 @@ def test_trig_rosen_morse_at_eps_zero_exits_2(capsys):
     ("couplings", [{"invariant": "1", "d": [1]}]),
     ("rho_invariant", 5),
     ("m", "25"), ("ell", 2.7), ("grid", {"a": 0, "b": 1, "n": 5.9}),
+    ("m", [True, 1.5]), ("m", ["1.5"]), ("tol", "1e-9"), ("tol", False),
+    ("couplings", [{"invariant": "1", "d": "1"}]),
+    ("couplings", [{"invariant": "1", "beta": True}]),
+    ("window", [True, 1.0]), ("grid", [0, "1", 5]), ("grid", {"a": False, "b": 1, "n": 5}),
+    ("oracle", ["-3", 30, 600]),
 ])
 def test_config_values_that_cannot_be_coerced_exit_2(capsys, tmp_path, key, value):
     doc = {"family": "morse", "m": [2.5], "couplings": [{"invariant": "1", "d": 1.0}]}
@@ -446,3 +451,57 @@ def test_oracle_levels_beyond_the_grid_rows_exit_2(capsys):
                        "--invariant", "1", "--beta", "1", "--d", "0.5", "--kmax", "600",
                        "--oracle=-10,10,500")
     assert rc == 2 and out == "" and "498 levels; 601 were asked for" in err
+
+
+def test_config_numbers_are_json_numbers(capsys, tmp_path):
+    # float() used to take the booleans and strings, run m = (1, 1.5) and
+    # print tol=nan FAIL
+    cfg = tmp_path / "job.json"
+    cfg.write_text('{"family": "morse", "m": [true, "1.5"], '
+                   '"couplings": [{"invariant": "1", "d": "1"}], "tol": "nan"}')
+    rc, out, err = run(capsys, "verify", "si", "--config", str(cfg))
+    assert rc == 2 and out == "" and err.count("\n") == 1 and "wrong type" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_not_negative(capsys, tmp_path, tol):
+    rc, out, err = run(capsys, "verify", "si", *MORSE, f"--tol={tol}")
+    assert rc == 2 and out == "" and "tol must be finite and at least 0" in err
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({**MORSE_DOC, "tol": float(tol)}))
+    rc, out, err = run(capsys, "verify", "si", "--config", str(cfg))
+    assert rc == 2 and out == "" and "tol must be finite and at least 0" in err
+
+
+@pytest.mark.parametrize("source,char,offset", [
+    ("1+\u00b2", "\u00b2", 2), ("1+\u0663-\u0663", "\u0663", 2)])
+def test_unicode_digits_in_invariants_exit_2(capsys, source, char, offset):
+    # "1+²" exited 4 from float('²'), and "1+٣-٣" parsed as 1
+    rc, out, err = run(capsys, "spectrum", "--family", "morse", "--m", "2.5",
+                       f"--invariant={source}", "--d", "1")
+    assert rc == 2 and out == ""
+    assert err == f"error: unexpected character {char!r} at offset {offset}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--m=1e308,1e308", "--invariant=1", "--d=1"],
+    ["--m=2.5", "--invariant=1", "--invariant=1", "--beta=1e308,1e308", "--d=1"],
+    ["--m=inf,-inf", "--invariant=1", "--d=1"],
+], ids=["mean", "coupling-sum", "inf-minus-inf"])
+def test_overflowing_sums_exit_2(capsys, flags):
+    # math.fsum raised OverflowError (exit 4); the sum now reads as inf
+    rc, out, err = run(capsys, "spectrum", "--family=morse", *flags)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert "folded parameter eps is not finite" in err
+
+
+@pytest.mark.parametrize("command,what", [
+    (["spectrum", "--beta=1e308", "--kmax=1"], "the level table at k=1 is not finite: inf"),
+    (["verify", "si", "--beta=1e200"], "the value judged against tol is not finite: nan"),
+])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_non_finite_results_exit_3(capsys, command, what, as_json):
+    # printed "energy":inf (exit 0) and "residual_max":nan (exit 1) before
+    rc, out, err = run(capsys, *command, "--family=morse", "--m=2.5", "--invariant=1",
+                       "--d=1", *as_json)
+    assert rc == 3 and out == "" and err == f"numerical failure: {what}\n"

@@ -5,9 +5,12 @@ E_k = sum_{j=1..k} R(eps - j); the closed forms below are the paper's
 printed E_k and serve as the reference oracle.
 """
 
+import dataclasses
+
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from shapeinv.cli import main
 from shapeinv.errors import RangeViolation
 from shapeinv.families import FAMILY_IDS, FAMILY_SPECS, StateForm
 from shapeinv.spectra import admissible_range, eigenenergy
@@ -99,3 +102,25 @@ def test_summed_energy_matches_closed_form(fid, u, w):
         want = closed(fp.eps, fp.rho, fp.beta, k)
         got = eigenenergy(fp, k)
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (fid, fp.eps, fp.rho, k, got, want)
+
+
+def test_spectrum_table_is_one_running_sum(capsys, monkeypatch):
+    # one eigenenergy call per level re-summed from R(eps - 1): kmax²/2 calls
+    spec = FAMILY_SPECS["harm-osc"]
+    calls = []
+
+    def remainder(e, r, b):
+        calls.append(e)
+        return spec.remainder(e, r, b)
+
+    monkeypatch.setitem(FAMILY_SPECS, "harm-osc", dataclasses.replace(spec, remainder=remainder))
+    rc = main(["spectrum", "--family=harm-osc", "--m=0", "--invariant=1", "--beta=1", "--d=0",
+               "--kmax=2000"])
+    out = capsys.readouterr().out
+    assert rc == 0 and len(calls) <= 2100
+    # the bytes of the per-level sums, each taken left to right from 0.0
+    fp = simple("harm-osc", 1.0, 0.0)
+    rem = spec.remainder
+    rows = [f"{k}\t{sum((rem(fp.eps - j, fp.rho, fp.beta) for j in range(1, k + 1)), 0.0):.17g}"
+            for k in range(2001)]
+    assert out == "\n".join(["k\tE_k", *rows]) + "\n"

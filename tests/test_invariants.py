@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -22,6 +23,7 @@ from shapeinv.invariants import (
     parse_invariant,
     to_source,
     verify_invariant,
+    _tokens,
 )
 
 
@@ -104,6 +106,33 @@ def test_parse_errors_carry_offset(bad):
         parse_invariant(bad)
     assert isinstance(exc.value.offset, int)
     assert 0 <= exc.value.offset <= len(bad)
+
+
+def test_tokens_are_kind_text_offset():
+    assert _tokens(" sin(m1)^-2.5\t/ pi*.5+M_2") == [
+        ("name", "sin", 1), ("op", "(", 4), ("name", "m1", 5), ("op", ")", 7),
+        ("op", "^", 8), ("op", "-", 9), ("num", "2.5", 10), ("op", "/", 14),
+        ("name", "pi", 16), ("op", "*", 18), ("num", ".5", 19), ("op", "+", 21),
+        ("name", "M_2", 22), ("end", "", 25)]
+
+
+# the alphabet is ASCII: str.isdigit and str.isalpha accept more, and a
+# superscript two once reached float() as a number
+@pytest.mark.parametrize("bad,message", [
+    ("1..2", "malformed number at offset 0"),
+    ("1.2.3", "malformed number at offset 0"),
+    (".", "malformed number at offset 0"),
+    ("1 +* 2", "expected a value at offset 3"),
+    (")", "expected a value at offset 0"),
+    ("m1 + \u00e9", "unexpected character '\u00e9' at offset 5"),
+    ("1+\u00b2", "unexpected character '\u00b2' at offset 2"),
+    ("1+\u0663-\u0663", "unexpected character '\u0663' at offset 2"),
+    ("m1\u00a0+ 1", "unexpected character '\\xa0' at offset 2"),
+])
+def test_lexer_messages_and_offsets(bad, message):
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$") as exc:
+        parse_invariant(bad)
+    assert exc.value.offset == int(message.rsplit(" ", 1)[1])
 
 
 def test_eval_domain_errors():

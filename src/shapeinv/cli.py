@@ -437,8 +437,15 @@ def _add_job_flags(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors as a ValidationError: one stderr line, exit 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapeinv",
         description="shape-invariant superpotential families, spectra, and checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -484,9 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # numpy's floating-point warnings would break the one-line stderr
         # contract of exit codes 2-4
         with np.errstate(all="ignore"):

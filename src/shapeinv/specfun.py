@@ -3,9 +3,10 @@
 The polynomial evaluators run three-term recurrences using only ring
 arithmetic on the argument, so one implementation serves floats, complex
 values, numpy arrays, and Dual scalars alike.  Parameters may be complex
-(conjugate-pair Jacobi parameters occur throughout).  Degrees are capped:
-the recurrences are exact, but far beyond the working range (k <= 64)
-degenerate parameter combinations can zero a recurrence denominator.
+(conjugate-pair Jacobi parameters occur throughout).  Where a Jacobi
+recurrence denominator comes near 0 the explicit sum, in the same ring
+arithmetic, takes its place.  Degrees are capped at 64, beyond the working
+range.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import EvalDomainError, GammaPole, NumericalError
+from .errors import EvalDomainError, GammaPole
 
 MAX_DEGREE = 64
 
@@ -27,18 +28,40 @@ def _check_degree(k: int):
         raise EvalDomainError(f"polynomial degree {k} exceeds supported maximum {MAX_DEGREE}")
 
 
+# the recurrence below divides by 2n (n + a + b)(2n + a + b - 2); where a
+# factor comes within this of 0 for some degree n its terms cancel, so the
+# explicit sum takes over for the whole call
+_NEAR_DEGENERATE = 0.5
+
+
+def _jacobi_sum(k: int, a, b, z, w, one):
+    """w^k P_k^(a,b)(z/w) = sum_s C(k+a, k-s) C(k+b, s) ((z-w)/2)^s ((z+w)/2)^(k-s)."""
+    ca, cb = [1.0], [1.0]
+    for j in range(k):
+        ca.append(ca[-1] * (k + a - j) / (j + 1))
+        cb.append(cb[-1] * (k + b - j) / (j + 1))
+    u, v = (z - w) * 0.5, (z + w) * 0.5
+    total, u_s = ca[k] * one, one
+    for s in range(1, k + 1):
+        u_s = u_s * u
+        total = total * v + (ca[k - s] * cb[s]) * u_s
+    return total
+
+
 def _jacobi(k: int, a, b, z, w, ww, one):
-    """w^k P_k^(a,b)(z/w) by the three-term recurrence, ww = w^2."""
+    """w^k P_k^(a,b)(z/w) by the three-term recurrence, ww = w^2, or by
+    the explicit sum where the parameters are near degenerate."""
     if k == 0:
         return one
+    c = a + b
+    for n in range(2, k + 1):
+        if abs(n + c) < _NEAR_DEGENERATE or abs(2 * n - 2 + c) < _NEAR_DEGENERATE:
+            return _jacobi_sum(k, a, b, z, w, one)
     p_prev = one
     p_cur = (a - b) * 0.5 * w + (a + b + 2) * 0.5 * z
     for n in range(2, k + 1):
         s = 2 * n + a + b
         den = 2 * n * (n + a + b) * (s - 2)
-        if abs(den) < 1e-12:
-            raise NumericalError(
-                f"jacobi recurrence denominator vanishes at degree {n} for parameters ({a}, {b})")
         c1 = (s - 1) * (s * (s - 2))
         c2 = (s - 1) * (a * a - b * b)
         c3 = 2 * (n + a - 1) * (n + b - 1) * s
@@ -48,7 +71,7 @@ def _jacobi(k: int, a, b, z, w, ww, one):
 
 
 def jacobi_p(k: int, a, b, z):
-    """Jacobi polynomial P_k^(a,b)(z) by the three-term recurrence.
+    """Jacobi polynomial P_k^(a,b)(z) by the three-term recurrence or the explicit sum.
 
     a, b may be complex; z may be scalar, array, or Dual.
     """
@@ -58,7 +81,7 @@ def jacobi_p(k: int, a, b, z):
 
 
 def jacobi_p_homogeneous(k: int, a, b, z, w):
-    """w^k P_k^(a,b)(z/w) by the same recurrence, finite where P_k(z/w) overflows."""
+    """w^k P_k^(a,b)(z/w) by the same evaluator, finite where P_k(z/w) overflows."""
     _check_degree(k)
     return _jacobi(k, a, b, z, w, w * w, w * 0 + 1.0)
 

@@ -324,37 +324,53 @@ def _potential_of(target) -> Callable:
         "fd_spectrum target must be a FamilyParams, an extension, or a callable")
 
 
-# rows per block of the Sturm sweep: the shifted diagonal a_i - lambda of a
-# block is formed by one broadcast subtract and its negative pivots are
-# counted by one call, so the per-row cost is the two in-place calls of the
-# pivot recurrence
+# row pairs per block of the Sturm sweep: the shifted diagonal a_i - lambda
+# of a block is formed by one broadcast subtract and its negative pivots are
+# counted by one call, so a pair of rows, one from each half of the matrix,
+# costs the two in-place calls of the pivot recurrence
 _STURM_BLOCK = 64
 
 
 def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray:
     """Number of Dirichlet eigenvalues strictly below each lambda.
 
-    One pass over the matrix for all lambdas of any shape, with the pivots
-    d_i = (a_i - lambda) - off2 / d_{i-1}.  An exactly zero pivot is taken
-    as -1e-300, so it counts as negative and the next pivot is large and
-    positive.  Zero pivots are rare: a block is swept without the rule and
-    swept again row by row, with it, only if it holds a zero.
+    One pass over the matrix for all lambdas of any shape, by a twisted
+    factorization T - lambda = L diag(d+, gamma_m, d-) L^T at the middle row
+    m = N // 2 of the N rows.  The forward pivots
+    d+_i = (a_i - lambda) - off2 / d+_{i-1} over rows 0..m-1 and the
+    backward pivots d-_i = (a_i - lambda) - off2 / d-_{i+1} over rows
+    N-1..m+1 run side by side, then the twist
+    gamma_m = (a_m - lambda) - off2 / d+_{m-1} - off2 / d-_{m+1}; by
+    Sylvester's law of inertia the count is the number of negative d+ and
+    d- plus [gamma_m <= 0].  Both halves start from an infinite pivot, and
+    the shorter half of an even N from one row of a_i = inf, so every N >= 1
+    takes the same path.  An exactly zero pivot is taken as -1e-300, so it
+    counts as negative and the next pivot is large and positive.  Zero
+    pivots are rare: a block is swept without the rule and swept again row
+    by row, with it, only if it holds a zero.
     """
     tiny = 1e-300
     lams = np.asarray(lams, dtype=float)
-    d = diag[0] - lams
-    d[d == 0.0] = -tiny
-    counts = (d < 0).astype(int)
-    column = (-1,) + (1,) * lams.ndim
-    # row 0 of the buffer carries the last pivot of the previous block
-    buf = np.empty((_STURM_BLOCK + 1,) + lams.shape)
-    buf[0] = d
+    # a 0-d array, which the ufuncs take without converting it on every call
+    off2 = np.array(off2, dtype=float)
+    m = diag.size // 2
+    # row i holds the i-th forward and the i-th backward row
+    halves = np.full((m, 2), np.inf)
+    halves[:, 0] = diag[:m]
+    halves[2 * m + 1 - diag.size:, 1] = diag[:m:-1]
+    column = (-1, 2) + (1,) * lams.ndim
+    # row 0 of the buffer carries the last pivots of the previous block
+    buf = np.empty((_STURM_BLOCK + 1, 2) + lams.shape)
+    buf[0] = np.inf
     views = list(buf)
-    quot = np.empty_like(d)
-    # near-zero pivots overflow the quotient; the sign logic still holds
-    with np.errstate(over="ignore", divide="ignore"):
-        for start in range(1, diag.size, _STURM_BLOCK):
-            rows = diag[start:start + _STURM_BLOCK].reshape(column)
+    quot = np.empty(buf.shape[1:])
+    counts = np.zeros(lams.shape, dtype=int)
+    # near-zero pivots overflow the quotient; the sign logic still holds.  A
+    # twist between two near-zero pivots of opposite sign is inf - inf, and
+    # that nan counts as positive, like the huge pivot after a zero one
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, m, _STURM_BLOCK):
+            rows = halves[start:start + _STURM_BLOCK].reshape(column)
             blk = buf[1:1 + rows.shape[0]]
             np.subtract(rows, lams, blk)
             for prev, cur in zip(views, views[1:1 + rows.shape[0]]):
@@ -367,15 +383,18 @@ def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray
                     np.divide(off2, prev, quot)
                     np.subtract(cur, quot, cur)
                     cur[cur == 0.0] = -tiny
-            counts += np.count_nonzero(blk < 0, axis=0)
+            # at most 2 _STURM_BLOCK negatives per block: a uint8 sum holds
+            # them and runs faster than a count in the default integer
+            counts += np.add.reduce(blk < 0, axis=(0, 1), dtype=np.uint8)
             buf[0] = blk[-1]
-    return counts
+        twist = (diag[m] - lams) - off2 / buf[0, 0] - off2 / buf[0, 1]
+    return counts + (twist <= 0)
 
 
 # interior sample points of each bracket per Sturm sweep; a sweep costs one
 # Python-level pass over the matrix whatever the number of points (two numpy
-# calls per row, see _sturm_counts), so the bracket shrinks 65-fold for about
-# the price of one bisection step
+# calls per pair of rows, see _sturm_counts), so the bracket shrinks 65-fold
+# for about the price of one bisection step
 _MULTISECTION = np.arange(1, 65) / 65.0
 
 

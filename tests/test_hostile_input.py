@@ -42,9 +42,7 @@ FLAG_JOBS = st.builds(
     st.sampled_from(sorted(VALID)),
     st.fixed_dictionaries({}, optional={
         "m": st.lists(NUMBER_TEXT, min_size=1, max_size=2).map(",".join),
-        "invariant": SOURCE, "beta": NUMBER_TEXT, "d": NUMBER_TEXT,
-        # an empty --tol is argparse's own usage error, outside the contract
-        "tol": NUMBER_TEXT.filter(bool)}))
+        "invariant": SOURCE, "beta": NUMBER_TEXT, "d": NUMBER_TEXT, "tol": NUMBER_TEXT}))
 DOC_JOBS = st.fixed_dictionaries({}, optional={
     "m": st.lists(DOC_NUMBER, min_size=1, max_size=2),
     "couplings": st.lists(st.fixed_dictionaries(

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import extensions, families, spectra, verify
+from . import extensions, families, specfun, spectra, verify
 from .errors import NumericalError, ValidationError
 from .extensions import ExtensionSpec
 from .families import FamilyParams
@@ -437,6 +437,18 @@ def _add_job_flags(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
+def _at_most(cap: int):
+    """An argparse type: an integer no larger than cap, for the level flags,
+    so that no level table or polynomial is built past what the library takes."""
+    def level(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is above the maximum {cap}")
+        return value
+    level.__name__ = "int"    # argparse's "invalid int value" message names it
+    return level
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse's own errors as a ValidationError: one stderr line, exit 2."""
 
@@ -449,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shapeinv",
         description="shape-invariant superpotential families, spectra, and checks")
     sub = parser.add_subparsers(dest="command", required=True)
+    scan_cap, degree_cap = _at_most(spectra._SCAN_CAP), _at_most(specfun.MAX_DEGREE)
 
     p_fam = sub.add_parser("families", help="family and extension registry")
     fam_sub = p_fam.add_subparsers(dest="subcommand", required=True)
@@ -460,21 +473,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="closed-form energy table")
     _add_job_flags(p_spec)
-    p_spec.add_argument("--kmax", type=int, default=8, help="largest level index")
+    p_spec.add_argument("--kmax", type=scan_cap, default=8, help="largest level index")
     p_spec.add_argument("--oracle", action="store_true",
                         help="add finite-difference gap and deviation columns")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_wf = sub.add_parser("wavefunction", help="sample one bound state to CSV/JSON")
     _add_job_flags(p_wf)
-    p_wf.add_argument("--k", type=int, default=0, help="level index")
+    p_wf.add_argument("--k", type=degree_cap, default=0, help="level index")
     p_wf.set_defaults(func=cmd_wavefunction)
 
     p_ver = sub.add_parser("verify", help="run one named check")
     p_ver.add_argument("check", choices=tuple(_CHECKS))
     _add_job_flags(p_ver)
-    p_ver.add_argument("--k", type=int, default=1, help="ladder step index")
-    p_ver.add_argument("--kmax", type=int, default=3,
+    p_ver.add_argument("--k", type=degree_cap, default=1, help="ladder step index")
+    p_ver.add_argument("--kmax", type=degree_cap, default=3,
                        help="highest level for orthonormality")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -482,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc_sub = p_orc.add_subparsers(dest="subcommand", required=True)
     p_cmp = orc_sub.add_parser("compare", help="closed-form E_k against FD gaps")
     _add_job_flags(p_cmp)
-    p_cmp.add_argument("--kmax", type=int, default=2,
+    p_cmp.add_argument("--kmax", type=scan_cap, default=2,
                        help="largest level index to compare")
     p_cmp.add_argument("--oracle", dest="oracle_box",
                        help="FD truncation box 'a,b,N' (default: sized from the ground state)")

@@ -2,17 +2,18 @@
 
 Expressions are built from m1..m9, the mean M, pi, e, arithmetic
 (+ - * / ^ with ^ binding tighter than unary minus and associating right),
-and the function set sin cos tan sinh cosh tanh exp ln sqrt abs.  An
-expression is *translation invariant* when shifting every parameter by the
-same integer leaves its value unchanged; the check is numerical, over
-random draws, and marks the expression VERIFIED on success.
+and the function set sin cos tan sinh cosh tanh exp ln sqrt abs.  One
+evaluator, each function and operator a numpy operation beside the domain
+rules that guard it, serves a single point and the invariance check's
+draws.  An expression is *translation invariant* when shifting every
+parameter by the same integer leaves its value unchanged; the check is
+numerical, over random draws, and marks the expression VERIFIED on success.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import operator
 import random
@@ -117,8 +118,8 @@ def _tokens(src: str) -> list[tuple[str, str, int]]:
 
 # deepest nesting the parser accepts: each parenthesis, call, unary minus,
 # exponent and chained operator counts one level, so the tree walks
-# (to_source, eval_node, _eval_draws, max_param_index) recurse at most this
-# deep and the parser about five frames per level, far below Python's limit
+# (to_source, _evaluate, max_param_index) take at most two frames per level
+# and the parser about five, far below Python's limit
 MAX_NESTING = 100
 
 
@@ -218,15 +219,11 @@ class _Parser:
         raise ExpressionError(f"expected a value at offset {off}", off)
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}    # unary minus is 3, an atom 5
 
 
 def _prec(node: Node) -> int:
-    if isinstance(node, Bin):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return 5
+    return _PREC[node.op] if isinstance(node, Bin) else 3 if isinstance(node, Neg) else 5
 
 
 def _num_literal(v: float) -> str:
@@ -235,6 +232,12 @@ def _num_literal(v: float) -> str:
     if not math.isfinite(v):
         raise ValidationError(f"cannot print non-finite literal {v}")
     return format(Decimal(repr(v)), "f")
+
+
+def _operand(node: Node, at_most: int) -> str:
+    """to_source of an operand, in parentheses if it binds at most at_most tightly."""
+    text = to_source(node)
+    return f"({text})" if _prec(node) <= at_most else text
 
 
 def to_source(node: Node) -> str:
@@ -246,24 +249,12 @@ def to_source(node: Node) -> str:
     if isinstance(node, Call):
         return f"{node.fn}({to_source(node.arg)})"
     if isinstance(node, Neg):
-        inner = to_source(node.arg)
-        if _prec(node.arg) <= 2:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return "-" + _operand(node.arg, 2)
     if isinstance(node, Bin):
-        lhs, rhs = to_source(node.lhs), to_source(node.rhs)
+        # ^ associates right and its exponent is a factor; the rest associate left
         p = _PREC[node.op]
-        if node.op == "^":
-            if _prec(node.lhs) <= p:
-                lhs = f"({lhs})"
-            if _prec(node.rhs) <= 2:
-                rhs = f"({rhs})"
-        else:
-            if _prec(node.lhs) < p:
-                lhs = f"({lhs})"
-            if _prec(node.rhs) <= p:
-                rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
+        lhs_max, rhs_max = (p, 2) if node.op == "^" else (p - 1, p)
+        return f"{_operand(node.lhs, lhs_max)}{node.op}{_operand(node.rhs, rhs_max)}"
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -279,18 +270,23 @@ class InvariantExpr:
         return self._max_param_index
 
     # computed once per expression and kept outside the dataclass fields, so
-    # ==, repr and dataclasses.replace do not see it
+    # ==, repr and dataclasses.replace do not see them
     @functools.cached_property
     def _max_param_index(self) -> int:
-        def walk(node: Node) -> int:
-            if isinstance(node, Sym) and node.name in _PARAM_NAMES:
-                return int(node.name[1:])
+        return max((int(name[1:]) for name in self._names if name in _PARAM_NAMES), default=0)
+
+    @functools.cached_property
+    def _names(self) -> frozenset:
+        """The names the expression reads."""
+        def walk(node: Node) -> set:
+            if isinstance(node, Sym):
+                return {node.name}
             if isinstance(node, Bin):
-                return max(walk(node.lhs), walk(node.rhs))
+                return walk(node.lhs) | walk(node.rhs)
             if isinstance(node, (Neg, Call)):
                 return walk(node.arg)
-            return 0
-        return walk(self.ast)
+            return set()
+        return frozenset(walk(self.ast))
 
 
 def parse_invariant(source: str) -> InvariantExpr:
@@ -298,113 +294,96 @@ def parse_invariant(source: str) -> InvariantExpr:
     return InvariantExpr(source=to_source(ast), ast=ast)
 
 
-def _apply_fn(fn: str, x: float) -> float:
-    try:
-        if fn == "ln":
-            if x <= 0.0:
-                raise EvalDomainError(f"ln of non-positive value {x}")
-            return math.log(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        if fn == "abs":
-            return abs(x)
-        return getattr(math, fn)(x)
-    except OverflowError as exc:
-        raise EvalDomainError(f"overflow in {fn}({x})") from exc
-    except ValueError as exc:  # sin, cos and tan of an infinite value
-        raise EvalDomainError(f"{fn} of non-finite value {x}") from exc
+def _infinite(y, x):
+    """An infinite argument."""
+    return abs(x) == math.inf
 
 
-# the arithmetic of eval_node (floats) and _eval_draws (arrays); each keeps
-# its own domain checks
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv, "^": operator.pow}
+def _overflow(y, a, b=0.0):
+    """An infinite result of finite arguments."""
+    return (abs(y) == math.inf) & (abs(a) < math.inf) & (abs(b) < math.inf)
 
 
-def eval_node(node: Node, env: dict[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Sym):
-        if node.name not in env:
-            raise EvalDomainError(
-                f"parameter {node.name} is not bound for an n={len(env) - 3} vector")
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -eval_node(node.arg, env)
-    if isinstance(node, Call):
-        return _apply_fn(node.fn, eval_node(node.arg, env))
-    if isinstance(node, Bin):
-        a = eval_node(node.lhs, env)
-        b = eval_node(node.rhs, env)
-        try:
-            if node.op == "/" and b == 0.0:
-                raise EvalDomainError("division by zero")
-            if node.op == "^":
-                if a == 0.0 and b < 0.0:
-                    raise EvalDomainError("zero raised to a negative power")
-                if a < 0.0 and (b != b or b != round(b)):
-                    raise EvalDomainError(f"negative base {a} with non-integer exponent {b}")
-            return _ARITHMETIC[node.op](a, b)
-        except OverflowError as exc:
-            raise EvalDomainError(f"overflow in {a} {node.op} {b}") from exc
-    raise TypeError(f"not an AST node: {node!r}")
+# each function and operator: its numpy form and the domain rules that guard
+# it, as (rule, reason); a rule takes the result and the arguments and marks
+# the points where the expression has no value
+_DOMAIN = {
+    "sin": (np.sin, ((_infinite, "sin of an infinite value"),)),
+    "cos": (np.cos, ((_infinite, "cos of an infinite value"),)),
+    "tan": (np.tan, ((_infinite, "tan of an infinite value"),)),
+    "sinh": (np.sinh, ((_overflow, "overflow in sinh"),)),
+    "cosh": (np.cosh, ((_overflow, "overflow in cosh"),)),
+    "tanh": (np.tanh, ()),
+    "exp": (np.exp, ((_overflow, "overflow in exp"),)),
+    "ln": (np.log, ((lambda y, x: x <= 0.0, "ln of a non-positive value"),)),
+    "sqrt": (np.sqrt, ((lambda y, x: x < 0.0, "sqrt of a negative value"),)),
+    "abs": (abs, ()),
+    "+": (operator.add, ()),
+    "-": (operator.sub, ()),
+    "*": (operator.mul, ()),
+    "/": (operator.truediv, ((lambda y, a, b: b == 0.0, "division by zero"),)),
+    # b % 1 is nan for an infinite or nan b, so only integer exponents pass
+    "^": (operator.pow, ((lambda y, a, b: (a == 0.0) & (b < 0.0),
+                          "zero raised to a negative power"),
+                         (lambda y, a, b: (a < 0.0) & (b % 1.0 != 0.0),
+                          "negative base with a non-integer exponent"),
+                         (_overflow, "overflow in ^"))),
+}
+_PI, _E = np.float64(math.pi), np.float64(math.e)
 
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sinh": np.sinh,
-           "cosh": np.cosh, "tanh": np.tanh, "exp": np.exp, "ln": np.log,
-           "sqrt": np.sqrt, "abs": np.abs}
-
-
-def _eval_draws(node: Node, env: dict, bad: np.ndarray):
-    """eval_node over arrays of draws at once.
-
-    Every draw on which eval_node raises EvalDomainError is set in `bad`
-    (in place); the values returned there are arbitrary.
-    """
+def _evaluate(node: Node, env: dict, fail):
+    """The value of node at the points of env: numpy scalars, or arrays of
+    one shape.  Every rule of _DOMAIN is passed to fail(bad, reason) as its
+    mask, children before parents and left before right; the values at the
+    points a rule marks are arbitrary.  Run it under np.errstate."""
     if isinstance(node, Num):
         return np.float64(node.value)
     if isinstance(node, Sym):
         return env[node.name]
     if isinstance(node, Neg):
-        return -_eval_draws(node.arg, env, bad)
+        return -_evaluate(node.arg, env, fail)
     if isinstance(node, Call):
-        x = _eval_draws(node.arg, env, bad)
-        y = _UFUNCS[node.fn](x)
-        if node.fn == "ln":
-            bad |= x <= 0.0
-        elif node.fn == "sqrt":
-            bad |= x < 0.0
-        elif node.fn in ("sin", "cos", "tan"):
-            bad |= np.isinf(x)
-        elif node.fn in ("sinh", "cosh", "exp"):
-            bad |= np.isinf(y) & np.isfinite(x)
-        return y
-    a = _eval_draws(node.lhs, env, bad)
-    b = _eval_draws(node.rhs, env, bad)
-    y = _ARITHMETIC[node.op](a, b)
-    if node.op == "/":
-        bad |= b == 0.0
-    elif node.op == "^":
-        bad |= (a == 0.0) & (b < 0.0)
-        bad |= (a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))
-        bad |= np.isinf(y) & np.isfinite(a) & np.isfinite(b)
+        key, args = node.fn, (_evaluate(node.arg, env, fail),)
+    else:
+        key, args = node.op, (_evaluate(node.lhs, env, fail), _evaluate(node.rhs, env, fail))
+    ufunc, rules = _DOMAIN[key]
+    y = ufunc(*args)
+    for rule, reason in rules:
+        fail(rule(y, *args), reason)
     return y
+
+
+def _value(expr: InvariantExpr, env: dict, fail):
+    """_evaluate, with a non-finite value as the last rule; where a rule
+    fails there is no value (a single point raises, a draw is redrawn)."""
+    y = _evaluate(expr.ast, env, fail)
+    # y - y is 0 where y is finite and nan where it is not
+    fail(y - y != 0.0, "the expression has no finite value")
+    return y
+
+
+def _env(expr: InvariantExpr, ms, mean) -> dict:
+    """The names bound at points whose parameters are ms, with M = mean()
+    only where expr reads it."""
+    env = dict(zip(_PARAM_NAMES, ms), pi=_PI, e=_E)
+    if "M" in expr._names:
+        env["M"] = mean()
+    return env
+
+
+def _raise(bad, reason: str) -> None:
+    if bad:
+        raise EvalDomainError(reason)
 
 
 def eval_invariant(expr: InvariantExpr, p: ParamVector) -> float:
     need = expr.max_param_index()
     if need > p.n:
         raise EvalDomainError(f"expression uses m{need} but the vector has n={p.n}")
-    env = {f"m{i + 1}": v for i, v in enumerate(p.m)}
-    env["M"] = p.mean
-    env["pi"] = math.pi
-    env["e"] = math.e
-    value = eval_node(expr.ast, env)
-    if not math.isfinite(value):
-        raise EvalDomainError(f"expression evaluated to non-finite value {value}")
-    return value
+    env = _env(expr, map(np.float64, p.m), lambda: np.float64(p.mean))
+    with np.errstate(all="ignore"):
+        return float(_value(expr, env, _raise))
 
 
 @dataclass(frozen=True)
@@ -440,46 +419,31 @@ _RESAMPLE_CAP = 10
 _DRAW_BLOCK = 1024    # draws per array pass, so memory stays bounded in `trials`
 
 
-def _trial(expr: InvariantExpr, n: int, tol: float, draws) -> tuple:
-    """One trial by the scalar rule over an iterator of draws: the violation
-    it finds (or None) and the number of draws it took."""
-    last_error: EvalDomainError | None = None
-    for used, m in enumerate(itertools.islice(draws, _RESAMPLE_CAP), 1):
-        p = ParamVector(m)
-        try:
-            base = eval_invariant(expr, p)
-            for shift in SHIFTS:
-                shifted = eval_invariant(expr, p.translate(shift))
-                delta = abs(shifted - base)
-                if delta > tol * (1.0 + abs(base)):
-                    return Violation(m=m, shift=shift, delta=delta), used
-            return None, used
-        except EvalDomainError as exc:
-            last_error = exc
-    raise EvalDomainError(
-        f"could not sample {expr.source!r} on [-5,5]^{n}: {last_error}")
+def _stops(expr: InvariantExpr, m: np.ndarray, tol: float):
+    """The stop of each draw (a row of m), the shifts' deltas, and at each
+    point (row 0 the base, row s the shift s) why it has no value, or "".
 
-
-def _screen(expr: InvariantExpr, m: np.ndarray, tol: float) -> list:
-    """For each draw (a row of m), whether the scalar rule surely passes it:
-    no domain error at the base point or a shift, and no shift moving the
-    value by more than half the tolerance."""
+    The stop of a draw is the first of these that holds, or 7 if none does:
+    0 no value at the base point, then for each shift s, 2s - 1 no value
+    there and 2s the shift moving the value past tol (1 + |value|).
+    """
     k, n = m.shape
-    if expr.max_param_index() > n:
-        return [False] * k
-    # rows: the base point, then the shifts; M by fsum, as ParamVector has it
-    pts = m[None, :, :] - np.array((0,) + SHIFTS, dtype=float)[:, None, None]
-    env = {f"m{i + 1}": pts[:, :, i] for i in range(n)}
-    env["M"] = np.array([math.fsum(row) for row in pts.reshape(-1, n).tolist()]
-                        ).reshape(pts.shape[:2]) / n
-    # numpy scalars, so that pi/(pi-pi) divides as the arrays do
-    env["pi"], env["e"] = np.float64(math.pi), np.float64(math.e)
-    bad = np.zeros(pts.shape[:2], dtype=bool)
+    pts = m - np.array((0,) + SHIFTS, dtype=float)[:, None, None]
+    # M by fsum, as ParamVector has it
+    env = _env(expr, pts.transpose(2, 0, 1), lambda: np.array(
+        [math.fsum(row) for row in pts.reshape(-1, n).tolist()]).reshape(pts.shape[:2]) / n)
+    why = np.full(pts.shape[:2], "", dtype=object)
+
+    def fail(bad, reason: str) -> None:
+        if bad.any():
+            why[bad & (why == "")] = reason
     with np.errstate(all="ignore"):
-        vals = np.broadcast_to(_eval_draws(expr.ast, env, bad), bad.shape)
-        bad |= ~np.isfinite(vals)
-        moved = np.abs(vals[1:] - vals[0]) > 0.5 * tol * (1.0 + np.abs(vals[0]))
-    return (~(bad.any(axis=0) | moved.any(axis=0))).tolist()
+        vals = np.broadcast_to(_value(expr, env, fail), why.shape)
+        delta = np.abs(vals[1:] - vals[0])
+        moved = delta > tol * (1.0 + np.abs(vals[0]))
+    bad = why != ""
+    order = [bad[0]] + [row for s in SHIFTS for row in (bad[s], moved[s - 1])]
+    return np.argmax(np.array(order + [np.ones(k, dtype=bool)]), axis=0), delta, why
 
 
 def check_invariance(expr: InvariantExpr, n: int, trials: int = 64,
@@ -487,40 +451,36 @@ def check_invariance(expr: InvariantExpr, n: int, trials: int = 64,
     """Numerical translation-invariance check over random draws.
 
     Each trial draws m uniform in [-5, 5]^n and tests every shift in
-    {1, 2, 3}; a draw whose evaluation hits a domain error is redrawn up
-    to 10 times before the failure propagates.
-
-    Draws are taken from the seeded stream ahead of need, up to 1024 at a
-    time, and screened at once: the base points and their three shifts are
-    one array.  A trial whose next draw passes the screen passes.  Any other
-    trial (a domain error, or a shift that moves the value by more than half
-    the tolerance) is decided by the scalar rule, on the same draws in the
-    same order, redraws included.  So the verdict, the violation and the
-    error text are those of the scalar rule.
+    {1, 2, 3}; a draw with no value at its base point or a shift is redrawn,
+    up to 10 times.  The seeded stream is drawn in order, up to 1024 draws
+    at a time, and each block's stops (_stops) are walked in draw order.
     """
     if trials < 16:
         raise ValidationError(f"check_invariance needs trials >= 16, got {trials}")
     if not 1 <= n <= 9:
         raise ValidationError(f"n must be in 1..9, got {n}")
+    need = expr.max_param_index()
+    if need > n:
+        raise ValidationError(f"expression {expr.source!r} uses m{need} but the vector has n={n}")
     rng = random.Random(seed)
-
-    def draw() -> tuple:
-        return tuple(rng.uniform(-5.0, 5.0) for _ in range(n))
-
-    ahead, clean, i = [], [], 0    # draws taken ahead, their screen, the next one
-    for t in range(trials):
-        if i == len(ahead):
-            ahead = [draw() for _ in range(min(trials - t, _DRAW_BLOCK))]
-            clean, i = _screen(expr, np.array(ahead), tol), 0
-        if clean[i]:
-            i += 1
-            continue
-        # the scalar rule from this draw on; past the block it draws afresh
-        violation, used = _trial(expr, n, tol, itertools.chain(ahead[i:], iter(draw, None)))
-        if violation is not None:
-            return InvarianceResult(expr=expr.source, verified=False, trials=trials,
-                                    tol=tol, violation=violation)
-        i = min(i + used, len(ahead))
+    done, failed = 0, 0    # trials passed, draws failed in a row
+    while done < trials:
+        draws = [tuple(rng.uniform(-5.0, 5.0) for _ in range(n))
+                 for _ in range(min(trials - done, _DRAW_BLOCK))]
+        stop, delta, why = _stops(expr, np.array(draws), tol)
+        for j, s in enumerate(stop.tolist()):
+            at = (s + 1) // 2    # the point it stops at: 0 the base, else the shift
+            if s == 7:
+                done, failed = done + 1, 0
+            elif s and s % 2 == 0:
+                return InvarianceResult(
+                    expr=expr.source, verified=False, trials=trials, tol=tol,
+                    violation=Violation(m=draws[j], shift=at, delta=float(delta[at - 1, j])))
+            else:
+                failed += 1
+                if failed == _RESAMPLE_CAP:
+                    raise EvalDomainError(
+                        f"could not sample {expr.source!r} on [-5,5]^{n}: {why[at, j]}")
     return InvarianceResult(expr=expr.source, verified=True, trials=trials, tol=tol)
 
 

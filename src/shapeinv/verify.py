@@ -281,7 +281,8 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
     local budget is met or depth 30 trips NonConvergence.  Evaluation is
     batched: f receives a 1-D array of nodes of any length (the nodes of up
     to 64 panels, or a block of tail samples) and its result is broadcast
-    to that shape, so an f that returns a constant works too.
+    to that shape, so an f that returns a constant works too.  numpy's
+    floating-point warnings are off throughout.
     """
     if isinstance(domain, families.Domain):
         a, b = domain.lo, domain.hi
@@ -289,24 +290,25 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
         a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ValidationError("quadrature domain must satisfy a < b")
-    peak, loud_lo, loud_hi = _peak_sample(f, a, b)
-    thresh = _TAIL_REL * peak
-    grade_lo, grade_hi = math.isfinite(a), math.isfinite(b)
-    if not grade_hi:
-        b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh, loud_hi)
-    if not grade_lo:
-        a = _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh, loud_lo)
-    cuts = _seed_panels(a, b, grade_lo, grade_hi)
-    # the outermost graded sliver (width 2^-50 of the span) carries ~1e-17
-    # of any integrable mass but its nodes round onto the endpoint; drop it
-    if grade_lo and len(cuts) > 2:
-        cuts = cuts[1:]
-    if grade_hi and len(cuts) > 2:
-        cuts = cuts[:-1]
-    budget = float(tol) / max(1, len(cuts) - 1)
-    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
-    keep = hi > lo
-    return _refine(f, lo[keep], hi[keep], budget)
+    with np.errstate(all="ignore"):
+        peak, loud_lo, loud_hi = _peak_sample(f, a, b)
+        thresh = _TAIL_REL * peak
+        grade_lo, grade_hi = math.isfinite(a), math.isfinite(b)
+        if not grade_hi:
+            b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh, loud_hi)
+        if not grade_lo:
+            a = _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh, loud_lo)
+        cuts = _seed_panels(a, b, grade_lo, grade_hi)
+        # the outermost graded sliver (width 2^-50 of the span) carries ~1e-17
+        # of any integrable mass but its nodes round onto the endpoint; drop it
+        if grade_lo and len(cuts) > 2:
+            cuts = cuts[1:]
+        if grade_hi and len(cuts) > 2:
+            cuts = cuts[:-1]
+        budget = float(tol) / max(1, len(cuts) - 1)
+        lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
+        keep = hi > lo
+        return _refine(f, lo[keep], hi[keep], budget)
 
 
 # ---------------------------------------------------------------------------

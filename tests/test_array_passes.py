@@ -3,11 +3,15 @@
 The denominator scan, cond2 and the invariance check each evaluate a whole
 grid (or a whole set of draws) in one numpy pass.  The per-point loops they
 replaced are kept here as oracles: the scan must take the same decisions
-with the same messages, cond2 must give the same residuals to 1e-13, and
-the invariance check must give the same result or the same error text.
+with the same messages, and cond2 must give the same residuals to 1e-13.
+The invariant language's one-point evaluator on Python floats and the math
+module is kept as the scalar reference: eval_invariant must take the same
+has-value decisions, and the invariance check, run draw by draw on the
+reference, must reach the same result or raise the same kind of error.
 """
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -15,17 +19,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapeinv import extensions as ext
-from shapeinv.errors import DenominatorZero, EvalDomainError, ShapeInvError
+from shapeinv.errors import DenominatorZero, EvalDomainError, ShapeInvError, ValidationError
 from shapeinv.invariants import (
     SHIFTS,
+    Bin,
+    Call,
     InvarianceResult,
+    InvariantExpr,
+    Neg,
+    Num,
     ParamVector,
+    Sym,
     Violation,
-    _eval_draws,
+    _stops,
     check_invariance,
     eval_invariant,
-    eval_node,
     parse_invariant,
+    to_source,
 )
 from shapeinv.verify import clip_window, grid_points
 
@@ -93,6 +103,71 @@ def cond2_oracle(spec):
     return np.asarray(res, dtype=float)
 
 
+def _apply_fn(fn: str, x: float) -> float:
+    try:
+        if fn == "ln":
+            if x <= 0.0:
+                raise EvalDomainError(f"ln of non-positive value {x}")
+            return math.log(x)
+        if fn == "sqrt":
+            if x < 0.0:
+                raise EvalDomainError(f"sqrt of negative value {x}")
+            return math.sqrt(x)
+        if fn == "abs":
+            return abs(x)
+        return getattr(math, fn)(x)
+    except OverflowError as exc:
+        raise EvalDomainError(f"overflow in {fn}({x})") from exc
+    except ValueError as exc:  # sin, cos and tan of an infinite value
+        raise EvalDomainError(f"{fn} of non-finite value {x}") from exc
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": operator.pow}
+
+
+def eval_node(node, env: dict) -> float:
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Sym):
+        if node.name not in env:
+            raise EvalDomainError(
+                f"parameter {node.name} is not bound for an n={len(env) - 3} vector")
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -eval_node(node.arg, env)
+    if isinstance(node, Call):
+        return _apply_fn(node.fn, eval_node(node.arg, env))
+    if isinstance(node, Bin):
+        a = eval_node(node.lhs, env)
+        b = eval_node(node.rhs, env)
+        try:
+            if node.op == "/" and b == 0.0:
+                raise EvalDomainError("division by zero")
+            if node.op == "^":
+                if a == 0.0 and b < 0.0:
+                    raise EvalDomainError("zero raised to a negative power")
+                if a < 0.0 and (b != b or b != round(b)):
+                    raise EvalDomainError(f"negative base {a} with non-integer exponent {b}")
+            return _ARITHMETIC[node.op](a, b)
+        except OverflowError as exc:
+            raise EvalDomainError(f"overflow in {a} {node.op} {b}") from exc
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def reference_eval(expr, p: ParamVector) -> float:
+    """eval_invariant by the scalar reference."""
+    need = expr.max_param_index()
+    if need > p.n:
+        raise EvalDomainError(f"expression uses m{need} but the vector has n={p.n}")
+    env = {f"m{i + 1}": v for i, v in enumerate(p.m)}
+    env.update(M=p.mean, pi=math.pi, e=math.e)
+    value = eval_node(expr.ast, env)
+    if not math.isfinite(value):
+        raise EvalDomainError(f"expression evaluated to non-finite value {value}")
+    return value
+
+
 def invariance_oracle(expr, n, trials=64, tol=1e-9, seed=0):
     rng = random.Random(seed)
     for _ in range(trials):
@@ -101,9 +176,9 @@ def invariance_oracle(expr, n, trials=64, tol=1e-9, seed=0):
             m = tuple(rng.uniform(-5.0, 5.0) for _ in range(n))
             p = ParamVector(m)
             try:
-                base = eval_invariant(expr, p)
+                base = reference_eval(expr, p)
                 for shift in SHIFTS:
-                    shifted = eval_invariant(expr, p.translate(shift))
+                    shifted = reference_eval(expr, p.translate(shift))
                     delta = abs(shifted - base)
                     if delta > tol * (1.0 + abs(base)):
                         return InvarianceResult(
@@ -188,14 +263,33 @@ def test_cond2_residuals_match_the_point_loop(case, rng):
         assert np.all(np.abs(arr - one) <= 1e-13 * (1.0 + np.abs(one)))
 
 
-# -- the invariance check ----------------------------------------------------
+# -- the invariant language -------------------------------------------------
+
+def assert_same_outcome(got, want, *context):
+    """The verdict, the violation's m and shift, its delta to 1e-12 relative;
+    or the same error type, with "could not sample" where the reference has it."""
+    if isinstance(want, InvarianceResult):
+        assert isinstance(got, InvarianceResult), (got, context)
+        assert (got.expr, got.verified, got.trials, got.tol) == (
+            want.expr, want.verified, want.trials, want.tol), context
+        if want.violation is not None:
+            v, w = got.violation, want.violation
+            assert (v.m, v.shift) == (w.m, w.shift), context
+            assert v.delta == pytest.approx(w.delta, rel=1e-12), context
+        return
+    assert isinstance(got, tuple) and got[0] is want[0], (got, want, context)
+    sampled = "could not sample "
+    assert got[1].startswith(sampled) == want[1].startswith(sampled), (got, want, context)
+    if want[1].startswith(sampled):
+        assert got[1].split(": ")[0] == want[1].split(": ")[0], (got, want, context)
+
 
 # the last of each list is non-finite only at the end, with no domain error
 # on the way (inf^m1 * 0 is nan where m1 > 0, and cos(nan) is nan)
 REDRAWS = ["ln(m1)", "sqrt(m1-m2)", "1/(m1-m2)", "0^(m1-m2)", "ln(m1-1.5)*0+1",
            "(exp(700)*exp(700))^m1*0+1"]
 UNSAMPLEABLE = ["sin(exp(700)*exp(700))",
-                "(0-1)^(exp(700)*exp(700)-exp(700)*exp(700))", "m4",
+                "(0-1)^(exp(700)*exp(700)-exp(700)*exp(700))",
                 "cos(exp(700)*exp(700)*0)"]
 
 
@@ -203,8 +297,9 @@ UNSAMPLEABLE = ["sin(exp(700)*exp(700))",
 def test_invariance_matches_the_scalar_rule_on_the_dsl_suite(n):
     for src in DSL_EXPRESSIONS + REDRAWS + UNSAMPLEABLE:
         expr = parse_invariant(src)
-        assert (outcome(check_invariance, expr, n)
-                == outcome(invariance_oracle, expr, n)), (src, n)
+        if expr.max_param_index() <= n:
+            assert_same_outcome(outcome(check_invariance, expr, n),
+                                outcome(invariance_oracle, expr, n), src, n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -212,18 +307,27 @@ def test_invariance_matches_the_scalar_rule_on_the_dsl_suite(n):
        n=st.integers(1, 4), trials=st.integers(16, 80), seed=st.integers(0, 2**32 - 1))
 def test_invariance_matches_the_scalar_rule_on_any_seed(src, n, trials, seed):
     expr = parse_invariant(src)
-    assert (outcome(check_invariance, expr, n, trials=trials, seed=seed)
-            == outcome(invariance_oracle, expr, n, trials=trials, seed=seed))
+    if expr.max_param_index() <= n:
+        assert_same_outcome(outcome(check_invariance, expr, n, trials=trials, seed=seed),
+                            outcome(invariance_oracle, expr, n, trials=trials, seed=seed))
+
+
+@pytest.mark.parametrize("src,n", [("m4", 3), ("m1-m2", 1), ("M+m9", 8)])
+def test_a_parameter_beyond_the_vector_is_a_validation_error(src, n):
+    # raised before any draw, as for a bad n or trials
+    with pytest.raises(ValidationError, match=f"uses m{src[-1]} but the vector has n={n}$"):
+        check_invariance(parse_invariant(src), n)
 
 
 @pytest.mark.parametrize("src", UNSAMPLEABLE[:2])
 def test_non_finite_arguments_flag_every_draw(src):
-    m = np.linspace(-5.0, 5.0, 7)
-    bad = np.zeros(m.size, dtype=bool)
-    env = {"m1": m, "M": m, "pi": math.pi, "e": math.e}
-    with np.errstate(all="ignore"):
-        _eval_draws(parse_invariant(src).ast, env, bad)
-    assert bad.all()
+    # every draw stops at its base point, which has no value
+    m = np.linspace(-5.0, 5.0, 7)[:, None]
+    stop, _, why = _stops(parse_invariant(src), m, 1e-9)
+    assert (stop == 0).all()
+    assert set(why[0]) == {
+        "sin of an infinite value" if src.startswith("sin") else
+        "negative base with a non-integer exponent"}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -233,34 +337,21 @@ def test_redraws_resume_the_stream(seed):
     # or ten failed draws in a row turn up, and where, depends on each trial
     # resuming the stream just past the draws the one before it took
     expr = parse_invariant("ln(m1+2)*0+exp(20*m1-110)")
-    assert (outcome(check_invariance, expr, 1, trials=16, seed=seed)
-            == outcome(invariance_oracle, expr, 1, trials=16, seed=seed))
+    assert_same_outcome(outcome(check_invariance, expr, 1, trials=16, seed=seed),
+                        outcome(invariance_oracle, expr, 1, trials=16, seed=seed), seed)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(ast=ASTS, seed=st.integers(0, 2**32 - 1))
-def test_array_evaluator_flags_the_draws_eval_node_rejects(ast, seed):
+def test_eval_invariant_matches_the_scalar_reference(ast, seed):
     rng = random.Random(seed)
-    m = np.array([[rng.uniform(-5.0, 5.0) for _ in range(9)] for _ in range(8)])
-    env = {f"m{i + 1}": m[:, i] for i in range(9)}
-    env["M"] = np.array([math.fsum(row) / 9 for row in m.tolist()])
-    env["pi"], env["e"] = math.pi, math.e
-    bad = np.zeros(len(m), dtype=bool)
-    with np.errstate(all="ignore"):
-        vals = np.broadcast_to(_eval_draws(ast, env, bad), bad.shape)
-    for j, row in enumerate(m.tolist()):
-        point = {k: float(np.asarray(v)[j]) if isinstance(v, np.ndarray) else v
-                 for k, v in env.items()}
-        try:
-            want = eval_node(ast, point)
-        except EvalDomainError:
-            assert bad[j], (ast, row)
-            continue
-        assert not bad[j], (ast, row)
-        got = float(vals[j])
-        if math.isnan(want):
-            assert math.isnan(got)
-        elif math.isinf(want) or math.isinf(got):
-            assert got == want
+    expr = InvariantExpr(source=to_source(ast), ast=ast)
+    for _ in range(8):
+        p = ParamVector(tuple(rng.uniform(-5.0, 5.0) for _ in range(9)))
+        want = outcome(reference_eval, expr, p)
+        got = outcome(eval_invariant, expr, p)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got[0] is want[0], (expr.source, p, got, want)
         else:
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+            assert not isinstance(got, tuple), (expr.source, p, got, want)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (expr.source, p, got, want)

@@ -342,6 +342,39 @@ def test_numpy_warnings_stay_off_stderr():
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "morse", "--m", "2.5", "--invariant", "m1-m2", "--d", "1"],
+    ["--family", "eckart", "--m", "-1.5", "--invariant", "1", "--d", "0",
+     "--rho-invariant", "m1-m2"],
+])
+def test_a_parameter_beyond_the_vector_exits_2(capsys, flags):
+    # the invariance check rejects it before it draws
+    rc, out, err = run(capsys, "spectrum", *flags)
+    assert rc == 2 and out == ""
+    assert err == "error: expression 'm1-m2' uses m2 but the vector has n=1\n"
+
+
+HARM = ["--family", "harm-osc", "--m", "0", "--invariant", "1", "--beta", "1", "--d", "0.5"]
+
+
+@pytest.mark.parametrize("command,level,message", [
+    (["spectrum"], "--kmax=1000000000000", "1000000000000 is above the maximum 65536"),
+    (["spectrum"], "--kmax=65537", "65537 is above the maximum 65536"),
+    (["oracle", "compare"], "--kmax=65537", "65537 is above the maximum 65536"),
+    (["wavefunction"], "--k=65", "65 is above the maximum 64"),
+    (["verify", "ladder"], "--k=65", "65 is above the maximum 64"),
+    (["verify", "orthonormal"], "--kmax=65", "65 is above the maximum 64"),
+    (["spectrum"], "--kmax=x", "invalid int value: 'x'"),
+])
+def test_level_flags_are_capped_before_anything_is_built(capsys, command, level, message):
+    # the level scan's cap and the largest polynomial degree; past them, on
+    # a family with unbounded levels, a level table or a polynomial would
+    # be built that the library cannot finish
+    rc, out, err = run(capsys, *command, *HARM, level)
+    flag = level.split("=")[0]
+    assert (rc, out, err) == (2, "", f"error: argument {flag}: {message}\n")
+
+
 @pytest.mark.parametrize("check", ["cond1", "ext-si"])
 def test_per_point_checks_past_the_window_exit_3(capsys, check):
     # math.cosh overflows at x = 720.01 in the Dual pass: read as non-finite

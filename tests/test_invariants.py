@@ -147,6 +147,27 @@ def test_eval_domain_errors():
         eval_invariant(parse_invariant("m2"), p)  # index above n
 
 
+@pytest.mark.parametrize("src,reason", [
+    ("ln(0-1)", "ln of a non-positive value"),
+    ("sqrt(0-2)", "sqrt of a negative value"),
+    ("sin(exp(700)*exp(700))", "sin of an infinite value"),
+    ("exp(800)", "overflow in exp"),
+    ("1/(m1-m1)", "division by zero"),
+    ("0^(0-1)", "zero raised to a negative power"),
+    ("(0-1)^0.5", "negative base with a non-integer exponent"),
+    ("10^400", "overflow in ^"),
+    ("exp(700)*exp(700)", "the expression has no finite value"),
+])
+def test_each_domain_rule_names_itself(src, reason):
+    # one point and the invariance draws give the same reason
+    expr = parse_invariant(src)
+    with pytest.raises(EvalDomainError, match=f"^{re.escape(reason)}$"):
+        eval_invariant(expr, ParamVector((1.0,)))
+    prefix = f"could not sample {expr.source!r} on [-5,5]^1: "
+    with pytest.raises(EvalDomainError, match=f"^{re.escape(prefix + reason)}$"):
+        check_invariance(expr, 1)
+
+
 @pytest.mark.parametrize("src", ["sin(exp(700)*exp(700))",
                                  "(0-1)^(exp(700)*exp(700)-exp(700)*exp(700))"])
 def test_non_finite_arguments_are_domain_errors(src):

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ import pytest
 from shapeinv import families, spectra, verify
 from shapeinv.cli import main
 from shapeinv.errors import NonConvergence
+from shapeinv.invariants import ParamVector, parse_invariant, verify_invariant
 
 from test_families import fixture
 
@@ -150,6 +152,21 @@ def test_far_peaks(f, domain, want):
 
 def test_constant_integrand_is_broadcast():
     assert verify.quadrature(lambda x: 2.0, (0.0, 3.0)) == pytest.approx(6.0, rel=1e-14)
+
+
+def test_non_finite_nodes_raise_without_warnings():
+    # the scarf1 state at the wall, where 1 - sin x rounds to 0, is inf or
+    # nan at some nodes; the sampling, tail march and refinement run under
+    # np.errstate, so NonConvergence comes without a RuntimeWarning
+    one = verify_invariant(parse_invariant("1"), 1)
+    data = families.ConstructionData(p=ParamVector((-0.3032802384493791,)),
+                                     couplings=(families.Coupling(one, d=0.538051002893123),))
+    fp = families.build_family("scarf1", data)
+    wf = spectra.wavefunction(fp, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            verify.quadrature(lambda x: wf(x) ** 2, fp.domain)
 
 
 # ---------------------------------------------------------------------------

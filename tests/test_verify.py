@@ -146,7 +146,10 @@ def _sturm_counts_by_row(diag, off2, lams):
 
 
 BLOCK = verify._STURM_BLOCK
-# row 0 is swept on its own, so N = BLOCK + 1 rows fill exactly one block
+# the kernel sweeps pairs of rows, one from each end, BLOCK pairs to a
+# block, up to the middle row N // 2: 1 row is the middle row alone, 2 rows
+# pad the shorter half with one row, BLOCK - 1 .. BLOCK + 2 rows fill half a
+# block, 2 BLOCK + 1 rows exactly one and 3 BLOCK - 5 rows one and a half
 ROW_COUNTS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK - 5]
 
 
@@ -164,8 +167,12 @@ def test_sturm_counts_match_the_per_row_sweep(n, scale, off, shape, seed):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
-# rows of exactly zero pivot at lambda = 0: row 0, both sides of the first
-# and second block boundaries (rows BLOCK, BLOCK + 1, 2 BLOCK) and the last
+# rows of exactly zero pivot at lambda = 0 by the per-row recurrence; over
+# these N the twisted sweep meets them at either end (row 0, the last row),
+# at the middle row N // 2 (row BLOCK of 2 BLOCK + 1 rows, BLOCK + 1 of
+# 2 BLOCK + 2), opening the second forward block (rows BLOCK and BLOCK + 1
+# of 3 BLOCK) and closing the first backward one (row 2 BLOCK of 3 BLOCK,
+# BLOCK + 1 of 2 BLOCK + 1)
 ZERO_ROWS = [0, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]
 
 

@@ -368,20 +368,8 @@ def _residual(target, report, **after) -> tuple:
     return out, report.max_residual, summary, after
 
 
-def _own_points(cfg: JobConfig, check: str) -> None:
-    if cfg.grid is not None:
-        raise ValidationError("grid {},{},{} does not apply to verify {}, which chooses "
-                              "its own points".format(*cfg.grid, check))
-
-
-def _ladder(fp, cfg, args) -> tuple:
-    _own_points(cfg, "ladder")
-    return _residual(fp, verify.ladder_check(fp, args.k), k=args.k)
-
-
-def _orthonormal(fp, cfg, args) -> tuple:
-    _own_points(cfg, "orthonormal")
-    gram = verify.orthonormality(fp, args.kmax)
+def _orthonormal(fp, opts) -> tuple:
+    gram = verify.orthonormality(fp, opts["kmax"])
     out = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
            **dataclasses.asdict(gram)}
     summary = (f"family={fp.id} levels={list(gram.levels)} "
@@ -389,30 +377,36 @@ def _orthonormal(fp, cfg, args) -> tuple:
     return out, gram.max_deviation, summary, {}
 
 
-# check -> (default tolerance, target kind, runner(target, cfg, args) giving
-# the JSON report, its worst value, the text summary and the JSON fields that
-# follow the verdict)
+# check -> (default tolerance, target kind, the flags it reads with their
+# defaults, runner(target, flag values) giving the JSON report, its worst
+# value, the text summary and the JSON fields that follow the verdict)
 _CHECKS = {
-    "si": (1e-9, FamilyParams,
-           lambda fp, cfg, args: _residual(fp, verify.si_residual(fp, cfg.grid))),
-    "cond1": (1e-8, ExtensionSpec,
-              lambda spec, cfg, args: _residual(spec, extensions.check_cond1(spec, cfg.grid))),
-    "cond2": (1e-10, ExtensionSpec,
-              lambda spec, cfg, args: _residual(spec, extensions.check_cond2(spec, cfg.grid))),
-    "ext-si": (1e-7, ExtensionSpec,
-               lambda spec, cfg, args: _residual(spec, extensions.extended_si_check(
-                   spec, cfg.grid))),
-    "ladder": (1e-5, FamilyParams, _ladder),
-    "orthonormal": (1e-6, FamilyParams, _orthonormal),
+    "si": (1e-9, FamilyParams, {"grid": None},
+           lambda fp, o: _residual(fp, verify.si_residual(fp, o["grid"]))),
+    "cond1": (1e-8, ExtensionSpec, {"grid": None},
+              lambda spec, o: _residual(spec, extensions.check_cond1(spec, o["grid"]))),
+    "cond2": (1e-10, ExtensionSpec, {"grid": None},
+              lambda spec, o: _residual(spec, extensions.check_cond2(spec, o["grid"]))),
+    "ext-si": (1e-7, ExtensionSpec, {"grid": None},
+               lambda spec, o: _residual(spec, extensions.extended_si_check(spec, o["grid"]))),
+    "ladder": (1e-5, FamilyParams, {"k": 1},
+               lambda fp, o: _residual(fp, verify.ladder_check(fp, o["k"]), k=o["k"])),
+    "orthonormal": (1e-6, FamilyParams, {"kmax": 3}, _orthonormal),
 }
 
 
 def cmd_verify(args) -> int:
     cfg = _job_config(args)
-    default_tol, kind, run = _CHECKS[args.check]
+    default_tol, kind, reads, run = _CHECKS[args.check]
+    given = {flag: value for flag, value in
+             (("grid", cfg.grid), ("k", args.k), ("kmax", args.kmax)) if value is not None}
+    for flag in given:
+        if flag not in reads:
+            raise ValidationError(f"--{flag} does not apply to verify {args.check}, "
+                                  f"which reads --{', --'.join(reads)}")
     tol = cfg.tol if cfg.tol is not None else default_tol
     target = _need(_build_target(cfg), kind)
-    out, value, summary, after = run(target, cfg, args)
+    out, value, summary, after = run(target, {**reads, **given})
     return _verdict(out, value, tol, cfg.format == "json", summary, after)
 
 
@@ -486,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run one named check")
     p_ver.add_argument("check", choices=tuple(_CHECKS))
     _add_job_flags(p_ver)
-    p_ver.add_argument("--k", type=degree_cap, default=1, help="ladder step index")
-    p_ver.add_argument("--kmax", type=degree_cap, default=3,
-                       help="highest level for orthonormality")
+    p_ver.add_argument("--k", type=degree_cap, help="ladder step index (default 1)")
+    p_ver.add_argument("--kmax", type=degree_cap,
+                       help="highest level for orthonormality (default 3)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_orc = sub.add_parser("oracle", help="independent eigenvalue oracle")

@@ -5,12 +5,12 @@ superpotential pieces and their derivatives come out of one evaluation pass
 with no finite differencing.  Components may be float or complex; the
 polynomial recurrences only ever combine Duals with +, -, *, /.
 
-The elementary functions below also take a plain numpy array, which goes
-through the numpy ufunc (real or complex) in one call: the value-only
-passes (the extension denominator scan and cond2) evaluate a whole grid at
-once that way.  Python scalars and Duals keep `math`/`cmath`, which on
-scalars are faster than numpy's scalar path; that branch goes once the
-Dual checks (cond1, ext-si, the pointwise potential) carry arrays too.
+The elementary functions come from one lift rule.  On a numpy array they
+call the numpy ufunc (real or complex) once, so the value-only passes (the
+extension denominator scan and cond2) evaluate a whole grid at a time.  On
+Python scalars and Dual components they call `math`, or `cmath` when
+complex, faster than numpy's scalar path; the Dual checks seed one point at
+a time in `extensions._pointwise`.
 """
 
 from __future__ import annotations
@@ -95,38 +95,28 @@ def seed(x: float) -> Dual:
     return Dual(x, 1.0)
 
 
-def _lift(fn_real, fn_cplx, fn_array, d, dfn):
-    if isinstance(d, np.ndarray):
-        return fn_array(d)
-    if isinstance(d, Dual):
-        f = fn_cplx(d.val) if isinstance(d.val, complex) else fn_real(d.val)
-        return Dual(f, dfn(d.val) * d.eps)
-    return fn_cplx(d) if isinstance(d, complex) else fn_real(d)
+def _lift(name: str, dname: str, negate: bool = False):
+    """The function `name` of math, cmath and numpy, with derivative (-)`dname`."""
+    real, cplx, array = getattr(math, name), getattr(cmath, name), getattr(np, name)
+    dreal, dcplx = getattr(math, dname), getattr(cmath, dname)
+
+    def fn(d):
+        if isinstance(d, np.ndarray):
+            return array(d)
+        if isinstance(d, Dual):
+            v = d.val
+            f, df = (cplx(v), dcplx(v)) if isinstance(v, complex) else (real(v), dreal(v))
+            return Dual(f, (-df if negate else df) * d.eps)
+        return cplx(d) if isinstance(d, complex) else real(d)
+
+    return fn
 
 
-def sin(d):
-    return _lift(math.sin, cmath.sin, np.sin, d,
-                 lambda v: cmath.cos(v) if isinstance(v, complex) else math.cos(v))
-
-
-def cos(d):
-    return _lift(math.cos, cmath.cos, np.cos, d,
-                 lambda v: -(cmath.sin(v) if isinstance(v, complex) else math.sin(v)))
-
-
-def sinh(d):
-    return _lift(math.sinh, cmath.sinh, np.sinh, d,
-                 lambda v: cmath.cosh(v) if isinstance(v, complex) else math.cosh(v))
-
-
-def cosh(d):
-    return _lift(math.cosh, cmath.cosh, np.cosh, d,
-                 lambda v: cmath.sinh(v) if isinstance(v, complex) else math.sinh(v))
-
-
-def exp(d):
-    return _lift(math.exp, cmath.exp, np.exp, d,
-                 lambda v: cmath.exp(v) if isinstance(v, complex) else math.exp(v))
+sin = _lift("sin", "cos")
+cos = _lift("cos", "sin", negate=True)
+sinh = _lift("sinh", "cosh")
+cosh = _lift("cosh", "sinh")
+exp = _lift("exp", "exp")
 
 
 def tan(d):

@@ -1,16 +1,18 @@
 """Rational extensions W = W0 + W1p - W1m of the invariant-built bases.
 
 Eleven closed cases, each a base superpotential W0 plus a pair of rational
-corrections, and each written down once, as its CaseSpec record in
-CASE_SPECS plus its W1 function.  W0 is one of the thirteen families,
-stretched by a scale s (W0(x) = s k(s x)), and its remainder is s^2 times
-the family's R, so neither is transcribed here.  Every W1 branch factors as
-prefactor * top / bottom where top and bottom are terminating polynomials
-(Jacobi, Laguerre, Kummer, or Gauss ratios) or plain rational expressions;
-the plus and minus branches are transcribed independently, with their own
-literal parameter offsets, so the unit-translation consistency check
-(cond2) genuinely compares two displays instead of restating one.
-Derivatives of W1 ride along on Dual scalars; the gauge freedom f(x) is
+corrections, written down once, as its CaseSpec record in CASE_SPECS plus
+its W1 function.  W0 is one of the thirteen families, stretched by a scale
+s (W0(x) = s k(s x)), and its remainder is s^2 times the family's R, so
+neither is transcribed here.  Every W1 branch factors as prefactor * top /
+bottom where top and bottom are terminating polynomials (Jacobi, Laguerre,
+Kummer, or Gauss ratios) or plain rational expressions; the plus and minus
+branches are transcribed independently, with their own literal parameter
+offsets, so the unit-translation consistency check (cond2) genuinely
+compares two displays instead of restating one.  cond1, ext-si and the
+ExtendedSuperpotential readers share one loop over points, `_pointwise`: W0
+comes from the base family over the whole grid at once, W1 and its
+derivative from a Dual seeded at each point.  The gauge freedom f(x) is
 fixed to zero, which turns cond1 into a sharp zero-test.
 """
 
@@ -23,19 +25,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dual
-from .dual import Dual, derivative, seed, value
+from .dual import Dual, seed
 from .errors import DenominatorZero, ValidationError
-from .families import (_FOLD_BETA_MEAN, _FOLD_BETA_MEAN_NEG, _FOLD_D_MEAN, _FOLD_D_ONLY,
-                       FAMILY_SPECS, ConstructionData, Domain, _fold, _make_domain)
+from .families import _FOLD_D_ONLY, FAMILY_SPECS, ConstructionData, Domain, _fold, _make_domain
+# the fold styles shared with the base families, under the case table's names
+from .families import _FOLD_BETA_MEAN as _FOLD_PLUS_BETA, _FOLD_BETA_MEAN_NEG as _FOLD_MINUS_BETA
+from .families import _FOLD_D_MEAN as _FOLD_D
 from .specfun import hyp1f1_terminating, hyp2f1_terminating, jacobi_p, laguerre_l
 from .verify import GridReport, _report, clip_window, grid_points
 
 MAX_ELL = 8
-
-# the fold styles shared with the base families, under the case table's names
-_FOLD_PLUS_BETA = _FOLD_BETA_MEAN
-_FOLD_MINUS_BETA = _FOLD_BETA_MEAN_NEG
-_FOLD_D = _FOLD_D_MEAN
 
 
 @dataclass(frozen=True)
@@ -260,12 +259,14 @@ class ExtensionSpec:
         return CASE_SPECS[self.case_id].domain
 
 
-def _base_w0(cs: CaseSpec, x: float, e, r, l) -> tuple:
-    """W0(x) = s k(s x) and W0'(x) = s^2 k'(s x) from the base family's k."""
+def _base_w0(cs: CaseSpec, xs: np.ndarray, e, r, l) -> tuple:
+    """W0 = s k(s x) and W0' = s^2 k'(s x) over the points xs, from the base
+    family's k in one pass; an overflow reads as a non-finite value."""
     eps, rho = cs.base_params(e, r, l)
     s = cs.scale
-    k, kp = FAMILY_SPECS[cs.base].k(s * x, eps, rho, 0.0)
-    return np.asarray(s * k).item(), np.asarray(s * s * kp).item()
+    with np.errstate(all="ignore"):
+        k, kp = FAMILY_SPECS[cs.base].k(s * xs, eps, rho, 0.0)
+        return s * k, s * s * kp
 
 
 def _w1(cs: CaseSpec, plus: bool, xd, e, r, l):
@@ -284,15 +285,30 @@ def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
     return w1_branch(spec, x, 1, shift) - w1_branch(spec, x, -1, shift)
 
 
-def _pointwise(fn, xs) -> np.ndarray:
-    """fn at each point of xs; an overflow at a point reads as a non-finite value."""
-    out = []
-    for x in xs:
+def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int, fn) -> np.ndarray:
+    """fn(W, W1p, W1m, W0) at each point of the 1-D array xs, at eps - shift:
+    W0 is a Python scalar from one pass of the base family over xs, the rest
+    are Duals of the seeded point.  Where a point overflows, fn runs on nans,
+    so a pair-valued fn reads as a pair of nans."""
+    cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
+    w0s, w0ps = _base_w0(cs, xs, e, r, l)
+    nan, out = Dual(math.nan, math.nan), []
+    for x, w0, w0p in zip(xs.tolist(), w0s.tolist(), w0ps.tolist()):
         try:
-            out.append(fn(x))
+            xd = seed(x)
+            p, m = _w1(cs, True, xd, e, r, l), _w1(cs, False, xd, e, r, l)
+            out.append(fn(Dual(w0, w0p) + p - m, p, m, w0))
         except OverflowError:
-            out.append(math.nan)
+            out.append(fn(nan, nan, nan, math.nan))
     return np.array(out)
+
+
+def _lower(w, *_):
+    return w.val ** 2 - w.eps
+
+
+def _raised(w, *_):
+    return w.val ** 2 + w.eps
 
 
 def _require_finite(cs: CaseSpec, xs: np.ndarray, vals: np.ndarray) -> None:
@@ -339,7 +355,7 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
                     f"(branch {branch:+d}, eps - {shift})", loc)
             if cs.complex_path:
                 continue
-            re = vals.real if np.iscomplexobj(vals) else vals
+            re = np.real(vals)
             flips = np.nonzero(re[:-1] * re[1:] < 0)[0]
             if flips.size:
                 i = int(flips[0])
@@ -399,41 +415,27 @@ def build_extension(case, data: ConstructionData, ell: Optional[int] = None,
 
 @dataclass(frozen=True)
 class ExtendedSuperpotential:
-    """W = W0 + W1p - W1m with forward-mode derivatives."""
+    """W = W0 + W1p - W1m, W', V = W^2 - W' and its partner W^2 + W'; each
+    reader takes a scalar or an array of points in the domain, keeping its shape."""
 
     spec: ExtensionSpec
 
-    def _dual(self, x: float, shift: int = 0) -> Dual:
-        s = self.spec
-        s.domain.require_inside(x)
-        x = float(x)
-        xd = seed(x)
-        e, r, l = s.eps - shift, s.rho, s.ell
-        return (Dual(*_base_w0(s.case, x, e, r, l))
-                + _w1(s.case, True, xd, e, r, l)
-                - _w1(s.case, False, xd, e, r, l))
+    def _read(self, x, fn):
+        self.spec.domain.require_inside(x)
+        xs = np.asarray(x, dtype=float)
+        return _pointwise(self.spec, xs.ravel(), 0, fn).reshape(xs.shape)[()]
 
-    def w(self, x: float):
-        return value(self._dual(x))
+    def w(self, x):
+        return self._read(x, lambda w, *_: w.val)
 
-    def w_prime(self, x: float):
-        return derivative(self._dual(x))
-
-    def _side(self, x, sign: float, shift: int = 0):
-        """W^2 + sign W' at eps - shift, pointwise over a scalar or an array."""
-        def one(t):
-            d = self._dual(t, shift)
-            return value(d) ** 2 + sign * derivative(d)
-
-        return np.reshape(_pointwise(one, np.ravel(x)), np.shape(x))[()]
+    def w_prime(self, x):
+        return self._read(x, lambda w, *_: w.eps)
 
     def potential(self, x):
-        """V = W^2 - W'; accepts scalars or arrays (evaluated pointwise)."""
-        return self._side(x, -1.0)
+        return self._read(x, _lower)
 
     def partner(self, x):
-        """The raised side W^2 + W'."""
-        return self._side(x, 1.0)
+        return self._read(x, _raised)
 
 
 def extended_superpotential(spec: ExtensionSpec) -> ExtendedSuperpotential:
@@ -473,15 +475,11 @@ def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     return _report(xs, res, excluded)
 
 
-def _cond1_l(cs: CaseSpec, x: float, e, r, l):
-    xd = seed(x)
-    w0 = _base_w0(cs, x, e, r, l)[0]
-    p = _w1(cs, True, xd, e, r, l)
-    m = _w1(cs, False, xd, e, r, l)
-    pv, pd = value(p), derivative(p)
-    mv, md = value(m), derivative(m)
+def _cond1_l(w, p, m, w0):
+    """The combination L at one point, and |L| / (1 + |W0|^2)."""
+    pv, pd, mv, md = p.val, p.eps, m.val, m.eps
     lhs = pv * pv + pd + mv * mv + md + 2 * w0 * pv - 2 * w0 * mv - 2 * pv * mv
-    return lhs, w0
+    return lhs, abs(lhs) / (1.0 + abs(w0) ** 2)
 
 
 def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
@@ -496,17 +494,9 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
     DenominatorZero there.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
-    cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
-
-    def residual(x):
-        l_up, w0_up = _cond1_l(cs, float(x), e, r, l)
-        l_dn, w0_dn = _cond1_l(cs, float(x), e - 1, r, l)
-        r_up = abs(l_up) / (1.0 + abs(w0_up) ** 2)
-        r_dn = abs(l_dn) / (1.0 + abs(w0_dn) ** 2)
-        return max(r_up, r_dn, abs(l_up - l_dn))
-
-    res = _pointwise(residual, xs)
-    _require_finite(cs, xs, res)
+    (l_up, r_up), (l_dn, r_dn) = (_pointwise(spec, xs, shift, _cond1_l).T for shift in (0, 1))
+    res = np.maximum(np.maximum(r_up.real, r_dn.real), np.abs(l_up - l_dn))
+    _require_finite(spec.case, xs, res)
     return _report(xs, res, excluded)
 
 
@@ -518,9 +508,8 @@ def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
     (an overflow past the certified window) raises DenominatorZero.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
-    w = ExtendedSuperpotential(spec)
-    v_plus = w._side(xs, 1.0)
-    v_down = w._side(xs, -1.0, shift=1)
+    v_plus = _pointwise(spec, xs, 0, _raised)
+    v_down = _pointwise(spec, xs, 1, _lower)
     res = np.abs(v_plus - v_down - base_remainder(spec, shift=1)) / (1.0 + np.abs(v_down))
     _require_finite(spec.case, xs, res)
     return _report(xs, res, excluded)

@@ -465,9 +465,10 @@ def check_invariance(expr: InvariantExpr, n: int, trials: int = 64,
     rng = random.Random(seed)
     done, failed = 0, 0    # trials passed, draws failed in a row
     while done < trials:
-        draws = [tuple(rng.uniform(-5.0, 5.0) for _ in range(n))
-                 for _ in range(min(trials - done, _DRAW_BLOCK))]
-        stop, delta, why = _stops(expr, np.array(draws), tol)
+        # rng.uniform(-5, 5) is -5 + 10 * rng.random(): the same floats, in order
+        flat = [-5.0 + 10.0 * rng.random() for _ in range(n * min(trials - done, _DRAW_BLOCK))]
+        draws = np.array(flat).reshape(-1, n)
+        stop, delta, why = _stops(expr, draws, tol)
         for j, s in enumerate(stop.tolist()):
             at = (s + 1) // 2    # the point it stops at: 0 the base, else the shift
             if s == 7:
@@ -475,7 +476,8 @@ def check_invariance(expr: InvariantExpr, n: int, trials: int = 64,
             elif s and s % 2 == 0:
                 return InvarianceResult(
                     expr=expr.source, verified=False, trials=trials, tol=tol,
-                    violation=Violation(m=draws[j], shift=at, delta=float(delta[at - 1, j])))
+                    violation=Violation(m=tuple(flat[j * n:(j + 1) * n]), shift=at,
+                                        delta=float(delta[at - 1, j])))
             else:
                 failed += 1
                 if failed == _RESAMPLE_CAP:

@@ -291,9 +291,10 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
     if not a < b:
         raise ValidationError("quadrature domain must satisfy a < b")
     with np.errstate(all="ignore"):
-        peak, loud_lo, loud_hi = _peak_sample(f, a, b)
-        thresh = _TAIL_REL * peak
         grade_lo, grade_hi = math.isfinite(a), math.isfinite(b)
+        if not (grade_lo and grade_hi):    # only the tail march reads the peak sample
+            peak, loud_lo, loud_hi = _peak_sample(f, a, b)
+            thresh = _TAIL_REL * peak
         if not grade_hi:
             b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh, loud_hi)
         if not grade_lo:

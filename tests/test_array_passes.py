@@ -4,6 +4,9 @@ The denominator scan, cond2 and the invariance check each evaluate a whole
 grid (or a whole set of draws) in one numpy pass.  The per-point loops they
 replaced are kept here as oracles: the scan must take the same decisions
 with the same messages, and cond2 must give the same residuals to 1e-13.
+The other way round, the Dual loop of the cond1/ext-si checks must give
+the value-only array path's W to 1e-13 and its converged stencil
+derivative to 1e-7.
 The invariant language's one-point evaluator on Python floats and the math
 module is kept as the scalar reference: eval_invariant must take the same
 has-value decisions, and the invariance check, run draw by draw on the
@@ -261,6 +264,44 @@ def test_cond2_residuals_match_the_point_loop(case, rng):
         one = np.array([ext._w1(spec.case, plus, float(x), e, spec.rho, spec.ell)
                         for x in xs])
         assert np.all(np.abs(arr - one) <= 1e-13 * (1.0 + np.abs(one)))
+
+
+# -- the Dual loop against the value-only array path --------------------------
+
+def w_array(spec, xs, shift):
+    """W = W0 + W1p - W1m at eps - shift, values only, over the whole grid."""
+    cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
+    w0, _ = ext._base_w0(cs, xs, e, r, l)
+    return w0 + ext._w1(cs, True, xs, e, r, l) - ext._w1(cs, False, xs, e, r, l)
+
+
+def converged_stencil(f, xs, reach):
+    """The 5-point derivative of f at the step, of 20 halvings of reach, where
+    it moves least on the next halving, and that move."""
+    hs = reach * 0.5 ** np.arange(20)[:, None]
+    with np.errstate(all="ignore"):
+        d = (f(xs - 2 * hs) - 8 * f(xs - hs) + 8 * f(xs + hs) - f(xs + 2 * hs)) / (12 * hs)
+    moves = np.abs(np.diff(d, axis=0))
+    k, cols = np.argmin(moves, axis=0), np.arange(xs.size)
+    return d[k + 1, cols], moves[k, cols]
+
+
+@settings(derandomize=True, deadline=None, max_examples=44)
+@given(case=st.sampled_from(CASES), rng=st.randoms(use_true_random=False))
+def test_the_dual_loop_matches_the_array_path(case, rng):
+    spec = draw_extension(case, rng)
+    a, b = spec.window
+    xs = np.linspace(a, b, 41)[1:-1]
+    # steps reach at most a quarter of the way to a finite end of the domain
+    reach = np.minimum(np.minimum(xs - spec.domain.lo, spec.domain.hi - xs), 1.0) / 4
+    for shift in (0, 1):
+        val, der = ext._pointwise(spec, xs, shift, lambda w, *_: (w.val, w.eps)).T
+        want = w_array(spec, xs, shift)
+        assert np.all(np.abs(val - want) <= 1e-13 * (1.0 + np.abs(want))), (spec, shift)
+        d, move = converged_stencil(lambda x: w_array(spec, x, shift), xs, reach)
+        scale = 1.0 + np.abs(der)
+        assert np.all(move <= 1e-8 * scale), (spec, shift)
+        assert np.all(np.abs(der - d) <= 1e-7 * scale), (spec, shift)
 
 
 # -- the invariant language -------------------------------------------------

@@ -286,6 +286,27 @@ def test_grid_on_fixed_point_checks_exits_2(capsys, check):
     assert rc == 2 and out == "" and "does not apply" in err
 
 
+@pytest.mark.parametrize("check,target,flag", [
+    ("si", MORSE, "--k=5"), ("si", MORSE, "--kmax=7"), ("ladder", MORSE, "--kmax=2"),
+    ("orthonormal", MORSE, "--k=1"), ("cond1", EXT4, "--k=1"), ("cond2", EXT4, "--kmax=2"),
+    ("ext-si", EXT4, "--k=2"), ("ladder", MORSE, "--grid=0,1,5"),
+    ("orthonormal", MORSE, "--grid=0,1,5"),
+])
+def test_a_flag_the_check_does_not_read_exits_2(capsys, check, target, flag):
+    rc, out, err = run(capsys, "verify", check, *target, flag)
+    name = flag.split("=")[0]
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {name} does not apply to verify {check}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("check,flag", [("ladder", "--k=1"), ("orthonormal", "--kmax=3")])
+def test_level_flags_keep_their_defaults(capsys, check, flag):
+    rc, plain, _ = run(capsys, "verify", check, *MORSE, "--json")
+    rc_given, given, _ = run(capsys, "verify", check, *MORSE, flag, "--json")
+    assert rc == rc_given == 0 and plain == given
+
+
 def test_ladder_json_reports_the_grid_it_ran(capsys):
     rc, out, _ = run(capsys, "verify", "ladder", *MORSE, "--k", "1", "--json")
     doc = json.loads(out)

@@ -7,6 +7,7 @@ they serve as the reference oracle.
 """
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from shapeinv import dual
@@ -89,7 +90,7 @@ _DRAW = dict(u=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0),
 def test_derived_w0_matches_printed_display(case, u, w, t, l):
     x, e, r, l = _draw(case, u, w, t, l)
     want, want_d = _printed(case, x, e, r, l)
-    got, got_d = ext._base_w0(CASE_SPECS[case], x, e, r, l)
+    (got,), (got_d,) = ext._base_w0(CASE_SPECS[case], np.array([x]), e, r, l)
     assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (case, x, e, r, l, got, want)
     assert abs(got_d - want_d) <= 1e-13 * (1.0 + abs(want_d)), (case, x, e, r, l, got_d, want_d)
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import random
 import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from shapeinv import invariants
 from shapeinv.errors import EvalDomainError, ExpressionError, ValidationError
 from shapeinv.invariants import (
     FUNCTIONS,
@@ -214,6 +216,34 @@ def test_check_invariance_rejects_m1_with_violation():
     assert v.delta == pytest.approx(float(v.shift), rel=1e-12)
     out = res.to_json()
     assert out["violation"]["delta"] == v.delta
+
+
+def _per_draw_stream(seed, n, count):
+    rng = random.Random(seed)
+    return [tuple(rng.uniform(-5.0, 5.0) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_a_draw_block_is_the_per_draw_stream(monkeypatch, seed, n):
+    blocks, stops = [], invariants._stops
+
+    def spy(expr, m, tol):
+        blocks.append(m.copy())
+        return stops(expr, m, tol)
+    monkeypatch.setattr(invariants, "_stops", spy)
+    assert check_invariance(parse_invariant("1"), n, trials=40, seed=seed).verified
+    assert [tuple(row) for row in blocks[0].tolist()] == _per_draw_stream(seed, n, 40)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n", [1, 3])
+def test_violation_m_is_the_drawn_tuple(seed, n):
+    # |m1| - m1 moves under a shift unless m1 >= 3, so the first draw with
+    # m1 < 3 is the violation, at some position in the block
+    result = check_invariance(parse_invariant("abs(m1) - m1"), n, seed=seed)
+    want = next(m for m in _per_draw_stream(seed, n, 64) if m[0] < 3.0)
+    assert result.violation.m == want and type(result.violation.m[0]) is float
 
 
 def test_check_invariance_rejects_mean():

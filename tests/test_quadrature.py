@@ -191,6 +191,25 @@ def test_norm_integrand_calls(family, k, most):
     assert calls <= most
 
 
+@pytest.mark.parametrize("family", ["scarf1", "scarf1-cot", "rosen-morse1", "rosen-morse1-cot"])
+def test_finite_domains_take_no_peak_sample(family):
+    # only the tail march reads the 257-point peak sample; with both ends
+    # finite the first call is a batch of panel nodes, and the value is the
+    # oracle's, which still samples
+    fp = fixture(family)
+    wf = spectra.wavefunction(fp, 1)
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return wf(x) * wf(x)
+
+    norm = verify.quadrature(f, fp.domain, 1e-10)
+    assert len(sizes) == 3 and sizes[0] % 20 == 0
+    want = oracle_quadrature(f, (fp.domain.lo, fp.domain.hi), 1e-10)
+    assert norm == pytest.approx(want, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # the Gauss-Legendre rule
 

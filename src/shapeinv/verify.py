@@ -334,8 +334,8 @@ def _potential_of(target) -> Callable:
 _STURM_BLOCK = 64
 
 
-def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray:
-    """Number of Dirichlet eigenvalues strictly below each lambda.
+def _sturm_sweep(diag: np.ndarray, off2: float, lams: np.ndarray) -> tuple:
+    """Number of Dirichlet eigenvalues strictly below each lambda, and the twist.
 
     One pass over the matrix for all lambdas of any shape, by a twisted
     factorization T - lambda = L diag(d+, gamma_m, d-) L^T at the middle row
@@ -350,7 +350,9 @@ def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray
     takes the same path.  An exactly zero pivot is taken as -1e-300, so it
     counts as negative and the next pivot is large and positive.  Zero
     pivots are rare: a block is swept without the rule and swept again row
-    by row, with it, only if it holds a zero.
+    by row, with it, only if it holds a zero.  Returns (counts, gamma_m),
+    both of the shape of lams; gamma_m is 1 / ((T - lambda)^-1)_mm, which
+    falls through zero at every level that does not vanish at row m.
     """
     tiny = 1e-300
     lams = np.asarray(lams, dtype=float)
@@ -391,14 +393,54 @@ def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray
             counts += np.add.reduce(blk < 0, axis=(0, 1), dtype=np.uint8)
             buf[0] = blk[-1]
         twist = (diag[m] - lams) - off2 / buf[0, 0] - off2 / buf[0, 1]
-    return counts + (twist <= 0)
+    return counts + (twist <= 0), twist
 
 
 # interior sample points of each bracket per Sturm sweep; a sweep costs one
 # Python-level pass over the matrix whatever the number of points (two numpy
-# calls per pair of rows, see _sturm_counts), so the bracket shrinks 65-fold
+# calls per pair of rows, see _sturm_sweep), so the bracket shrinks 65-fold
 # for about the price of one bisection step
 _MULTISECTION = np.arange(1, 65) / 65.0
+
+# the 64 points around an estimate x* of the level, in units of the bracket
+# width w and in ascending order, which the bracket rule of fd_spectrum needs: x* -/+ 0.5 w (2e-15)^(i/31), i = 0..31,
+# so the next bracket is about twice the estimate's error wide, or 2e-15 w
+_RATIOS = (2e-15) ** (np.arange(32) / 31.0)
+_AROUND = 0.5 * np.concatenate((-_RATIOS, _RATIOS[::-1]))
+
+
+def _root_estimate(pts: np.ndarray, gam: np.ndarray, cnt: np.ndarray, j: int) -> float:
+    """The level in the bracket between samples j - 1 and j, estimated, or nan.
+
+    pts, gam and cnt are one sweep's samples of the bracket, their twists
+    gamma_m and their counts.  1 / gamma_m = ((T - lambda)^-1)_mm is a sum
+    of v_i(m)^2 / (lambda_i - lambda) over the eigenpairs, so where the
+    counts put one level in the bracket and no other in samples j - 2 ..
+    j + 1, it is a simple pole at that level on a smooth background.  The
+    second divided differences of c / (r - lambda) + p + q lambda over
+    three points are c over the product of the (r - x_i), so two of them,
+    over samples j - 2 .. j and j - 1 .. j + 1, give the pole r in closed
+    form.  The estimate stands if it lies in the bracket with a positive
+    residue c, as a level's v_i(m)^2 has.  Plain floats: a few dozen scalar
+    operations cost less than numpy calls on arrays this small.
+    """
+    if j < 2 or j + 1 >= len(pts):
+        return math.nan
+    xs, ys, cs = (v[j - 2:j + 2].tolist() for v in (pts, gam, cnt))
+    if not (cs[0] == cs[1] and cs[2] == cs[3] == cs[1] + 1 and xs[0] < xs[1] < xs[2] < xs[3]
+            and all(math.isfinite(y) and y != 0.0 for y in ys)):
+        return math.nan
+    g = [1.0 / y for y in ys]
+    d1 = [(g[i + 1] - g[i]) / (xs[i + 1] - xs[i]) for i in range(3)]
+    d2 = [(d1[i + 1] - d1[i]) / (xs[i + 2] - xs[i]) for i in range(2)]
+    if d2[1] == 0.0 or d2[0] == d2[1]:
+        return math.nan
+    # d2[0] / d2[1] = (r - x3) / (r - x0)
+    r = xs[0] + (xs[3] - xs[0]) / (1.0 - d2[0] / d2[1])
+    # the residue c = d2[0] (r - x0) (r - x1) (r - x2)
+    if xs[1] <= r <= xs[2] and d2[0] * (r - xs[0]) * (r - xs[1]) * (r - xs[2]) > 0.0:
+        return r
+    return math.nan
 
 
 def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
@@ -408,9 +450,17 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     from Sturm counts by bracketed multisection, independent of every
     closed-form result.  The first sweep samples a geometric ladder above
     the Gershgorin floor, which brackets every level however wide the
-    Gershgorin span; each later sweep samples 64 interior points of every
-    bracket, until the widest bracket is within 1e-11 (1 + max |lambda|).
-    The matrix has N - 2 rows, so a larger count raises ValidationError.
+    Gershgorin span.  Each later sweep samples 64 points of every bracket:
+    around the level that the last sweep's twists gamma_m estimate
+    (`_root_estimate`, `_AROUND`) where they allow it, and uniformly where
+    they do not, until the widest bracket is within 1e-11 (1 + max |lambda|).
+    Where the samples land only decides how fast the brackets shrink: each
+    returned level is the midpoint of a bracket whose ends the Sturm counts
+    certify.  On the benchmark's families a call takes 4.1 to 5.5 sweeps on
+    average, 6 on three half-line families whose states are small at the
+    middle row, and 8.2, the uniform rate, on eckart, where the level's pole
+    in 1 / gamma_m stays hidden.  The matrix has N - 2 rows, so a larger
+    count raises ValidationError.
     """
     if count < 1:
         raise ValidationError("eigenvalue count must be >= 1")
@@ -438,17 +488,22 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     targets = np.arange(count)[:, None]
     rows = np.arange(count)
     for _ in range(200):
-        cnt = _sturm_counts(diag, off2, pts)
+        cnt, gam = _sturm_sweep(diag, off2, pts)
         # the first sample with more than k levels below it (else the old
         # upper end) closes bracket k: count(lo) <= k < count(hi) holds
         # even if rounding makes the counts non-monotone
         j = np.argmax(np.column_stack((cnt > targets, np.ones(count, dtype=bool))), axis=1)
-        edges = np.column_stack((los, np.broadcast_to(pts, (count, pts.shape[1])), his))
+        pts, cnt, gam = (np.broadcast_to(a, (count, pts.shape[1])) for a in (pts, cnt, gam))
+        edges = np.column_stack((los, pts, his))
         los, his = edges[rows, j], edges[rows, j + 1]
         mids = 0.5 * (los + his)
-        if float(np.max(his - los)) <= 1e-11 * (1.0 + float(np.max(np.abs(mids)))):
+        width = his - los
+        if float(np.max(width)) <= 1e-11 * (1.0 + float(np.max(np.abs(mids)))):
             break
-        pts = los[:, None] + (his - los)[:, None] * _MULTISECTION
+        guess = np.array([_root_estimate(*row) for row in zip(pts, gam, cnt, j.tolist())])[:, None]
+        pts = np.where(np.isfinite(guess),
+                       np.clip(guess + width[:, None] * _AROUND, los[:, None], his[:, None]),
+                       los[:, None] + width[:, None] * _MULTISECTION)
     return [float(x) for x in mids]
 
 

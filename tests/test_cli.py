@@ -208,6 +208,18 @@ def test_oracle_compare(capsys):
     assert max(row["deviation"] for row in doc["levels"]) <= 5e-3
 
 
+def test_oracle_compare_json_deterministic(capsys):
+    # the FD levels depend on where the guided sweeps put their samples;
+    # the same job must still print the same bytes
+    rc1, out1, _ = run(capsys, "oracle", "compare", *MORSE, "--kmax", "2", "--json")
+    rc2, out2, _ = run(capsys, "oracle", "compare", *MORSE, "--kmax", "2", "--json")
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    doc = json.loads(out1)
+    assert [row["k"] for row in doc["levels"]] == [0, 1, 2]
+    assert 0 < doc["levels"][1]["oracle_gap"] < doc["levels"][2]["oracle_gap"]
+
+
 def test_oracle_compare_box_flag(capsys):
     rc, out, _ = run(capsys, "oracle", "compare", *MORSE, "--kmax", "2",
                      "--oracle=-3,30,2000", "--json")

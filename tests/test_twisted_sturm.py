@@ -1,15 +1,19 @@
 """The twisted Sturm kernel and the near-degenerate Jacobi path.
 
-`verify._sturm_counts` runs the forward pivots over rows 0..m-1 and the
+`verify._sturm_sweep` runs the forward pivots over rows 0..m-1 and the
 backward pivots over rows N-1..m+1 together and adds the twist element at
 m = N // 2.  Its counts must match the one-sided per-row sweep and LAPACK's
 eigenvalues, whatever N, wherever the twist row falls against a block edge
-and wherever an exact zero pivot lands.
+and wherever an exact zero pivot lands.  `fd_spectrum` places its samples
+around the levels that the twist estimates, but the levels it returns must
+still match LAPACK and sit between the per-row counts, whether the
+estimates serve or not.
 """
 
 from fractions import Fraction
+import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -50,11 +54,11 @@ def test_twisted_counts_match_eigvalsh_and_the_per_row_sweep(n, scale, off2, see
         # neighbouring levels closer than rounding leave the midpoint's count open
         lams = lams[np.concatenate(([True], gaps > 1e-9 * pad, [True]))]
     want = np.searchsorted(levels, lams)
-    got = verify._sturm_counts(diag, off2, lams)
+    got = verify._sturm_sweep(diag, off2, lams)[0]
     assert np.array_equal(got, want), (n, got, want)
     assert np.array_equal(got, _sturm_counts_by_row(diag, off2, lams))
     two_d = np.stack([lams, lams[::-1]])
-    assert np.array_equal(verify._sturm_counts(diag, off2, two_d),
+    assert np.array_equal(verify._sturm_sweep(diag, off2, two_d)[0],
                           _sturm_counts_by_row(diag, off2, two_d))
 
 
@@ -78,7 +82,7 @@ def test_twisted_counts_exact_zero_pivots_at_the_twist(n, where, s):
             diag[i] = 0.0 if i in (0, n - 1) else s
     off2 = s * s
     lams = np.array([0.0, s, -s, 0.5 * s, 2.0 * s, 3.9 * s, 1e-300, -1e-300])
-    got = verify._sturm_counts(diag, off2, lams)
+    got = verify._sturm_sweep(diag, off2, lams)[0]
     assert np.array_equal(got, _sturm_counts_by_row(diag, off2, lams))
     # the count at lambda = 0 lies between the levels strictly below and
     # the levels at or below it, up to rounding
@@ -89,12 +93,102 @@ def test_twisted_counts_exact_zero_pivots_at_the_twist(n, where, s):
 
 @pytest.mark.parametrize("fid", FAMILY_IDS)
 def test_fd_spectrum_matches_the_per_row_oracle(fid, monkeypatch):
-    # the multisection only reads counts, so equal counts give equal levels
+    # the twist only places the samples; the brackets are read from the
+    # counts, so the per-row counts with the same twist give equal levels
     fp = fixture(fid)
     box = reference_oracle(fp, 1000)
     got = fd_spectrum(fp, box, 4)
-    monkeypatch.setattr(verify, "_sturm_counts", _sturm_counts_by_row)
+    real = verify._sturm_sweep
+    sweeps = []
+
+    def by_row(diag, off2, lams):
+        sweeps.append(lams.shape)
+        return _sturm_counts_by_row(diag, off2, lams), real(diag, off2, lams)[1]
+
+    monkeypatch.setattr(verify, "_sturm_sweep", by_row)
     assert got == fd_spectrum(fp, box, 4)
+    assert len(sweeps) >= 2, sweeps
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(gaps=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3), where=st.floats(0.0, 1.0),
+       c=st.floats(1e-6, 1e6), p=st.floats(-100.0, 100.0), q=st.floats(-100.0, 100.0),
+       lead=st.integers(0, 3), scale=st.sampled_from([1e-9, 1.0, 1e3]))
+def test_root_estimate_recovers_the_pole_of_a_linear_background(gaps, where, c, p, q, lead,
+                                                                  scale):
+    # 1 / gamma = c (1 / (r - x) + (p + q u) / w), u = (x - x0) / w over the
+    # window of width w, is the model the estimate solves exactly: with one
+    # level between samples j - 1 and j it returns r up to rounding, and it
+    # declines (nan) when the residue is negative, when the counts put
+    # another level among the four samples, or without sample j - 2
+    xs = 5.0 + scale * np.concatenate(([0.0], np.cumsum(gaps)))
+    w = xs[3] - xs[0]
+    r = xs[1] + where * (xs[2] - xs[1])
+    assume(xs[1] < r < xs[2])
+    inv = c * (1.0 / (r - xs) + (p + q * (xs - xs[0]) / w) / w)
+    assume(np.all(inv != 0.0))
+    pts = np.concatenate((np.linspace(0.0, 4.0, lead), xs))
+    gam = np.concatenate((np.ones(lead), 1.0 / inv))
+    cnt = np.array([2] * (lead + 2) + [3, 3])
+    j = lead + 2
+    got = verify._root_estimate(pts, gam, cnt, j)
+    assert abs(got - r) <= 1e-9 * w, (got, r)
+    assert math.isnan(verify._root_estimate(pts, -gam, cnt, j))
+    for i, k in ((lead, 1), (lead + 3, 4)):
+        other = cnt.copy()
+        other[i] = k
+        assert math.isnan(verify._root_estimate(pts, gam, other, j))
+    assert math.isnan(verify._root_estimate(pts[lead + 1:], gam[lead + 1:], cnt[lead + 1:], 1))
+
+
+HALF_LINE = ["poschl-teller", "radial-osc", "eckart", "coulomb"]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(shape=st.sampled_from(["smooth", "double-well", "half-line"]), n=st.integers(500, 800),
+       half=st.floats(3.0, 6.0), c=st.floats(0.5, 5.0), s=st.floats(0.5, 1.5),
+       amp=st.floats(-10.0, 10.0), freq=st.floats(0.0, 4.0), fid=st.sampled_from(HALF_LINE),
+       count=st.integers(1, 5))
+def test_guided_levels_match_eigvalsh_and_the_per_row_counts(shape, n, half, c, s, amp, freq,
+                                                             fid, count):
+    # a smooth well, a symmetric double well c (x^2 - s^2)^2 on an odd grid,
+    # whose middle row is x = 0 where the odd states vanish (there a pole of
+    # the twist meets its zero, and 1 / gamma_m shows no pole at the level,
+    # so those brackets take the uniform samples), and a half-line family,
+    # whose states are tiny at the middle row
+    if shape == "half-line":
+        target = fixture(fid)
+        box = reference_oracle(target, n)
+        potential = verify._potential_of(target)
+    elif shape == "double-well":
+        box = verify.OracleSpec(-half, half, n | 1)
+        target = potential = lambda xs: c * (xs ** 2 - s * s) ** 2
+    else:
+        box = verify.OracleSpec(-half, half, n)
+        target = potential = lambda xs: c * xs ** 2 + amp * np.sin(freq * xs + s)
+    h = (box.b - box.a) / (box.n - 1)
+    diag = 2.0 / h ** 2 + potential(box.a + h * np.arange(1, box.n - 1))
+    off2 = 1.0 / h ** 4
+    estimates = []
+    real = verify._root_estimate
+
+    def placed(*args):
+        estimates.append(real(*args))
+        return estimates[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_root_estimate", placed)
+        got = fd_spectrum(target, box, count)
+    want = _eigenvalues(diag, off2)[:count]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-9 * (1.0 + abs(w)), (k, g, w)
+        delta = 1e-9 * (1.0 + abs(g))
+        below, above = _sturm_counts_by_row(diag, off2, np.array([g - delta, g + delta]))
+        assert below <= k < above, (k, g, below, above)
+    # one estimate per bracket per sweep, level by level: the odd level's
+    # bracket falls back to uniform samples after the ladder's sweep too
+    if shape == "double-well" and count >= 2:
+        assert any(math.isnan(x) for x in estimates[1::count][1:]), estimates
 
 
 # cond1 inputs where the Jacobi recurrence's n = 2 denominator

@@ -103,25 +103,28 @@ def test_fd_morse_levels_bracketed_by_sturm_counts():
     diag, off2 = _fd_matrix(verify._potential_of(fp), box)
     for k, value in enumerate(lam):
         delta = 1e-9 * (1.0 + abs(value))
-        below, above = verify._sturm_counts(diag, off2, np.array([value - delta, value + delta]))
+        lams = np.array([value - delta, value + delta])
+        below, above = verify._sturm_sweep(diag, off2, lams)[0]
         assert below <= k < above, (k, value, below, above)
 
 
 def test_fd_sweep_count_guard(monkeypatch):
-    # multisection needs a handful of Sturm sweeps where bisection from the
-    # Gershgorin bounds needed over a hundred
+    # multisection placed around the levels the twist estimates needs four
+    # Sturm sweeps here (the ladder, one uniform sweep, two around the
+    # estimates), where uniform multisection needed eight and bisection
+    # from the Gershgorin bounds over a hundred
     fp = simple("morse", 2.5, 1.0)
     box = reference_oracle(fp, 3000)
     sweeps = [0]
-    real = verify._sturm_counts
+    real = verify._sturm_sweep
 
     def counted(*args):
         sweeps[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(verify, "_sturm_counts", counted)
+    monkeypatch.setattr(verify, "_sturm_sweep", counted)
     fd_spectrum(fp, box, 3)
-    assert 1 <= sweeps[0] <= 12, sweeps[0]
+    assert 1 <= sweeps[0] <= 4, sweeps[0]
 
 
 def _sturm_counts_by_row(diag, off2, lams):
@@ -162,7 +165,7 @@ def test_sturm_counts_match_the_per_row_sweep(n, scale, off, shape, seed):
     diag = 2.0 * off ** 0.5 + scale * rng.standard_normal(n)
     spread = 2.0 * off ** 0.5 + scale
     lams = rng.uniform(diag.min() - spread, diag.max() + spread, size=shape)
-    got = verify._sturm_counts(diag, off, lams)
+    got = verify._sturm_sweep(diag, off, lams)[0]
     want = _sturm_counts_by_row(diag, off, lams)
     assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -205,7 +208,7 @@ def test_sturm_counts_exact_zero_pivots(n, zeros, s, two_d):
     lams = np.array([0.0, s, -s, 0.5 * s, 2.0 * s, 3.9 * s, 1e-300])
     if two_d:
         lams = np.stack([lams, lams[::-1] + s])
-    got = verify._sturm_counts(diag, off2, lams)
+    got = verify._sturm_sweep(diag, off2, lams)[0]
     assert np.array_equal(got, _sturm_counts_by_row(diag, off2, lams))
 
 

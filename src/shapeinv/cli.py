@@ -337,7 +337,7 @@ def cmd_wavefunction(args) -> int:
     xs, _ = verify.grid_points(fp.domain, cfg.grid or verify.default_grid(fp, 201))
     zeta = np.asarray(wf(xs), dtype=float)
     v, _ = families.partner_potentials(fp, xs)
-    norm = verify.quadrature(lambda t: wf(t) * wf(t), fp.domain, 1e-10)
+    norm = verify.quadrature(lambda t: (z := wf(t)) * z, fp.domain, 1e-10)
     residue = wf.imag_residue(xs)
     if cfg.format == "json":
         out = {

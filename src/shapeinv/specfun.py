@@ -76,8 +76,7 @@ def jacobi_p(k: int, a, b, z):
     a, b may be complex; z may be scalar, array, or Dual.
     """
     _check_degree(k)
-    one = z * 0 + 1.0
-    return _jacobi(k, a, b, z, one, 1.0, one)
+    return _jacobi(k, a, b, z, 1.0, 1.0, z * 0 + 1.0)
 
 
 def jacobi_p_homogeneous(k: int, a, b, z, w):
@@ -93,9 +92,9 @@ def laguerre_l(k: int, a, z):
     if k == 0:
         return one
     p_prev = one
-    p_cur = (1 + a) * one - z
+    p_cur = (1 + a) - z
     for n in range(2, k + 1):
-        p_next = (((2 * n - 1 + a) * one - z) * p_cur - (n - 1 + a) * p_prev) / n
+        p_next = (((2 * n - 1 + a) - z) * p_cur - (n - 1 + a) * p_prev) / n
         p_prev, p_cur = p_cur, p_next
     return p_cur
 

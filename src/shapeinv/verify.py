@@ -152,93 +152,124 @@ _TAIL_BLOCK = 8
 
 
 def _gl_panels(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """20-point Gauss-Legendre values of f on the panels [a_i, b_i], one call."""
+    """20-point Gauss-Legendre values of f on the panels [a_i, b_i], one call.
+
+    The shape is f's leading (component) shape plus one axis over the panels.
+    """
     half = 0.5 * (b - a)
     xs = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
-    vals = np.broadcast_to(np.asarray(f(xs.ravel()), dtype=float), (xs.size,))
-    return half * np.sum(_GL_W * vals.reshape(xs.shape), axis=1)
+    vals = np.asarray(f(xs.ravel()), dtype=float)
+    if vals.shape[-1:] != (xs.size,):
+        vals = np.broadcast_to(vals, (xs.size,))
+    return half * np.sum(_GL_W * vals.reshape(vals.shape[:-1] + xs.shape), axis=-1)
 
 
-def _refine(f, lo: np.ndarray, hi: np.ndarray, budget: float) -> float:
+def _refine(f, lo: np.ndarray, hi: np.ndarray, budget: float) -> np.ndarray:
     """Sum of the adaptive integrals over the seed panels [lo_i, hi_i].
 
     The recursion adapt(a, b) = fine when |fine - coarse| <= max(budget/2^depth,
-    1e-16 |fine|), else adapt(a, mid) + adapt(mid, b), run depth first and
-    leftmost first, but bisecting up to _BATCH pending panels per integrand
-    call; each half's value is its child's coarse value.  The accepted
-    panels are summed by one np.sum, and NonConvergence names the leftmost
-    panel still failing at depth 30, the one the recursion stops at.  A call
-    in which no panel settles halves the next batch (down to 2 panels), and
-    one in which any settles doubles it again: in a region that never
-    settles, the one-panel recursion walks only its leftmost path to depth 30.
+    1e-16 |fine|) for every component, else adapt(a, mid) + adapt(mid, b),
+    run depth first and leftmost first, but bisecting up to _BATCH pending
+    panels per integrand call; each half's value is its child's coarse value.
+    The accepted panels are summed by one np.sum per component, and
+    NonConvergence names the leftmost panel still failing at depth 30, the
+    one the recursion stops at.  A call in which no panel settles halves the
+    next batch (down to 2 panels), and one in which any settles doubles it
+    again: in a region that never settles, the one-panel recursion walks only
+    its leftmost path to depth 30.  Returns an array of f's leading shape.
     """
-    # pending panels, leftmost last: ends, depth and coarse value
-    a, b = lo[::-1], hi[::-1]
-    depth = np.zeros(a.size, dtype=np.int64)
-    coarse = _gl_panels(f, lo, hi)[::-1]
+    coarse = _gl_panels(f, lo, hi)
+    lead = coarse.shape[:-1]
+    # pending panels, leftmost first, one column each: the ends, the depth
+    # and the coarse value of every component
+    pending = np.vstack((lo, hi, np.zeros(lo.size), coarse.reshape(-1, lo.size)))
     accepted = []
     failed = None
     cap = _BATCH
-    while a.size:
-        ba, bb, bd, bc = (v[-cap:][::-1] for v in (a, b, depth, coarse))
-        a, b, depth, coarse = (v[:-cap] for v in (a, b, depth, coarse))
-        mid = 0.5 * (ba + bb)
-        halves = _gl_panels(f, np.concatenate((ba, mid)), np.concatenate((mid, bb)))
-        left, right = halves[:ba.size], halves[ba.size:]
-        fine = left + right
-        ok = np.abs(fine - bc) <= np.maximum(budget / 2.0 ** bd, 1e-16 * np.abs(fine))
+    while pending.shape[1]:
+        batch, pending = pending[:, :cap], pending[:, cap:]
+        a, b, depth = batch[:3]
+        n = a.size
+        # the children's ends: [a, mid] for the left halves, then [mid, b]
+        ends = np.concatenate((a, 0.5 * (a + b), b))
+        halves = _gl_panels(f, ends[:2 * n], ends[n:]).reshape(-1, 2 * n)
+        fine = halves[:, :n] + halves[:, n:]
+        ok = (np.abs(fine - batch[3:]) <= np.maximum(budget / 2.0 ** depth,
+                                                      1e-16 * np.abs(fine))).all(axis=0)
         cap = min(_BATCH, 2 * cap) if ok.any() else max(2, cap // 2)
-        stuck = ~ok & (bd >= _MAX_DEPTH)
+        stuck = ~ok & (depth >= _MAX_DEPTH)
         if stuck.any():
             # everything pending lies right of this panel: only the panels
             # left of it can still fail first
             i = int(np.argmax(stuck))
-            failed = (ba[i], bb[i])
-            a, b, depth, coarse = (v[:0] for v in (a, b, depth, coarse))
+            failed = (a[i], b[i])
+            pending = pending[:, :0]
             ok = ok[:i]
-        accepted.append(fine[:ok.size][ok])
-        # the halves of each split panel, pushed so that the leftmost is last
-        split = np.flatnonzero(~ok)
-        kids = ((ba, mid), (mid, bb), (bd + 1, bd + 1), (left, right))
-        a, b, depth, coarse = (np.concatenate((v, np.column_stack(k)[split].ravel()[::-1]))
-                               for v, k in zip((a, b, depth, coarse), kids))
+        accepted.append(np.compress(ok, fine, axis=1))
+        # the halves of each split panel, left then right, ahead of the rest;
+        # one column per child: its ends, its depth and its values
+        split = np.nonzero(~ok)[0]
+        deeper = depth + 1
+        kids = np.concatenate((ends[:2 * n], ends[n:], deeper, deeper, halves.ravel()))
+        kids = kids.reshape(-1, 2 * n)[:, (split[:, None] + (0, n)).ravel()]
+        pending = np.concatenate((kids, pending), axis=1)
     if failed is not None:
         raise NonConvergence(f"quadrature failed to settle on [{failed[0]:.6g}, "
                              f"{failed[1]:.6g}] after depth {_MAX_DEPTH}")
-    return float(np.sum(np.concatenate(accepted)))
+    return np.sum(np.concatenate(accepted, axis=1), axis=1).reshape(lead)
 
 
-def _peak_sample(f, lo: float, hi: float) -> tuple[float, float, float]:
+def _components(vals, n: int) -> np.ndarray:
+    """|f| on n samples as one row per component (one row for a scalar f)."""
+    vals = np.asarray(vals)
+    if vals.shape[-1:] != (n,):
+        vals = np.broadcast_to(vals, (n,))
+    return np.abs(vals.reshape(-1, n))
+
+
+def _peak_sample(f, lo: float, hi: float) -> tuple:
     """Peak |f| on a sample window, and the outermost samples above 1e-16 of it.
 
     An infinite side of the window doubles while the sampled maximum sits on
     its edge, or while nothing sampled is nonzero, out to |x| = 1e9, so a
-    peak far from the origin is found.
+    peak far from the origin is found.  Each component of a vector f has its
+    own peak and outermost samples, and the window grows while any component
+    asks it to.  Returns the peaks as a column (one row per component, one
+    row for a scalar f) and the first and last loud samples as rows, inf and
+    -inf for a component with none.
     """
     a = lo if math.isfinite(lo) else hi - max(8.0, 2 * abs(hi) + 1) if math.isfinite(hi) else -4.0
     b = hi if math.isfinite(hi) else lo + max(8.0, 2 * abs(lo) + 1) if math.isfinite(lo) else 4.0
     while True:
         width = b - a
         xs = np.linspace(a + 1e-9 * width, b - 1e-9 * width, 257)
-        vals = np.abs(np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape))
+        vals = _components(np.asarray(f(xs), dtype=float), 257)
         vals[~np.isfinite(vals)] = 0.0
-        top = int(np.argmax(vals))
-        grow_lo = not math.isfinite(lo) and a > -1e9 and (top == 0 or vals[top] == 0)
-        grow_hi = not math.isfinite(hi) and b < 1e9 and (top == 256 or vals[top] == 0)
+        top = np.argmax(vals, axis=1)
+        peak = vals[np.arange(top.size), top][:, None]
+        silent = peak[:, 0] == 0
+        grow_lo = not math.isfinite(lo) and a > -1e9 and bool(np.any((top == 0) | silent))
+        grow_hi = not math.isfinite(hi) and b < 1e9 and bool(np.any((top == 256) | silent))
         if not (grow_lo or grow_hi):
             break
         a, b = (max(a - width, -1e9) if grow_lo else a), (min(b + width, 1e9) if grow_hi else b)
-    peak = float(vals[top]) if vals[top] > 0 else 1.0
-    loud = xs[vals > _TAIL_REL * peak]
-    if not loud.size:
-        return peak, math.inf, -math.inf
-    return peak, float(loud[0]), float(loud[-1])
+    peak[silent] = 1.0
+    loud = vals > _TAIL_REL * peak
+    heard = loud.any(axis=1)
+    first = np.where(heard, xs[np.argmax(loud, axis=1)], math.inf)
+    last = np.where(heard, xs[256 - np.argmax(loud[:, ::-1], axis=1)], -math.inf)
+    return peak, first, last
 
 
-def _march_tail(f, start: float, direction: float, thresh: float, beyond: float) -> float:
-    """First of three quiet samples in a row, counting only those past beyond."""
+def _march_tail(f, start: float, direction: float, thresh, beyond) -> list:
+    """Each component's tail end: the third of three samples in a row past
+    its outermost loud one (beyond) at which its |f| is at most its
+    threshold.  thresh is a column and beyond a row, one entry per component
+    (one for a scalar f); the march goes on until every component has ended.
+    """
     t = start
-    quiet = 0
+    ends = [None] * len(beyond)
+    quiet = [0] * len(beyond)
     while True:
         ts = []
         for _ in range(_TAIL_BLOCK):
@@ -247,25 +278,32 @@ def _march_tail(f, start: float, direction: float, thresh: float, beyond: float)
                 break
             ts.append(t)
         if ts:
-            vals = np.abs(np.broadcast_to(np.asarray(f(np.array(ts))), (len(ts),)))
-            for t_i, small in zip(ts, (vals <= thresh).tolist()):
-                quiet = quiet + 1 if small and (t_i - beyond) * direction > 0 else 0
-                if quiet == 3:
-                    return t_i
+            small = (_components(f(np.array(ts)), len(ts)) <= thresh).tolist()
+            for c, (row, edge) in enumerate(zip(small, beyond.tolist())):
+                for t_i, quiet_i in zip(ts, row):
+                    if ends[c] is not None:
+                        break
+                    quiet[c] = quiet[c] + 1 if quiet_i and (t_i - edge) * direction > 0 else 0
+                    if quiet[c] == 3:
+                        ends[c] = t_i
+            if None not in ends:
+                return ends
         if abs(t) > 1e9:
             raise NonConvergence("tail truncation point not found below |x| = 1e9")
 
 
-def _seed_panels(a: float, b: float, grade_lo: bool, grade_hi: bool) -> list:
+def _seed_panels(a: float, b: float, grade_lo: bool, grade_hi: bool, ends=()) -> list:
     """Breakpoints, geometrically graded toward originally-finite endpoints.
 
     Integrable power-law steepness at an endpoint defeats plain bisection
     (the local budget shrinks faster than the panel error), so the mesh is
     pre-refined down to ~1e-15 of the width there; each cell is then smooth
-    enough for the adaptive rule.
+    enough for the adaptive rule.  The tail ends of the components of a
+    vector integrand are cuts too, so each component's own seed panel is a
+    union of shared ones.
     """
     width = b - a
-    cuts = {a, b}
+    cuts = {a, b, *ends}
     if grade_lo:
         cuts.update(a + width * 0.5 ** j for j in range(1, 51))
     if grade_hi:
@@ -273,15 +311,20 @@ def _seed_panels(a: float, b: float, grade_lo: bool, grade_hi: bool) -> list:
     return sorted(cuts)
 
 
-def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
+def quadrature(f: Callable, domain, tol: float = 1e-10):
     """Adaptive composite Gauss-Legendre integral of f over the domain.
 
     Infinite tails are truncated where |f| stays below 1e-16 of its sampled
     peak, beyond the outermost sample above that; panels split until the
     local budget is met or depth 30 trips NonConvergence.  Evaluation is
     batched: f receives a 1-D array of nodes of any length (the nodes of up
-    to 64 panels, or a block of tail samples) and its result is broadcast
-    to that shape, so an f that returns a constant works too.  numpy's
+    to 64 panels, or a block of tail samples).  A constant or 1-D result is
+    broadcast to that shape and the integral is a float.  A result of shape
+    (..., nodes) is a vector integrand, integrated over one shared
+    subdivision, and the integral is an array of the leading shape: a panel
+    is accepted when every component meets the rule, each component's tail
+    ends where it alone would (1e-16 of its own peak), the shared tail runs
+    to the farthest of these ends, and every end is a seed cut.  numpy's
     floating-point warnings are off throughout.
     """
     if isinstance(domain, families.Domain):
@@ -295,11 +338,14 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
         if not (grade_lo and grade_hi):    # only the tail march reads the peak sample
             peak, loud_lo, loud_hi = _peak_sample(f, a, b)
             thresh = _TAIL_REL * peak
+        ends = []
         if not grade_hi:
-            b = _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh, loud_hi)
+            ends += _march_tail(f, max(1.0, a + 1.0 if grade_lo else 1.0), +1.0, thresh, loud_hi)
+            b = max(ends)
         if not grade_lo:
-            a = _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh, loud_lo)
-        cuts = _seed_panels(a, b, grade_lo, grade_hi)
+            ends += _march_tail(f, min(-1.0, b - 1.0), -1.0, thresh, loud_lo)
+            a = min(ends)
+        cuts = _seed_panels(a, b, grade_lo, grade_hi, ends)
         # the outermost graded sliver (width 2^-50 of the span) carries ~1e-17
         # of any integrable mass but its nodes round onto the endpoint; drop it
         if grade_lo and len(cuts) > 2:
@@ -309,7 +355,8 @@ def quadrature(f: Callable, domain, tol: float = 1e-10) -> float:
         budget = float(tol) / max(1, len(cuts) - 1)
         lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
         keep = hi > lo
-        return _refine(f, lo[keep], hi[keep], budget)
+        total = _refine(f, lo[keep], hi[keep], budget)
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -615,22 +662,34 @@ def schrodinger_residual(fp: FamilyParams, k: int, n: int = 1501) -> GridReport:
 
 
 def orthonormality(fp: FamilyParams, kmax: int, tol: float = 1e-9) -> GramReport:
-    """Quadrature Gram matrix of the states up to kmax against the identity."""
+    """Quadrature Gram matrix of the states up to kmax against the identity.
+
+    Two quadratures, each evaluating every state it reads once per node.
+    The ground-state norm runs first and alone: it is the entry that meets
+    a state's trouble at a wall first, and alone it fails there fast, with
+    the message of its own panel.  All other entries then share one vector
+    quadrature (one component per pair, one subdivision for all), so a
+    panel is refined until every entry settles on it.
+    """
     levels = spectra.admissible_range(fp).levels(kmax)
     if not levels:
         raise ValidationError(f"family {fp.id!r} has no admissible levels")
     states = [spectra.wavefunction(fp, k) for k in levels]
     dom = fp.domain
-    entries = []
-    worst = 0.0
-    for i, ki in enumerate(levels):
-        for j in range(i, len(levels)):
-            fi, fj = states[i], states[j]
-            val = quadrature(lambda x: fi(x) * fj(x), dom, tol)
-            want = 1.0 if i == j else 0.0
-            worst = max(worst, abs(val - want))
-            entries.append((ki, levels[j], val))
-    return GramReport(levels=tuple(levels), max_deviation=worst, entries=tuple(entries))
+
+    values = [quadrature(lambda x: (z := states[0](x)) * z, dom, tol)]
+    pairs = [(i, j) for i in range(len(levels)) for j in range(i, len(levels))]
+    if len(pairs) > 1:
+        left, right = np.array(pairs[1:]).T
+
+        def products(x):
+            z = np.array([state(x) for state in states])
+            return z[left] * z[right]
+
+        values.extend(quadrature(products, dom, tol).tolist())
+    entries = tuple((levels[i], levels[j], val) for (i, j), val in zip(pairs, values))
+    worst = max(0.0, *(abs(val - (1.0 if i == j else 0.0)) for i, j, val in entries))
+    return GramReport(levels=tuple(levels), max_deviation=worst, entries=entries)
 
 
 def report_json(fp, report: GridReport, grid) -> dict:

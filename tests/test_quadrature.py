@@ -170,6 +170,71 @@ def test_non_finite_nodes_raise_without_warnings():
 
 
 # ---------------------------------------------------------------------------
+# vector integrands: one shared subdivision for all components
+
+# per domain, three components of unlike shapes and scales; on the infinite
+# lines the third is small with an algebraic tail, so a tail rule that
+# measured it against the largest peak would cut it 3e-12 or more short
+VECTOR_CASES = {
+    "finite": ((0.0, 2.0), (lambda x: x ** -0.3, lambda x: np.cos(3.0 * x) + 2.0,
+                            lambda x: np.exp(x) * x ** 1.5)),
+    "right": ((-0.5, math.inf), (lambda x: np.exp(-x * x),
+                                 lambda x: x * x * np.exp(-0.2 * (x - 3.0) ** 2),
+                                 lambda x: 1e-5 / (1.0 + (x - 3.0) ** 2) ** 4)),
+    "left": ((-math.inf, 1.0), (lambda x: np.exp(-x * x),
+                                lambda x: x * x * np.exp(-0.2 * (x + 3.0) ** 2),
+                                lambda x: 1e-5 / (1.0 + (x + 3.0) ** 2) ** 4)),
+    "whole": ((-math.inf, math.inf), (lambda x: np.exp(-x * x),
+                                      lambda x: x * x * np.exp(-0.2 * (x + 5.0) ** 2),
+                                      lambda x: 1e-5 / (1.0 + (x + 5.0) ** 2) ** 4)),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("case", list(VECTOR_CASES))
+def test_vector_components_match_scalar_quadratures(case, m):
+    domain, parts = VECTOR_CASES[case]
+    parts = parts[:m]
+    got = verify.quadrature(lambda x: np.array([f(x) for f in parts]), domain)
+    assert got.shape == (m,)
+    for value, f in zip(got, parts):
+        assert value == pytest.approx(verify.quadrature(f, domain), rel=1e-12, abs=0)
+
+
+def test_a_narrow_component_keeps_its_own_tail_end():
+    # the wide component alone reaches |x| ~ 4,000; each component's own
+    # tail end is a seed cut, so the narrow bump starts from a panel of its
+    # own size (without those cuts this one reads 1.5e-6 low)
+    parts = (lambda x: np.exp(-(x - 3.3) ** 2), lambda x: 1e-3 * np.exp(-(3e-3 * x) ** 2))
+    got = verify.quadrature(lambda x: np.array([f(x) for f in parts]), (-math.inf, math.inf))
+    assert got == pytest.approx([math.sqrt(math.pi), math.sqrt(math.pi) / 3.0], rel=1e-12, abs=0)
+
+
+def test_vector_result_keeps_the_leading_shape():
+    got = verify.quadrature(
+        lambda x: np.array([[x, x * x], [np.ones_like(x), x ** 3]]), (0.0, 1.0))
+    assert got.shape == (2, 2)
+    assert np.allclose(got, [[0.5, 1.0 / 3.0], [1.0, 0.25]], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_a_component_that_never_settles_names_the_leftmost_stuck_panel(first):
+    # a panel is accepted only when every component settles on it, so the
+    # smooth component does not hide the nan-half one, and the failure is
+    # the one the one-panel recursion meets on nan-half alone
+    def nan_half(x):
+        return np.where(x < 0.5, 0.0, np.nan)
+
+    def pair(x):
+        parts = (nan_half(x), np.exp(x))
+        return np.array(parts if first else parts[::-1])
+
+    want = _outcome(oracle_quadrature, nan_half, (0.0, 1.0))
+    assert want[0] == "NonConvergence"
+    assert _outcome(verify.quadrature, pair, (0.0, 1.0)) == want
+
+
+# ---------------------------------------------------------------------------
 # integrand-call guards: a batched engine calls f a handful of times
 
 def _norm_calls(fp, k):
@@ -286,3 +351,91 @@ def test_poschl_teller_base_near_zero():
     x = np.array([1e-12, 1e-9, 1e-6, 1e-3])
     lo, _ = families._log_cosh_sides(x)
     assert np.allclose(lo, 2 * np.log(x) - math.log(2.0) + x ** 2 / 12, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# orthonormality: the ground-state norm alone, then every other entry in one
+# vector quadrature
+
+def _scalar_entries(fp, kmax, tol=1e-9):
+    levels = spectra.admissible_range(fp).levels(kmax)
+    states = {k: spectra.wavefunction(fp, k) for k in levels}
+    out = {}
+    for n, i in enumerate(levels):
+        for j in levels[n:]:
+            fi, fj = states[i], states[j]
+            out[(i, j)] = verify.quadrature(lambda x: fi(x) * fj(x), fp.domain, tol)
+    return out
+
+
+@pytest.mark.parametrize("family", families.family_ids())
+def test_the_ground_state_norm_is_the_scalar_quadrature(family):
+    fp = fixture(family)
+    entries = verify.orthonormality(fp, 3).entries
+    wf = spectra.wavefunction(fp, 0)
+    assert entries[0][:2] == (0, 0)
+    assert entries[0][2] == verify.quadrature(lambda x: wf(x) * wf(x), fp.domain, 1e-9)
+
+
+# radial-osc and poschl-teller are left out: their states can be singular at
+# the graded end x = 0, where the dropped sliver (CHANGES.md FOUND line)
+# makes any two subdivisions disagree by more than this
+@pytest.mark.parametrize("family", sorted(set(families.family_ids())
+                                          - {"radial-osc", "poschl-teller"}))
+def test_gram_entries_match_per_entry_quadratures(family):
+    fp = fixture(family)
+    rep = verify.orthonormality(fp, 3)
+    want = _scalar_entries(fp, 3)
+    assert [(i, j) for i, j, _ in rep.entries] == list(want)
+    for i, j, val in rep.entries:
+        assert abs(val - want[(i, j)]) <= 1e-9, (i, j)
+
+
+def test_a_wall_failure_keeps_the_ground_state_message():
+    # the scarf1 wall draw of test_non_finite_nodes_raise_without_warnings:
+    # the ground-state norm fails first, with the message it fails with alone
+    one = verify_invariant(parse_invariant("1"), 1)
+    data = families.ConstructionData(p=ParamVector((-0.3032802384493791,)),
+                                     couplings=(families.Coupling(one, d=0.538051002893123),))
+    fp = families.build_family("scarf1", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence) as exc:
+            verify.orthonormality(fp, 2)
+    assert str(exc.value) == "quadrature failed to settle on [1.57079, 1.57079] after depth 30"
+
+
+def test_a_wide_state_leaves_the_narrow_entries_alone():
+    # morse at eps - 3 = 1.3e-3: zeta_3 reaches x ~ 25,000 and the other
+    # states end near x = 12-36.  Their tail ends cut the shared seed panel,
+    # so every entry is resolved; the per-entry quadrature of <3|3> alone
+    # reads 1.023 here at tol 1e-9, on one panel out to x ~ 25,000
+    data = families.ConstructionData(p=ParamVector((3.0012510674601653,)),
+                                     couplings=(families.Coupling(
+                                         verify_invariant(parse_invariant("1"), 1),
+                                         d=1.2951966137267656),))
+    rep = verify.orthonormality(families.build_family("morse", data), 3)
+    assert rep.levels == (0, 1, 2, 3)
+    assert rep.max_deviation < 1e-13
+
+
+# nodes at which states are evaluated for orthonormality(fixture, 2); the
+# per-entry quadratures this replaced took 6,876 (harm-osc) and 70,560
+# (scarf1), every state twice per node of every entry
+@pytest.mark.parametrize("family,most", [("harm-osc", 2400), ("scarf1", 24000)])
+def test_orthonormality_state_evaluations(family, most, monkeypatch):
+    points = []
+    make = spectra.wavefunction
+
+    def counted(fp, k):
+        wf = make(fp, k)
+
+        def f(x):
+            points.append(np.size(x))
+            return wf(x)
+        return f
+
+    monkeypatch.setattr(spectra, "wavefunction", counted)
+    rep = verify.orthonormality(fixture(family), 2)
+    assert rep.max_deviation < 1e-9
+    assert sum(points) <= most

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shapeinv import specfun
 from shapeinv.errors import EvalDomainError, GammaPole
 from shapeinv.specfun import (
     MAX_DEGREE,
@@ -97,6 +98,32 @@ def test_array_and_scalar_agree():
     arr = laguerre_l(4, 1.2, zs)
     for z, v in zip(zs, arr):
         assert v == pytest.approx(laguerre_l(4, 1.2, float(z)), rel=1e-14)
+
+
+def _laguerre_times_ones(k, a, z):
+    # the reference: the recurrence with every constant times an array of ones
+    one = z * 0 + 1.0
+    if k == 0:
+        return one
+    p_prev, p_cur = one, (1 + a) * one - z
+    for n in range(2, k + 1):
+        p_prev, p_cur = p_cur, (((2 * n - 1 + a) * one - z) * p_cur - (n - 1 + a) * p_prev) / n
+    return p_cur
+
+
+@pytest.mark.parametrize("a,b", [(0.3, -0.4), (2.7, 1.1), (-1.6, -1.3), (-2.9, -0.2),
+                                 (0.5 + 1.5j, 0.5 - 1.5j), (-1.2 + 0.7j, -1.2 - 0.7j)],
+                         ids=["plain", "large", "near-degenerate", "near-degenerate-2",
+                              "conjugate", "conjugate-near-degenerate"])
+def test_scalar_one_matches_arrays_of_ones(a, b):
+    # where the value is exactly 1 the evaluators take the scalar 1.0; on
+    # arrays that gives the same floats as multiplying by an array of ones
+    rng = np.random.default_rng(2560)
+    for z in (np.linspace(-3.0, 3.0, 2560), rng.normal(size=64) + 1j * rng.normal(size=64)):
+        one = z * 0 + 1.0
+        for k in range(8):
+            assert np.array_equal(jacobi_p(k, a, b, z), specfun._jacobi(k, a, b, z, one, 1.0, one))
+            assert np.array_equal(laguerre_l(k, a, z), _laguerre_times_ones(k, a, z))
 
 
 def test_hyp1f1_exact_fraction_oracle():

@@ -507,7 +507,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:   # float overflow and division by 0
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except Exception as exc:  # the exit-code contract covers every input

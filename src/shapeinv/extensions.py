@@ -27,7 +27,8 @@ import numpy as np
 from . import dual
 from .dual import Dual, seed
 from .errors import DenominatorZero, ValidationError
-from .families import _FOLD_D_ONLY, FAMILY_SPECS, ConstructionData, Domain, _fold, _make_domain
+from .families import (_FOLD_D_ONLY, FAMILY_SPECS, ConstructionData, Domain, Fold, _fold,
+                       _make_domain)
 # the fold styles shared with the base families, under the case table's names
 from .families import _FOLD_BETA_MEAN as _FOLD_PLUS_BETA, _FOLD_BETA_MEAN_NEG as _FOLD_MINUS_BETA
 from .families import _FOLD_D_MEAN as _FOLD_D
@@ -35,6 +36,7 @@ from .specfun import hyp1f1_terminating, hyp2f1_terminating, jacobi_p, laguerre_
 from .verify import GridReport, _report, clip_window, grid_points
 
 MAX_ELL = 8
+_GRID_POINTS = 501    # check grid; the denominator scan samples four times as densely
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class CaseSpec:
 
     num: int
     label: str
-    fold: str
+    fold: Fold
     uses_ell: bool
     base: str
     w1: Callable
@@ -392,23 +394,14 @@ def build_extension(case, data: ConstructionData, ell: Optional[int] = None,
     elif ell not in (None, 0):
         raise ValidationError(f"case {num} does not take an ell degree")
     l = ell if cs.uses_ell else 0
-    if data.rho_invariant is not None:
-        raise ValidationError("extension cases take no rho_invariant")
-    # d-only fold: the case has no second parameter at all
-    if cs.fold == _FOLD_D_ONLY and any(c.beta != 0.0 for c in data.couplings):
-        raise ValidationError(
-            f"case {num} uses only the d_j coupling constants; set beta_j = 0")
     eps, rho, _ = _fold(cs.fold, data)
-    for name, v in (("eps", eps), ("rho", rho)):
-        if not math.isfinite(v):
-            raise ValidationError(f"folded parameter {name} is not finite: {v}")
     if window is None:
         window = cs.window
     a, b = clip_window(cs.domain, float(window[0]), float(window[1]))
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError(f"window ({window[0]}, {window[1]}) does not "
                               f"intersect the case domain")
-    _scan_denominators(cs, eps, rho, l, (a, b), 501)
+    _scan_denominators(cs, eps, rho, l, (a, b), _GRID_POINTS)
     return ExtensionSpec(case_id=num, eps=eps, rho=rho, ell=l,
                          window=(a, b), provenance=data)
 
@@ -452,9 +445,9 @@ def base_remainder(spec: ExtensionSpec, shift: int = 0) -> float:
     return cs.scale ** 2 * FAMILY_SPECS[cs.base].remainder(eps, rho, 0.0)
 
 
-def extension_grid(spec: ExtensionSpec, n: int = 501) -> tuple[float, float, int]:
+def extension_grid(spec: ExtensionSpec) -> tuple[float, float, int]:
     a, b = spec.window
-    return (a, b, n)
+    return (a, b, _GRID_POINTS)
 
 
 def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:

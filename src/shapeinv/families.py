@@ -96,14 +96,40 @@ class ConstructionData:
                     f"but the vector has n={self.p.n}")
 
 
-# Fold styles: how (M, I_j, beta_j, d_j) collapse to the effective
-# parameters; the base families and the extension cases share them.
-_FOLD_BETA_MEAN = "eps = M + sum beta_j I_j, rho = sum d_j I_j"
-_FOLD_BETA_MEAN_NEG = "eps = M - sum beta_j I_j, rho = sum d_j I_j"
-_FOLD_D_MEAN = "eps = M + sum d_j I_j, rho = half sum beta_j I_j"
-_FOLD_D_ONLY = "eps = M + sum d_j I_j"
-_FOLD_SLOPE = "beta = sum beta_j I_j, rho = sum d_j I_j"
-_FOLD_RATIO = "eps = M + sum d_j I_j, rho = extra invariant"
+def _ratio_shift(e: float, r: float) -> float:
+    """The rho-dependent part of R common to the five ratio families."""
+    return (2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2)
+
+
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """One fold style: what k = sum_j I_j v_j + M G and R become once folded.
+
+    params(M, sum_j beta_j I_j, sum_j d_j I_j, rho_inv) gives (eps, rho,
+    beta), rho_inv being the extra invariant's value.  A linear-form k is v
+    at the (beta, d) = constants(eps, rho, beta); the ratio fold has none
+    (k = rho/eps + eps G) and alone reads rho_invariant.  R = alpha (2 eps
+    + 1) + extra(eps, rho, beta).  A d_only fold takes no beta_j at all.
+    """
+
+    params: Callable[[float, float, float, Optional[float]], tuple[float, float, float]]
+    constants: Optional[Callable[[float, float, float], tuple]]
+    extra: Callable[[float, float, float], float] = lambda e, r, b: 0.0
+    d_only: bool = False
+
+
+# The base families and the extension cases share these.
+_FOLD_BETA_MEAN = Fold(lambda m, sb, sd, ri: (m + sb, sd, 0.0), lambda e, r, b: (e, r))
+_FOLD_BETA_MEAN_NEG = Fold(lambda m, sb, sd, ri: (m - sb, sd, 0.0), lambda e, r, b: (-e, r))
+_FOLD_D_MEAN = Fold(lambda m, sb, sd, ri: (m + sd, 0.5 * sb, 0.0), lambda e, r, b: (2 * r, e),
+                    extra=lambda e, r, b: 4 * r)
+# the d-mean fold with every beta_j = 0, so that rho = 0
+_FOLD_D_ONLY = dataclasses.replace(_FOLD_D_MEAN, d_only=True)
+# slope fold: no dependence on the mean at all
+_FOLD_SLOPE = Fold(lambda m, sb, sd, ri: (0.0, sd, sb), lambda e, r, b: (b, r),
+                   extra=lambda e, r, b: 2 * b)
+_FOLD_RATIO = Fold(lambda m, sb, sd, ri: (m + sd, ri, 0.0), None,
+                   extra=lambda e, r, b: -_ratio_shift(e, r))
 
 
 def _coupling_sums(data: ConstructionData) -> tuple[float, float, float]:
@@ -113,24 +139,24 @@ def _coupling_sums(data: ConstructionData) -> tuple[float, float, float]:
     return data.p.mean, sum_beta, sum_d
 
 
-def _fold(style: str, data: ConstructionData) -> tuple[float, float, float]:
-    """Return (eps, rho, beta) under one fold style.
+def _fold(fold: Fold, data: ConstructionData) -> tuple[float, float, float]:
+    """The finite (eps, rho, beta) that one fold makes of the data.
 
-    Only the ratio fold reads rho_invariant; callers check its presence.
+    Here, and only here, the data must match the fold: a rho_invariant for
+    the ratio fold and for no other, and beta_j = 0 for a d-only fold.
     """
-    mean, sum_beta, sum_d = _coupling_sums(data)
-    if style == _FOLD_BETA_MEAN:
-        return mean + sum_beta, sum_d, 0.0
-    if style == _FOLD_BETA_MEAN_NEG:
-        return mean - sum_beta, sum_d, 0.0
-    if style == _FOLD_D_MEAN:
-        return mean + sum_d, 0.5 * sum_beta, 0.0
-    if style == _FOLD_D_ONLY:
-        return mean + sum_d, 0.0, 0.0
-    if style == _FOLD_RATIO:
-        return mean + sum_d, eval_invariant(data.rho_invariant, data.p), 0.0
-    # slope fold: no dependence on the mean at all
-    return 0.0, sum_d, sum_beta
+    ratio = fold.constants is None
+    if ratio != (data.rho_invariant is not None):
+        raise ValidationError("the ratio-form families need a rho_invariant, and no other "
+                              "family or extension case takes one")
+    if fold.d_only and any(c.beta != 0.0 for c in data.couplings):
+        raise ValidationError("a d-only fold uses only the d_j coupling constants; set beta_j = 0")
+    folded = fold.params(*_coupling_sums(data),
+                         eval_invariant(data.rho_invariant, data.p) if ratio else None)
+    for value, name in zip(folded, ("eps", "rho", "beta")):
+        if not math.isfinite(value):
+            raise ValidationError(f"folded parameter {name} is not finite: {value}")
+    return folded
 
 
 def _sech(x):
@@ -215,11 +241,6 @@ def _v_scarf1(x, beta, d):
 def _v_scarf1_cot(x, beta, d):
     ct, cs = 1.0 / np.tan(x), _csc(x)
     return -beta * ct + d * cs, beta * cs ** 2 - d * cs * ct
-
-
-def _ratio_shift(e: float, r: float) -> float:
-    """The rho-dependent part of R common to the five ratio families."""
-    return (2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2)
 
 
 # Range conditions: (text, predicate of eps, rho, beta), checked in order.
@@ -349,41 +370,46 @@ _TRIG_RATIO_STATE = dict(
 class FamilySpec:
     """Everything one family needs; spectra derives E_k as sum_j R(eps - j).
 
-    k(x, eps, rho, beta) -> (k, k') is given for the linear-form families;
-    the ratio families (v is None) derive k = rho/eps + eps G.  g(x, c)
-    returns c*G and c*G'; v(x, beta, d) the coupling solution; remainder
-    (eps, rho, beta) the constant R.  Levels are admissible up to
-    max_level(eps, rho) (default: no bound), or, where gamma_args is set,
-    while the Gamma arguments at s = eps - k, t = rho/s stay positive and
-    E_k rises.  state is the normalized states' StateForm.
-    oracle_floor is the smallest half-width of the FD oracle box.
+    g(x, c) returns c*G and c*G'; a linear-form family gives its coupling
+    solution v(x, beta, d), and k and R follow from the fold (`Fold`).
+    Levels are admissible up to max_level(eps, rho) (default: no bound),
+    or, where gamma_args is set, while the Gamma arguments at s = eps - k,
+    t = rho/s stay positive and E_k rises.  state is the normalized states'
+    StateForm.  oracle_floor is the smallest half-width of the FD oracle box.
     """
 
     id: str
     label: str
     domain: Domain
     alpha: float
-    fold: str
+    fold: Fold
     window: tuple[float, float]   # default finite window for grid checks
     ranges: tuple[tuple[str, Callable[[float, float, float], bool]], ...]
     g: Callable
-    remainder: Callable[[float, float, float], float]
     state: StateForm
-    k: Optional[Callable] = None
     v: Optional[Callable] = None
     max_level: Callable[[float, float], Optional[int]] = _unbounded
     gamma_args: Optional[Callable[[float, float], tuple]] = None
     oracle_floor: float = 8.0
 
+    def k(self, x, e, r, b):
+        """(k, k') at (eps, rho, beta): v at the fold's constants, or rho/eps + eps G."""
+        if self.v is not None:
+            return self.v(x, *self.fold.constants(e, r, b))
+        g, gp = self.g(x, e)
+        return g + r / e, gp
 
-# Each linear-form k is the family's v at constants built from (eps, rho,
-# beta): the fold collapses sum_j I_j v_j + M G into one such v.
+    def remainder(self, e, r, b) -> float:
+        """The constant R = alpha (2 eps + 1) + the fold's extra term."""
+        extra = self.fold.extra(e, r, b)
+        # rounds like each printed R; alpha = 0 adds nothing, not even a zero's sign
+        return extra + (self.alpha * 2 * e + self.alpha) if self.alpha else extra
+
+
 FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("scarf2", "hyperbolic Scarf, k = eps*tanh(x) + rho*sech(x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-8.0, 8.0),
-               ranges=(_EPS_POSITIVE,), g=_g_tanh, v=_v_scarf2,
-               k=lambda x, e, r, b: _v_scarf2(x, e, r),
-               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               ranges=(_EPS_POSITIVE,), g=_g_tanh, v=_v_scarf2, max_level=_below_eps,
                state=StateForm(
                    log_c0=lambda e, r, b: ((e - 0.5) * _LOG2 + log_gamma(complex(0.5 + e, -r))
                                            - 0.5 * (math.log(_PI) + log_gamma(2 * e))),
@@ -393,9 +419,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("poschl-teller", "Poschl-Teller, k = eps*coth(x) - rho*csch(x)",
                _make_domain(0.0, _INF), 1.0, _FOLD_BETA_MEAN, (0.0, 12.0),
                ranges=(_EPS_POSITIVE, ("eps - rho < 1/2", lambda e, r, b: e - r < 0.5)),
-               g=_g_coth, v=_v_poschl_teller,
-               k=lambda x, e, r, b: _v_poschl_teller(x, e, r),
-               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               g=_g_coth, v=_v_poschl_teller, max_level=_below_eps,
                state=StateForm(
                    log_c0=lambda e, r, b: e * _LOG2 + 0.5 * (
                        log_gamma(0.5 + e + r) - log_gamma(2 * e) - log_gamma(0.5 - e + r)),
@@ -404,22 +428,17 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("morse", "Morse, k = eps - rho*exp(-x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-2.0, 14.0),
                ranges=(_EPS_POSITIVE, _RHO_POSITIVE), g=_g_constant(1.0), v=_v_morse,
-               k=lambda x, e, r, b: _v_morse(x, e, r),
-               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               max_level=_below_eps,
                state=StateForm(terms=_morse_terms, **_MORSE_STATE), oracle_floor=25.0),
     FamilySpec("morse-mirror", "mirrored Morse, k = -eps - rho*exp(x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-14.0, 2.0),
                ranges=(_EPS_POSITIVE, ("rho < 0", lambda e, r, b: r < 0)),
-               g=_g_constant(-1.0), v=partial(_v_morse, sign=-1.0),
-               k=lambda x, e, r, b: _v_morse(x, e, r, -1.0),
-               remainder=lambda e, r, b: 2 * e + 1, max_level=_below_eps,
+               g=_g_constant(-1.0), v=partial(_v_morse, sign=-1.0), max_level=_below_eps,
                state=StateForm(terms=partial(_morse_terms, sign=-1.0), **_MORSE_STATE),
                oracle_floor=25.0),
     FamilySpec("radial-osc", "radial oscillator, k = eps/x + rho*x",
                _make_domain(0.0, _INF), 0.0, _FOLD_D_MEAN, (0.0, 10.0),
                ranges=(_EPS_BELOW_HALF, _RHO_POSITIVE), g=_g_inverse, v=_v_radial,
-               k=lambda x, e, r, b: _v_radial(x, 2 * r, e),
-               remainder=lambda e, r, b: 4 * r,
                state=StateForm(
                    log_c0=lambda e, r, b: 0.5 * (_LOG2 + (0.5 - e) * math.log(r)
                                                  - log_gamma(0.5 - e)),
@@ -428,8 +447,6 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("harm-osc", "shifted harmonic oscillator, k = beta*x + rho",
                _make_domain(-_INF, _INF), 0.0, _FOLD_SLOPE, (-10.0, 10.0),
                ranges=(("beta > 0", lambda e, r, b: b > 0),), g=_g_constant(0.0), v=_v_harmonic,
-               k=lambda x, e, r, b: _v_harmonic(x, b, r),
-               remainder=lambda e, r, b: 2 * b,
                state=StateForm(log_c0=lambda e, r, b: 0.25 * math.log(b / _PI),
                                step=lambda e, r, b: math.sqrt(b), poly="hermite_h",
                                params=lambda e, r, k: (), terms=_harmonic_terms)),
@@ -437,21 +454,16 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_BETA_MEAN_NEG,
                (-_PI / 2, _PI / 2),
                ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_neg_tan, v=_v_scarf1,
-               k=lambda x, e, r, b: _v_scarf1(x, -e, r),
-               remainder=lambda e, r, b: -2 * e - 1,
                state=StateForm(terms=_scarf1_terms, **_SCARF1_STATE)),
     FamilySpec("scarf1-cot", "trigonometric Scarf cot form, k = eps*cot(x) + rho*csc(x)",
                _make_domain(0.0, _PI), -1.0, _FOLD_BETA_MEAN_NEG, (0.0, _PI),
                ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_cot, v=_v_scarf1_cot,
-               k=lambda x, e, r, b: _v_scarf1_cot(x, -e, r),
-               remainder=lambda e, r, b: -2 * e - 1,
                state=StateForm(terms=partial(_scarf1_terms, trig=np.cos), **_SCARF1_STATE)),
     FamilySpec("rosen-morse2", "hyperbolic Rosen-Morse, k = eps*tanh(x) + rho/eps",
                _make_domain(-_INF, _INF), 1.0, _FOLD_RATIO, (-8.0, 8.0),
                ranges=(_EPS_NONZERO, ("eps > rho/eps", lambda e, r, b: e > r / e),
                        _ABOVE_THRESHOLD),
-               g=_g_tanh, remainder=lambda e, r, b: 1 + 2 * e - _ratio_shift(e, r),
-               gamma_args=lambda s, t: (2 * s, s - t, s + t),
+               g=_g_tanh, gamma_args=lambda s, t: (2 * s, s - t, s + t),
                state=StateForm(
                    log_c0=lambda e, r, b: (0.5 - e) * _LOG2 + 0.5 * (
                        log_gamma(2 * e) - log_gamma(e - r / e) - log_gamma(e + r / e)),
@@ -459,8 +471,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("eckart", "Eckart, k = eps*coth(x) + rho/eps",
                _make_domain(0.0, _INF), 1.0, _FOLD_RATIO, (0.0, 12.0),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF, _ABOVE_THRESHOLD),
-               g=_g_coth, remainder=lambda e, r, b: 1 + 2 * e - _ratio_shift(e, r),
-               gamma_args=lambda s, t: (1 - s + t, 1 - 2 * s, s + t),
+               g=_g_coth, gamma_args=lambda s, t: (1 - s + t, 1 - 2 * s, s + t),
                state=StateForm(
                    log_c0=lambda e, r, b: (0.5 - e) * _LOG2 + 0.5 * (
                        log_gamma(1 - e + r / e) - log_gamma(1 - 2 * e) - log_gamma(e + r / e)),
@@ -471,7 +482,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                _make_domain(0.0, _INF), 0.0, _FOLD_RATIO, (0.0, 20.0),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF,
                        ("rho/eps > 0", lambda e, r, b: r / e > 0)),
-               g=_g_inverse, remainder=lambda e, r, b: -_ratio_shift(e, r),
+               g=_g_inverse,
                # Gamma(2k - 2 eps) positive at k = 0 requires eps < 0; then
                # every level is admissible and E_k climbs toward the threshold
                max_level=lambda e, r: None if e < 0 else -1,
@@ -486,14 +497,12 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_RATIO,
                (-_PI / 2, _PI / 2),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_neg_tan,
-               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r),
                state=StateForm(terms=lambda x, e, r, b, k: (
                    (k - e) * np.log(2.0 * np.cos(x)) + r * x / (k - e), -1j * np.tan(x)),
                    **_TRIG_RATIO_STATE)),
     FamilySpec("rosen-morse1-cot", "trigonometric Rosen-Morse cot form, k = eps*cot(x) + rho/eps",
                _make_domain(0.0, _PI), -1.0, _FOLD_RATIO, (0.0, _PI),
                ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_cot,
-               remainder=lambda e, r, b: -1 - 2 * e - _ratio_shift(e, r),
                state=StateForm(terms=lambda x, e, r, b, k: (
                    (k - e) * np.log(2.0 * np.sin(x)) + r * (2 * x - _PI) / (2 * (k - e)),
                    1j / np.tan(x)), **_TRIG_RATIO_STATE)),
@@ -538,27 +547,15 @@ class FamilyParams:
         return FAMILY_SPECS[self.id].domain
 
 
-def _check_ranges(family_id: str, eps: float, rho: float, beta: float) -> None:
-    for condition, holds in get_spec(family_id).ranges:
+def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
+    """Fold the construction data and validate the family's parameter ranges."""
+    spec = get_spec(family_id)
+    eps, rho, beta = _fold(spec.fold, data)
+    for condition, holds in spec.ranges:
         if not holds(eps, rho, beta):
             raise RangeViolation(
                 f"family {family_id!r} requires {condition} "
                 f"(got eps={eps:.6g}, rho={rho:.6g}, beta={beta:.6g})")
-
-
-def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
-    """Fold the construction data and validate the family's parameter ranges."""
-    spec = get_spec(family_id)
-    if spec.fold == _FOLD_RATIO and data.rho_invariant is None:
-        raise ValidationError(
-            f"family {family_id!r} needs rho_invariant in its construction data")
-    if spec.fold != _FOLD_RATIO and data.rho_invariant is not None:
-        raise ValidationError(f"family {family_id!r} does not take a rho_invariant")
-    eps, rho, beta = _fold(spec.fold, data)
-    for value, name in ((eps, "eps"), (rho, "rho"), (beta, "beta")):
-        if not math.isfinite(value):
-            raise ValidationError(f"folded parameter {name} is not finite: {value}")
-    _check_ranges(family_id, eps, rho, beta)
     return FamilyParams(id=family_id, eps=eps, rho=rho, beta=beta,
                         alpha=spec.alpha, provenance=data)
 
@@ -574,11 +571,7 @@ def translate_family(fp: FamilyParams, t: int = 1) -> FamilyParams:
 def superpotential(fp: FamilyParams, x):
     """Closed-form k(x) and k'(x); x may be a scalar or an array."""
     fp.domain.require_inside(x)
-    spec = fp.spec
-    if spec.k is not None:
-        return spec.k(x, fp.eps, fp.rho, fp.beta)
-    g, gp = spec.g(x, fp.eps)
-    return g + fp.rho / fp.eps, gp
+    return fp.spec.k(x, fp.eps, fp.rho, fp.beta)
 
 
 def partner_potentials(fp: FamilyParams, x):

@@ -172,6 +172,8 @@ def state_constant(fp: FamilyParams, k: int) -> tuple[float, complex]:
     k = _check_index(k)
     form, e, r, b = fp.spec.state, fp.eps, fp.rho, fp.beta
     norm = norm_coefficient(fp, k)
+    if norm == 0.0:
+        raise NumericalError(f"the ladder normalization N_{k} underflows to 0 at eps={e:.6g}")
     step = form.step(e, r, b)
     log_c = (form.log_c0(e - k, r, b) + math.log(abs(norm)) + k * math.log(abs(step))
              + (math.lgamma(k + 1) if form.poly != "hermite_h" else 0.0))

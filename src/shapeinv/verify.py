@@ -516,6 +516,8 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
                               f"levels; {count} were asked for")
     pot = _potential_of(target)
     h = (oracle.b - oracle.a) / (oracle.n - 1)
+    if h ** 2 == 0.0:
+        raise NumericalError(f"the oracle grid spacing h = {h:.6g} has h^2 = 0")
     xs = oracle.a + h * np.arange(1, oracle.n - 1)
     v = np.asarray(pot(xs), dtype=float)
     if not np.all(np.isfinite(v)):
@@ -528,6 +530,8 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     # no level lies below lo + the lowest level of the bare discrete
     # Laplacian, so the ladder starts there and doubles up to hi
     step = (2.0 / h * math.sin(0.5 * math.pi / (oracle.n - 1))) ** 2
+    if not 0.0 < (hi - lo) / step < math.inf:
+        raise NumericalError(f"the Gershgorin span ({lo:.6g}, {hi:.6g}) is not finite and positive")
     ladder = lo + step * 2.0 ** np.arange(int(math.log2((hi - lo) / step)) + 1)
     pts = ladder[None, ladder < hi]
     los = np.full(count, lo)
@@ -592,6 +596,10 @@ def reference_oracle(fp: FamilyParams, n: int = 3000) -> OracleSpec:
 # ---------------------------------------------------------------------------
 # ladder and state diagnostics
 
+_LADDER_POINTS, _SCHRODINGER_POINTS = 801, 1501   # the stencil grids of the two checks
+_GRAM_TOL = 1e-9                                   # orthonormality's quadrature tolerance
+
+
 def _deriv5(f, xs: np.ndarray, h) -> np.ndarray:
     return (np.asarray(f(xs - 2 * h)) - 8 * np.asarray(f(xs - h))
             + 8 * np.asarray(f(xs + h)) - np.asarray(f(xs + 2 * h))) / (12 * h)
@@ -623,7 +631,7 @@ def stencil_grid(fp: FamilyParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, h
 
 
-def ladder_check(fp: FamilyParams, k: int, n: int = 801) -> LadderReport:
+def ladder_check(fp: FamilyParams, k: int) -> LadderReport:
     """Residual of the intertwining step (-d/dx + k)zeta_{k-1}^down vs sqrt(E_k) zeta_k.
 
     The closed forms fix phases only up to a sign, so both signs are tried
@@ -635,7 +643,7 @@ def ladder_check(fp: FamilyParams, k: int, n: int = 801) -> LadderReport:
     lower = spectra.wavefunction(down, k - 1)
     upper = spectra.wavefunction(fp, k)
     energy = spectra.eigenenergy(fp, k)
-    xs, h = stencil_grid(fp, n)
+    xs, h = stencil_grid(fp, _LADDER_POINTS)
     w, _ = families.superpotential(fp, xs)
     raised = -_deriv5(lower, xs, h) + w * np.asarray(lower(xs))
     rhs = math.sqrt(energy) * np.asarray(upper(xs))
@@ -650,18 +658,18 @@ def ladder_check(fp: FamilyParams, k: int, n: int = 801) -> LadderReport:
     return LadderReport(**base.__dict__, sign=sign)
 
 
-def schrodinger_residual(fp: FamilyParams, k: int, n: int = 1501) -> GridReport:
+def schrodinger_residual(fp: FamilyParams, k: int) -> GridReport:
     """Pointwise residual of -zeta'' + (V - E_k) zeta via a 5-point stencil."""
     state = spectra.wavefunction(fp, k)
     energy = spectra.eigenenergy(fp, k)
-    xs, h = stencil_grid(fp, n)
+    xs, h = stencil_grid(fp, _SCHRODINGER_POINTS)
     v, _ = families.partner_potentials(fp, xs)
     drive = (v - energy) * np.asarray(state(xs))
     res = np.abs(-_second5(state, xs, h) + drive) / (1.0 + np.abs(drive))
     return _report(xs, res, 0)
 
 
-def orthonormality(fp: FamilyParams, kmax: int, tol: float = 1e-9) -> GramReport:
+def orthonormality(fp: FamilyParams, kmax: int) -> GramReport:
     """Quadrature Gram matrix of the states up to kmax against the identity.
 
     Two quadratures, each evaluating every state it reads once per node.
@@ -677,7 +685,7 @@ def orthonormality(fp: FamilyParams, kmax: int, tol: float = 1e-9) -> GramReport
     states = [spectra.wavefunction(fp, k) for k in levels]
     dom = fp.domain
 
-    values = [quadrature(lambda x: (z := states[0](x)) * z, dom, tol)]
+    values = [quadrature(lambda x: (z := states[0](x)) * z, dom, _GRAM_TOL)]
     pairs = [(i, j) for i in range(len(levels)) for j in range(i, len(levels))]
     if len(pairs) > 1:
         left, right = np.array(pairs[1:]).T
@@ -686,7 +694,7 @@ def orthonormality(fp: FamilyParams, kmax: int, tol: float = 1e-9) -> GramReport
             z = np.array([state(x) for state in states])
             return z[left] * z[right]
 
-        values.extend(quadrature(products, dom, tol).tolist())
+        values.extend(quadrature(products, dom, _GRAM_TOL).tolist())
     entries = tuple((levels[i], levels[j], val) for (i, j), val in zip(pairs, values))
     worst = max(0.0, *(abs(val - (1.0 if i == j else 0.0)) for i, j, val in entries))
     return GramReport(levels=tuple(levels), max_deviation=worst, entries=entries)

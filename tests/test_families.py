@@ -21,7 +21,7 @@ from shapeinv.families import (
     superpotential,
     translate_family,
 )
-from shapeinv.invariants import ParamVector, parse_invariant, verify_invariant
+from shapeinv.invariants import ParamVector, eval_invariant, parse_invariant, verify_invariant
 
 
 def inv(src: str, n: int):
@@ -229,6 +229,58 @@ def test_remainder_matches_construction():
         assert remainder(fp) == pytest.approx(construction_remainder(fp), abs=1e-12), fid
     with pytest.raises(ValidationError):
         construction_remainder(fixture("coulomb"))
+
+
+LINEAR = tuple(fid for fid in family_ids() if get_spec(fid).v is not None)
+
+# n = 3, two couplings on non-trivial invariants: the centre a of
+# m = (a + 1.5, a, a - 0.5), where m1 - m2 = 1.5 and (m1 - m2)(m2 - m3) =
+# 0.75, and (beta_1, beta_2), (d_1, d_2) chosen to land inside the ranges
+TWO_COUPLINGS = {
+    "scarf2": (3.0, (0.2, -0.1), (0.4, 0.3)),
+    "poschl-teller": (3.0, (0.2, -0.1), (2.0, 1.0)),
+    "morse": (3.0, (0.2, -0.1), (0.4, 0.3)),
+    "morse-mirror": (3.0, (0.2, -0.1), (-0.4, -0.3)),
+    "radial-osc": (-1.0, (1.0, 0.4), (0.2, -0.1)),
+    "harm-osc": (2.0, (0.6, 0.4), (0.2, -0.1)),
+    "scarf1": (-1.0, (0.2, -0.1), (0.4, 0.3)),
+    "scarf1-cot": (-1.0, (0.2, -0.1), (0.4, 0.3)),
+}
+
+
+def two_couplings(family_id: str):
+    a, betas, ds = TWO_COUPLINGS[family_id]
+    rows = list(zip(("m1-m2", "(m1-m2)*(m2-m3)"), betas, ds))
+    return data((a + 1.5, a, a - 0.5), rows)
+
+
+@pytest.mark.parametrize("fid", LINEAR)
+def test_each_fold_gives_the_coupling_sum(fid):
+    # k = sum_j I_j v_j + M G and k' likewise, whatever constants the fold picks
+    d = two_couplings(fid)
+    fp = build_family(fid, d)
+    xs = grid_for(fp, 61)
+    k, kp = superpotential(fp, xs)
+    g, gp = riccati_g(fid, xs)
+    total, slope = d.p.mean * g, d.p.mean * gp
+    for c in d.couplings:
+        value = eval_invariant(c.invariant, d.p)
+        assert value not in (0.0, 1.0)
+        v, vp = coupling_v(fid, xs, c.beta, c.d)
+        total, slope = total + value * v, slope + value * vp
+    assert np.max(np.abs(total - k) / (1.0 + np.abs(k))) < 1e-12, fid
+    assert np.max(np.abs(slope - kp) / (1.0 + np.abs(kp))) < 1e-12, fid
+
+
+@pytest.mark.parametrize("fid", LINEAR)
+def test_each_fold_gives_the_construction_remainder(fid):
+    # R = (2M + 1) alpha + 2 sum_j beta_j I_j, written out from the data
+    d = two_couplings(fid)
+    fp = build_family(fid, d)
+    coupled = sum(c.beta * eval_invariant(c.invariant, d.p) for c in d.couplings)
+    want = (2 * d.p.mean + 1) * get_spec(fid).alpha + 2 * coupled
+    assert remainder(fp) == pytest.approx(want, abs=1e-12), fid
+    assert construction_remainder(fp) == pytest.approx(want, abs=1e-12), fid
 
 
 def test_shape_invariance_spot_check():

@@ -12,6 +12,7 @@ import os
 import tempfile
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
 from shapeinv.cli import main
 
@@ -91,3 +92,26 @@ def test_hostile_input_keeps_the_exit_code_contract(job, as_json):
     assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
     if as_json and rc in (0, 1):
         json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+# inputs whose closed forms or oracle overflow, underflow or divide by zero
+# inside float arithmetic: a numerical failure (exit 3), not an internal one
+@pytest.mark.parametrize("argv", [
+    "spectrum --family=rosen-morse2 --m=1e300 --rho-invariant=1",
+    "spectrum --family=coulomb --m=-1e300 --rho-invariant=-1",
+    "spectrum --family=rosen-morse1 --m=-1e300 --rho-invariant=1",
+    "verify si --family=rosen-morse2 --m=1e300 --rho-invariant=1",
+    "spectrum --family=rosen-morse1-cot --m=1e-160 --rho-invariant=1",
+    "oracle compare --family=harm-osc --m=0 --invariant=1 --beta=1 --oracle=0,1e-300,1000",
+    "spectrum --oracle --family=rosen-morse2 --m=1e154 --rho-invariant=0.5",
+    "spectrum --oracle --family=eckart --m=7e-17 --rho-invariant=1",
+    "wavefunction --family=scarf2 --m=1e300 --invariant=1 --d=3 --k=3",
+    "wavefunction --family=scarf1 --m=-1e306 --invariant=1 --k=0",
+])
+def test_float_arithmetic_failures_exit_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv.split())
+    err = err.getvalue()
+    assert rc == 3 and out.getvalue() == "", (argv, rc, err)
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)

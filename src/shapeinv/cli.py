@@ -497,6 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _innermost(exc: BaseException) -> str:
+    """The innermost function of this package on the exception's traceback."""
+    name, tb = "main", exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_globals.get("__package__") == __package__:
+            name = tb.tb_frame.f_code.co_name
+        tb = tb.tb_next
+    return name
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -507,8 +517,12 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, ArithmeticError) as exc:   # float overflow and division by 0
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:   # float overflow and division by 0
+        print(f"numerical failure: {type(exc).__name__} in {_innermost(exc)}: {exc}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except Exception as exc:  # the exit-code contract covers every input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,12 +5,13 @@ superpotential pieces and their derivatives come out of one evaluation pass
 with no finite differencing.  Components may be float or complex; the
 polynomial recurrences only ever combine Duals with +, -, *, /.
 
-The elementary functions come from one lift rule.  On a numpy array they
-call the numpy ufunc (real or complex) once, so the value-only passes (the
-extension denominator scan and cond2) evaluate a whole grid at a time.  On
-Python scalars and Dual components they call `math`, or `cmath` when
-complex, faster than numpy's scalar path; the Dual checks seed one point at
-a time in `extensions._pointwise`.
+The four elementary functions the W1 displays call (sin, cos, sinh and
+cosh) come from one lift rule.  On a numpy array they call the numpy ufunc
+(real or complex) once, so the value-only passes (the extension
+denominator scan and cond2) evaluate a whole grid at a time.  On Python
+scalars and Dual components they call `math`, or `cmath` when complex,
+faster than numpy's scalar path; the Dual checks seed one point at a time
+in `extensions._pointwise`.
 """
 
 from __future__ import annotations
@@ -116,20 +117,3 @@ sin = _lift("sin", "cos")
 cos = _lift("cos", "sin", negate=True)
 sinh = _lift("sinh", "cosh")
 cosh = _lift("cosh", "sinh")
-exp = _lift("exp", "exp")
-
-
-def tan(d):
-    return sin(d) / cos(d)
-
-
-def cot(d):
-    return cos(d) / sin(d)
-
-
-def value(d) -> complex:
-    return d.val if isinstance(d, Dual) else d
-
-
-def derivative(d) -> complex:
-    return d.eps if isinstance(d, Dual) else 0.0

@@ -322,7 +322,7 @@ def _require_finite(cs: CaseSpec, xs: np.ndarray, vals: np.ndarray) -> None:
 
 
 def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
-                       window: tuple[float, float], n: int) -> None:
+                       window: tuple[float, float]) -> None:
     """Reject parameter sets whose bottoms vanish somewhere on the window.
 
     Both branches at both eps and eps - 1, since every check evaluates the
@@ -333,7 +333,7 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
     screened by magnitude.
     """
     a, b = window
-    xs = np.linspace(a, b, max(4 * n + 1, 1001))
+    xs = np.linspace(a, b, max(4 * _GRID_POINTS + 1, 1001))
     for shift in (0, 1):
         ee = e - shift
         for c in cs.constants(ee, r, l):
@@ -401,7 +401,7 @@ def build_extension(case, data: ConstructionData, ell: Optional[int] = None,
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError(f"window ({window[0]}, {window[1]}) does not "
                               f"intersect the case domain")
-    _scan_denominators(cs, eps, rho, l, (a, b), _GRID_POINTS)
+    _scan_denominators(cs, eps, rho, l, (a, b))
     return ExtensionSpec(case_id=num, eps=eps, rho=rho, ell=l,
                          window=(a, b), provenance=data)
 

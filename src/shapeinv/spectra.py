@@ -1,12 +1,14 @@
 """Spectra and normalized bound states of the thirteen families.
 
-Eigenenergies are summed from the families' remainders, E_k = sum over
-j = 1..k of R(eps - j), and so are the ladder normalizations.  Every state
-is evaluated by one log-space rule from its family's StateForm, with C_k
-derived from the ground-state normalization at eps - k.  Three families
-(hyperbolic Scarf and both trigonometric Rosen-Morse forms) run through
-complex arithmetic and are projected back to the reals after an
-imaginary-residue check.
+One walk down the ladder decides the admissible levels and sums the
+eigenenergies from the families' remainders, E_k = E_{k-1} + R(eps - k);
+it stops at the first rung whose state does not exist.  The ladder
+normalizations N_k sum upward from the bottom rung, R(eps - k) first.
+Every state is evaluated by one log-space rule from its family's
+StateForm, with C_k derived from the ground-state normalization at
+eps - k.  Three families (hyperbolic Scarf and both trigonometric
+Rosen-Morse forms) run through complex arithmetic and are projected back
+to the reals after an imaginary-residue check.
 """
 
 from __future__ import annotations
@@ -47,64 +49,58 @@ class AdmissibleRange:
         return tuple(range(0, hi + 1))
 
 
-def _admissible(fp: FamilyParams, k) -> int:
-    k = _check_index(k)
-    if not admissible_range(fp).contains(k):
+_SCAN_CAP = 65536
+
+
+def _ladder(fp: FamilyParams, kmax: int) -> list[float]:
+    """E_0..E_K of the admissible levels K <= kmax, by one walk down the ladder.
+
+    E_k = E_{k-1} + R(eps - k): the sum over j = 1..k of R(eps - j), taken
+    left to right.  The walk stops at max_level or, where gamma_args is set,
+    at the first rung whose s = eps - k is 0 or -1, whose Gamma arguments at
+    t = rho/s are not all positive or whose E_k does not rise; it never
+    passes _SCAN_CAP - 1.
+    """
+    spec, e, r = fp.spec, fp.eps, fp.rho
+    scan = spec.gamma_args is not None
+    top = _SCAN_CAP - 1 if scan else spec.max_level(e, r)
+    energies: list[float] = []
+    for k in range(kmax + 1 if top is None else min(kmax, top) + 1):
+        s = e - k
+        if scan and (s in (0, -1) or not all(a > 0 for a in spec.gamma_args(s, r / s))):
+            break
+        energy = energies[-1] + spec.remainder(s, r, fp.beta) if k else 0.0
+        if scan and k and not energy > energies[-1]:
+            break
+        energies.append(energy)
+    return energies
+
+
+def _admissible(fp: FamilyParams, k: int) -> list[float]:
+    """E_0..E_k, or InadmissibleState where the walk stops short of level k."""
+    energies = _ladder(fp, k)
+    if len(energies) <= k:
         raise InadmissibleState(
             f"level k={k} is not admissible for family {fp.id!r} "
             f"(eps={fp.eps:.6g}, rho={fp.rho:.6g})")
-    return k
-
-
-def _ladder_energies(fp: FamilyParams, kmax: int) -> list[float]:
-    """E_0..E_kmax by one running sum, E_k = E_{k-1} + R(eps - k): the sum
-    over j = 1..k of R(eps - j), taken left to right."""
-    rem, energies = fp.spec.remainder, [0.0]
-    for k in range(1, kmax + 1):
-        energies.append(energies[-1] + rem(fp.eps - k, fp.rho, fp.beta))
     return energies
 
 
 def eigenenergy(fp: FamilyParams, k: int) -> float:
     """E_k = sum_{j=1..k} R(eps - j): each step down the ladder adds R."""
-    return _ladder_energies(fp, _admissible(fp, k))[-1]
+    return _admissible(fp, _check_index(k))[-1]
 
 
 def energy_table(fp: FamilyParams, kmax: int) -> list[tuple[int, float]]:
-    """(k, E_k) of the admissible levels up to kmax, from one running sum."""
-    ks = admissible_range(fp).levels(kmax)
-    return list(zip(ks, _ladder_energies(fp, len(ks) - 1)))
-
-
-_SCAN_CAP = 65536
+    """(k, E_k) of the admissible levels up to kmax, from one walk."""
+    return list(enumerate(_ladder(fp, kmax)))
 
 
 def admissible_range(fp: FamilyParams) -> AdmissibleRange:
     """Largest contiguous set of levels with finite, normalizable states."""
-    spec, e, r = fp.spec, fp.eps, fp.rho
-    if spec.gamma_args is None:
-        return AdmissibleRange(spec.max_level(e, r))
-
-    def ok(k: int) -> bool:
-        s = e - k
-        if s == 0 or s + 1 == 0:
-            return False
-        return all(a > 0 for a in spec.gamma_args(s, r / s))
-
-    if not ok(0):
-        return AdmissibleRange(-1)
-    # climb while the Gamma arguments stay positive and E_k, summed as in
-    # eigenenergy, keeps rising
-    last = 0
-    energy = 0.0
-    for k in range(1, _SCAN_CAP):
-        if not ok(k):
-            break
-        raised = energy + spec.remainder(e - k, r, fp.beta)
-        if not raised > energy:
-            break
-        last, energy = k, raised
-    return AdmissibleRange(last)
+    if fp.spec.gamma_args is None:
+        return AdmissibleRange(fp.spec.max_level(fp.eps, fp.rho))
+    return AdmissibleRange(len(_ladder(fp, _SCAN_CAP - 1)) - 1)
 
 
 def norm_coefficient(fp: FamilyParams, k: int) -> float:
@@ -187,7 +183,8 @@ def wavefunction(fp: FamilyParams, k: int) -> Wavefunction:
     factor overflows alone.  Past |z| = 1e8 (far form) k log|z| joins the exp,
     and P_k is homogeneous: |z|^-k P_k(z) = w^k P_k(u/w), u = z/|z|, w = 1/|z|.
     """
-    k = _admissible(fp, k)
+    k = _check_index(k)
+    _admissible(fp, k)
     log_c, phase = state_constant(fp, k)
     form, e, r, b = fp.spec.state, fp.eps, fp.rho, fp.beta
     args, terms, far = (k, *form.params(e, r, k)), form.terms, form.far

@@ -115,3 +115,21 @@ def test_float_arithmetic_failures_exit_3(argv):
     err = err.getvalue()
     assert rc == 3 and out.getvalue() == "", (argv, rc, err)
     assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)
+
+
+# the line names the exception and the innermost library function it left
+@pytest.mark.parametrize("argv,where", [
+    ("spectrum --family=rosen-morse2 --m=2e154 --rho-invariant=1 --kmax=2",
+     "OverflowError in _ratio_shift: "),
+    ("wavefunction --family=scarf1 --m=-1e306 --invariant=1 --k=0",
+     "OverflowError in log_gamma: "),
+    ("spectrum --family=rosen-morse1-cot --m=1e-160 --rho-invariant=1",
+     "ZeroDivisionError in _ratio_shift: "),
+])
+def test_arithmetic_failures_name_the_operation(argv, where):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv.split())
+    err = err.getvalue()
+    assert rc == 3 and out.getvalue() == "", (argv, rc, err)
+    assert err.startswith("numerical failure: " + where) and err.count("\n") == 1, (argv, err)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from shapeinv import verify
+from shapeinv import families, spectra, verify
 from shapeinv.errors import ValidationError
 from shapeinv.verify import (
     GramReport,
@@ -277,6 +277,24 @@ def test_schrodinger_residual():
     for k in (0, 1, 2):
         rep = schrodinger_residual(fp, k)
         assert rep.max_residual < 1e-5, (k, rep.max_residual)
+
+
+@pytest.mark.parametrize("fid,k", [("scarf1", 2), ("eckart", 1)])
+def test_schrodinger_residual_evaluates_each_node_once(monkeypatch, fid, k):
+    # the reference re-evaluates the state at the centre node for the stencil
+    fp = fixture(fid)
+    state = spectra.wavefunction(fp, k)
+    xs, h = verify.stencil_grid(fp, verify._SCHRODINGER_POINTS)
+    v, _ = families.partner_potentials(fp, xs)
+    drive = (v - spectra.eigenenergy(fp, k)) * state(xs)
+    second = (-state(xs - 2 * h) + 16 * state(xs - h) - 30 * state(xs)
+              + 16 * state(xs + h) - state(xs + 2 * h)) / (12 * h ** 2)
+    want = verify._report(xs, np.abs(-second + drive) / (1.0 + np.abs(drive)), 0)
+    calls = []
+    monkeypatch.setattr(spectra, "wavefunction",
+                        lambda *_: lambda x: calls.append(x) or state(x))
+    assert schrodinger_residual(fp, k) == want
+    assert len(calls) == 5
 
 
 def test_orthonormality_report():

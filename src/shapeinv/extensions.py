@@ -290,8 +290,9 @@ def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
 def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int, fn) -> np.ndarray:
     """fn(W, W1p, W1m, W0) at each point of the 1-D array xs, at eps - shift:
     W0 is a Python scalar from one pass of the base family over xs, the rest
-    are Duals of the seeded point.  Where a point overflows, fn runs on nans,
-    so a pair-valued fn reads as a pair of nans."""
+    are Duals of the seeded point.  Where a point overflows or meets an exact
+    pole (any ArithmeticError), fn runs on nans, so a pair-valued fn reads as
+    a pair of nans."""
     cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
     w0s, w0ps = _base_w0(cs, xs, e, r, l)
     nan, out = Dual(math.nan, math.nan), []
@@ -300,7 +301,7 @@ def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int, fn) -> np.ndarra
             xd = seed(x)
             p, m = _w1(cs, True, xd, e, r, l), _w1(cs, False, xd, e, r, l)
             out.append(fn(Dual(w0, w0p) + p - m, p, m, w0))
-        except OverflowError:
+        except ArithmeticError:
             out.append(fn(nan, nan, nan, math.nan))
     return np.array(out)
 

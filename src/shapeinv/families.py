@@ -97,8 +97,21 @@ class ConstructionData:
 
 
 def _ratio_shift(e: float, r: float) -> float:
-    """The rho-dependent part of R common to the five ratio families."""
-    return (2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2)
+    """The rho-dependent part of R common to the five ratio families.
+
+    Past |eps| = 1.34e154 the denominator's float ** overflows (or a product
+    reads inf) although the shift need not; only there it is taken as
+    (2e + 1) q q with q = r / e / (e + 1), which divides before it
+    multiplies, so R keeps its bits everywhere else.
+    """
+    try:
+        shift = (2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2)
+        if math.isfinite(shift):
+            return shift
+    except OverflowError:
+        pass
+    q = r / e / (e + 1)
+    return (2 * e + 1) * q * q
 
 
 @dataclass(frozen=True, eq=False)

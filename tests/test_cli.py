@@ -153,6 +153,19 @@ def test_cond2_grid_past_the_window_exits_3(capsys):
     assert rc == 3 and "denominator not finite near x = 720.01" in err
 
 
+# case 4 at eps = m, rho = beta / 2: the bottom 2 eps +- 1 - x^2 is exactly 0
+# at the grid point x = 3, for the plus branch at m = 4 and the minus branch
+# at m = 5; an exact pole reads like an overflow, never as a raw exception
+@pytest.mark.parametrize("check,m", [("cond1", 4), ("ext-si", 4), ("cond1", 5),
+                                     ("ext-si", 5), ("cond2", 5)])
+def test_exact_pole_on_a_check_grid_exits_3(capsys, check, m):
+    rc, out, err = run(capsys, "verify", check, "--extension", "4", "--m", str(m),
+                       "--invariant", "1", "--beta", "1", "--window", "0.5,1",
+                       "--grid", "2,4,3")
+    assert (rc, out) == (3, "")
+    assert err == "numerical failure: case 4: denominator not finite near x = 3\n"
+
+
 def test_target_validation(capsys):
     rc, _, err = run(capsys, "spectrum", "--m", "2.5")
     assert rc == 2 and "family or extension" in err

@@ -109,3 +109,126 @@ def test_rational_combinations_match_central_differences(f, g, a, b, c, x, y):
     want = central(plain, z)
     assert abs(d.eps - want) <= 1e-7 * max(1.0, abs(want)), (f, g, z)
     assert isinstance(d.val, complex) == isinstance(z, complex)
+
+
+# Each rule of the dual.py docstring, written out on plain floats and
+# complexes: an operator must return exactly these (val, eps), signed zeros,
+# infinities and nans included, so no rewrite can reorder the arithmetic.
+REALS = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+                  st.floats())
+COMPONENTS = st.one_of(REALS, st.builds(complex, REALS, REALS))
+SCALARS = st.one_of(st.integers(-3, 3), COMPONENTS)
+DUALS = st.builds(Dual, COMPONENTS, COMPONENTS)
+
+
+def _product(av, ae, bv, be):
+    return av * bv, ae * bv + av * be
+
+
+DUAL_RULES = {
+    "a + b": (lambda a, b: a + b, lambda a, b: (a.val + b.val, a.eps + b.eps)),
+    "a - b": (lambda a, b: a - b, lambda a, b: (a.val - b.val, a.eps - b.eps)),
+    "a * b": (lambda a, b: a * b, lambda a, b: _product(a.val, a.eps, b.val, b.eps)),
+    "a / b": (lambda a, b: a / b,
+              lambda a, b: (a.val / b.val, (a.eps - (a.val / b.val) * b.eps) / b.val)),
+}
+SCALAR_RULES = {
+    "a + s": (lambda a, s: a + s, lambda a, s: (a.val + s, a.eps)),
+    "s + a": (lambda a, s: s + a, lambda a, s: (a.val + s, a.eps)),
+    "a - s": (lambda a, s: a - s, lambda a, s: (a.val - s, a.eps)),
+    "s - a": (lambda a, s: s - a, lambda a, s: (s - a.val, -a.eps)),
+    "a * s": (lambda a, s: a * s, lambda a, s: (a.val * s, a.eps * s)),
+    "s * a": (lambda a, s: s * a, lambda a, s: (a.val * s, a.eps * s)),
+    "a / s": (lambda a, s: a / s, lambda a, s: (a.val / s, a.eps / s)),
+    "s / a": (lambda a, s: s / a,
+              lambda a, s: (s / a.val, -(s / a.val) * a.eps / a.val)),
+}
+
+
+def _power(a, n):
+    if n == 0:
+        return 1.0, 0.0
+    v, e = a.val, a.eps
+    for _ in range(abs(n) - 1):
+        v, e = _product(v, e, a.val, a.eps)
+    if n > 0:
+        return v, e
+    return 1.0 / v, -(1.0 / v) * e / v      # the rule for s / a with s = 1.0
+
+
+def _lifted(name, v, e):
+    """f(v) and (+-)f'(v) * e from math, or cmath on a complex v."""
+    lib = cmath if isinstance(v, complex) else math
+    f, df = {"sin": (lib.sin, lib.cos), "cos": (lib.cos, lib.sin),
+             "sinh": (lib.sinh, lib.cosh), "cosh": (lib.cosh, lib.sinh)}[name]
+    fv, dv = f(v), df(v)
+    return fv, (-dv if name == "cos" else dv) * e
+
+
+def _outcome(fn):
+    """(val, eps) of a Dual or a pair, or the type of the exception raised."""
+    try:
+        out = fn()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return (out.val, out.eps) if isinstance(out, Dual) else out
+
+
+def _same_float(x, y):
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _same(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    for g, w in zip(got, want):
+        if type(g) is not type(w):
+            return False
+        if isinstance(g, complex):
+            if not (_same_float(g.real, w.real) and _same_float(g.imag, w.imag)):
+                return False
+        elif not _same_float(g, w):
+            return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rule=st.sampled_from(sorted(DUAL_RULES)), a=DUALS, b=DUALS)
+def test_dual_operators_follow_their_rules_bit_for_bit(rule, a, b):
+    op, formula = DUAL_RULES[rule]
+    got, want = _outcome(lambda: op(a, b)), _outcome(lambda: formula(a, b))
+    assert _same(got, want), (rule, a, b, got, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(rule=st.sampled_from(sorted(SCALAR_RULES)), a=DUALS, s=SCALARS)
+def test_scalar_operators_follow_their_rules_bit_for_bit(rule, a, s):
+    op, formula = SCALAR_RULES[rule]
+    got, want = _outcome(lambda: op(a, s)), _outcome(lambda: formula(a, s))
+    assert _same(got, want), (rule, a, s, got, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=DUALS, n=st.integers(-3, 3))
+def test_powers_and_negation_follow_their_rules_bit_for_bit(a, n):
+    got, want = _outcome(lambda: a ** n), _outcome(lambda: _power(a, n))
+    assert _same(got, want), (a, n, got, want)
+    assert _same(_outcome(lambda: -a), (-a.val, -a.eps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(name=st.sampled_from(NAMES), a=DUALS)
+def test_lifts_follow_their_rule_bit_for_bit(name, a):
+    got = _outcome(lambda: getattr(dual, name)(a))
+    want = _outcome(lambda: _lifted(name, a.val, a.eps))
+    assert _same(got, want), (name, a, got, want)
+
+
+def test_the_bit_comparison_tells_signed_zeros_and_nans_apart():
+    assert _same((0.0, math.nan), (0.0, -math.nan))
+    assert not _same((0.0, 1.0), (-0.0, 1.0))
+    assert not _same((complex(0.0, -0.0), 1.0), (complex(0.0, 0.0), 1.0))
+    assert not _same((1.0, 1.0), (1.0 + 0j, 1.0))
+    assert not _same((1.0, 1.0), ZeroDivisionError)

@@ -118,6 +118,22 @@ def test_case4_default_window_scan_locates_root():
     assert exc.value.location == pytest.approx(math.sqrt(2.5), abs=1e-6)
 
 
+@pytest.mark.parametrize("eps", [4.0, 5.0])
+def test_an_exact_pole_reads_as_nan(eps):
+    # 2 eps +- 1 - x^2 (rho = 1/2) is exactly 0 at x = 3 on one branch
+    s = build(4, eps, 0.5, window=(0.5, 1.0))
+    with pytest.raises(DenominatorZero, match="not finite near x = 3$") as exc:
+        check_cond1(s, grid=(2.0, 4.0, 3))
+    assert exc.value.location == 3.0
+    with pytest.raises(DenominatorZero, match="not finite near x = 3$"):
+        extended_si_check(s, grid=(2.0, 4.0, 3))
+    w = extended_superpotential(s)
+    for read in (w.w, w.w_prime, w.potential, w.partner):
+        vals = read(np.array([2.0, 3.0, 4.0]))
+        assert math.isnan(read(3.0)) and np.isnan(vals[1]), read
+        assert np.all(np.isfinite(vals[[0, 2]])), read
+
+
 def test_rho_zero_collapse():
     s = build(4, 2.0, 0.0, window=(0.75, 1.3))
     w = extended_superpotential(s)

@@ -1,7 +1,9 @@
 """Family construction: folds, ranges, superpotentials, remainders."""
 
 import math
+from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from shapeinv.errors import EvalDomainError, RangeViolation, ValidationError
 from shapeinv.families import (
     ConstructionData,
     Coupling,
+    _ratio_shift,
     build_family,
     classic_reconstruction,
     construction_remainder,
@@ -318,3 +321,29 @@ def test_trig_rosen_morse_rejects_eps_zero():
     for fid in ("rosen-morse1", "rosen-morse1-cot"):
         with pytest.raises(RangeViolation, match="eps != 0"):
             simple(fid, 0.0, 1.0)
+
+
+def _exact_shift(e: float, r: float) -> float:
+    """(2e + 1) r^2 / (e^2 (e + 1)^2) in exact rationals, rounded once."""
+    e, r = Fraction(e), Fraction(r)
+    return float((2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(e=st.floats(-1e154, 1e154).filter(lambda e: abs(e) > 1e-6 and abs(e + 1) > 1e-6),
+       r=st.floats(-1e100, 1e100))
+def test_ratio_shift_keeps_its_formula_where_it_is_finite(e, r):
+    want = (2 * e + 1) * r ** 2 / (e ** 2 * (e + 1) ** 2)
+    got = _ratio_shift(e, r)
+    if math.isfinite(want):
+        assert repr(got) == repr(want)   # the same bits, signed zeros too
+    else:   # inf / inf: the products overflow, the shift does not
+        assert math.isfinite(got) and got == pytest.approx(_exact_shift(e, r), rel=1e-14)
+
+
+@pytest.mark.parametrize("e,r", [(2e154, 1.0), (2e154, 1e300), (-3e200, 7e250),
+                                 (1e300, 1e300), (-1e300, -1.0), (-1e200, 1e308)])
+def test_ratio_shift_stays_finite_past_the_overflow(e, r):
+    exact, got = _exact_shift(e, r), _ratio_shift(e, r)
+    assert math.isfinite(got)
+    assert abs(got - exact) <= 1e-14 * abs(exact) + 1e-300, (got, exact)

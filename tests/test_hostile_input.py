@@ -8,6 +8,7 @@ JSON report (exit 0 or 1) parses without an inf or nan token.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -97,9 +98,6 @@ def test_hostile_input_keeps_the_exit_code_contract(job, as_json):
 # inputs whose closed forms or oracle overflow, underflow or divide by zero
 # inside float arithmetic: a numerical failure (exit 3), not an internal one
 @pytest.mark.parametrize("argv", [
-    "spectrum --family=rosen-morse2 --m=1e300 --rho-invariant=1",
-    "spectrum --family=coulomb --m=-1e300 --rho-invariant=-1",
-    "spectrum --family=rosen-morse1 --m=-1e300 --rho-invariant=1",
     "verify si --family=rosen-morse2 --m=1e300 --rho-invariant=1",
     "spectrum --family=rosen-morse1-cot --m=1e-160 --rho-invariant=1",
     "oracle compare --family=harm-osc --m=0 --invariant=1 --beta=1 --oracle=0,1e-300,1000",
@@ -119,8 +117,6 @@ def test_float_arithmetic_failures_exit_3(argv):
 
 # the line names the exception and the innermost library function it left
 @pytest.mark.parametrize("argv,where", [
-    ("spectrum --family=rosen-morse2 --m=2e154 --rho-invariant=1 --kmax=2",
-     "OverflowError in _ratio_shift: "),
     ("wavefunction --family=scarf1 --m=-1e306 --invariant=1 --k=0",
      "OverflowError in log_gamma: "),
     ("spectrum --family=rosen-morse1-cot --m=1e-160 --rho-invariant=1",
@@ -133,3 +129,22 @@ def test_arithmetic_failures_name_the_operation(argv, where):
     err = err.getvalue()
     assert rc == 3 and out.getvalue() == "", (argv, rc, err)
     assert err.startswith("numerical failure: " + where) and err.count("\n") == 1, (argv, err)
+
+
+# |eps| past 1.34e154, where e^2 (e + 1)^2 in the ratio families' shift
+# overflows although R is finite: the spectrum prints finite energies
+@pytest.mark.parametrize("argv", [
+    "spectrum --family=rosen-morse2 --m=2e154 --rho-invariant=1 --kmax=2",
+    "spectrum --family=rosen-morse2 --m=1e300 --rho-invariant=1",
+    "spectrum --family=coulomb --m=-1e300 --rho-invariant=-1",
+    "spectrum --family=rosen-morse1 --m=-1e300 --rho-invariant=1",
+], ids=["rosen-morse2-2e154", "rosen-morse2-1e300", "coulomb-1e300", "rosen-morse1-1e300"])
+def test_huge_eps_spectra_are_finite(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv.split() + ["--json"])
+    assert rc == 0 and err.getvalue() == "", (argv, rc, err.getvalue())
+    energies = [level["energy"] for level in
+                json.loads(out.getvalue(), parse_constant=_no_constant)["levels"]]
+    assert len(energies) >= 3 and all(map(math.isfinite, energies)), energies
+    assert energies == sorted(energies), energies

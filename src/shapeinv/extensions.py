@@ -9,9 +9,9 @@ bottom where top and bottom are terminating polynomials (Jacobi, Laguerre,
 Kummer, or Gauss ratios) or plain rational expressions; the plus and minus
 branches are transcribed independently, with their own literal parameter
 offsets, so the unit-translation consistency check (cond2) genuinely
-compares two displays instead of restating one.  cond1, ext-si and the
-ExtendedSuperpotential readers share one loop over points, `_pointwise`: W0
-comes from the base family over the whole grid at once, W1 and its
+compares two displays instead of restating one.  cond1, ext-si and all
+the readers do array arithmetic on one pass, `_pointwise`: W0 comes from
+the base family over the whole grid at once, each W1 branch and its
 derivative from a Dual seeded at each point.  The gauge freedom f(x) is
 fixed to zero, which turns cond1 into a sharp zero-test.
 """
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dual
-from .dual import Dual, seed
+from .dual import seed
 from .errors import DenominatorZero, ValidationError
 from .families import (_FOLD_D_ONLY, FAMILY_SPECS, ConstructionData, Domain, Fold, _fold,
                        _make_domain)
@@ -226,7 +226,7 @@ def case_number(case) -> int:
             case = int(text)
         except ValueError:
             raise ValidationError(f"unknown extension case {case!r}") from None
-    if not isinstance(case, int) or case not in CASE_SPECS:
+    if not isinstance(case, int) or isinstance(case, bool) or case not in CASE_SPECS:
         raise ValidationError(
             f"extension case must be one of {', '.join(EXTENSION_IDS)}, got {case!r}")
     return case
@@ -277,9 +277,9 @@ def _w1(cs: CaseSpec, plus: bool, xd, e, r, l):
 
 
 def w1_branch(spec: ExtensionSpec, x: float, branch: int, shift: int = 0):
-    """One correction branch at eps - shift; values only."""
+    """One correction branch at eps - shift, values only; nan at a pole or an overflow."""
     spec.domain.require_inside(x)
-    return _w1(spec.case, branch > 0, float(x), spec.eps - shift, spec.rho, spec.ell)
+    return _pointwise(spec, np.array([float(x)]), shift)[2 if branch > 0 else 4].item()
 
 
 def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
@@ -287,31 +287,26 @@ def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
     return w1_branch(spec, x, 1, shift) - w1_branch(spec, x, -1, shift)
 
 
-def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int, fn) -> np.ndarray:
-    """fn(W, W1p, W1m, W0) at each point of the 1-D array xs, at eps - shift:
-    W0 is a Python scalar from one pass of the base family over xs, the rest
-    are Duals of the seeded point.  Where a point overflows or meets an exact
-    pole (any ArithmeticError), fn runs on nans, so a pair-valued fn reads as
-    a pair of nans."""
+def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int) -> tuple:
+    """W, W', W1p, W1p', W1m, W1m' and W0 over the 1-D array xs, at eps - shift.
+
+    W0 and W0' come from one pass of the base family over xs, each branch
+    and its derivative from a Dual seeded at each point.  Where a point
+    overflows or meets an exact pole (any ArithmeticError), both branches
+    are nan there, and so are W and W'."""
     cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
-    w0s, w0ps = _base_w0(cs, xs, e, r, l)
-    nan, out = Dual(math.nan, math.nan), []
-    for x, w0, w0p in zip(xs.tolist(), w0s.tolist(), w0ps.tolist()):
+    w0, w0p = _base_w0(cs, xs, e, r, l)
+    rows = []
+    for x in xs.tolist():
         try:
             xd = seed(x)
             p, m = _w1(cs, True, xd, e, r, l), _w1(cs, False, xd, e, r, l)
-            out.append(fn(Dual(w0, w0p) + p - m, p, m, w0))
+            rows.append((p.val, p.eps, m.val, m.eps))
         except ArithmeticError:
-            out.append(fn(nan, nan, nan, math.nan))
-    return np.array(out)
-
-
-def _lower(w, *_):
-    return w.val ** 2 - w.eps
-
-
-def _raised(w, *_):
-    return w.val ** 2 + w.eps
+            rows.append((math.nan,) * 4)
+    p, pp, m, mp = np.array(rows).reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        return w0 + p - m, w0p + pp - mp, p, pp, m, mp, w0
 
 
 def _require_finite(cs: CaseSpec, xs: np.ndarray, vals: np.ndarray) -> None:
@@ -414,22 +409,27 @@ class ExtendedSuperpotential:
 
     spec: ExtensionSpec
 
-    def _read(self, x, fn):
+    def _read(self, x):
         self.spec.domain.require_inside(x)
         xs = np.asarray(x, dtype=float)
-        return _pointwise(self.spec, xs.ravel(), 0, fn).reshape(xs.shape)[()]
+        w, wp = _pointwise(self.spec, xs.ravel(), 0)[:2]
+        return w.reshape(xs.shape), wp.reshape(xs.shape)
 
     def w(self, x):
-        return self._read(x, lambda w, *_: w.val)
+        return self._read(x)[0][()]
 
     def w_prime(self, x):
-        return self._read(x, lambda w, *_: w.eps)
+        return self._read(x)[1][()]
 
     def potential(self, x):
-        return self._read(x, _lower)
+        w, wp = self._read(x)
+        with np.errstate(all="ignore"):
+            return (w ** 2 - wp)[()]
 
     def partner(self, x):
-        return self._read(x, _raised)
+        w, wp = self._read(x)
+        with np.errstate(all="ignore"):
+            return (w ** 2 + wp)[()]
 
 
 def extended_superpotential(spec: ExtensionSpec) -> ExtendedSuperpotential:
@@ -469,13 +469,6 @@ def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     return _report(xs, res, excluded)
 
 
-def _cond1_l(w, p, m, w0):
-    """The combination L at one point, and |L| / (1 + |W0|^2)."""
-    pv, pd, mv, md = p.val, p.eps, m.val, m.eps
-    lhs = pv * pv + pd + mv * mv + md + 2 * w0 * pv - 2 * w0 * mv - 2 * pv * mv
-    return lhs, abs(lhs) / (1.0 + abs(w0) ** 2)
-
-
 def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
     """Zero-test of the branch compatibility combination.
 
@@ -488,8 +481,12 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
     DenominatorZero there.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
-    (l_up, r_up), (l_dn, r_dn) = (_pointwise(spec, xs, shift, _cond1_l).T for shift in (0, 1))
-    res = np.maximum(np.maximum(r_up.real, r_dn.real), np.abs(l_up - l_dn))
+    # each part as a row at eps and a row at eps - 1
+    _, _, p, pp, m, mp, w0 = np.stack([_pointwise(spec, xs, shift) for shift in (0, 1)], axis=1)
+    with np.errstate(all="ignore"):
+        lhs = p * p + pp + m * m + mp + 2 * w0 * p - 2 * w0 * m - 2 * p * m
+        res = np.maximum(np.max(np.abs(lhs) / (1.0 + np.abs(w0) ** 2), axis=0),
+                         np.abs(lhs[0] - lhs[1]))
     _require_finite(spec.case, xs, res)
     return _report(xs, res, excluded)
 
@@ -502,8 +499,10 @@ def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
     (an overflow past the certified window) raises DenominatorZero.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
-    v_plus = _pointwise(spec, xs, 0, _raised)
-    v_down = _pointwise(spec, xs, 1, _lower)
-    res = np.abs(v_plus - v_down - base_remainder(spec, shift=1)) / (1.0 + np.abs(v_down))
+    w, wp = _pointwise(spec, xs, 0)[:2]
+    wd, wpd = _pointwise(spec, xs, 1)[:2]
+    with np.errstate(all="ignore"):
+        v_plus, v_down = w ** 2 + wp, wd ** 2 - wpd
+        res = np.abs(v_plus - v_down - base_remainder(spec, shift=1)) / (1.0 + np.abs(v_down))
     _require_finite(spec.case, xs, res)
     return _report(xs, res, excluded)

@@ -575,7 +575,7 @@ def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
 
 def translate_family(fp: FamilyParams, t: int = 1) -> FamilyParams:
     """Rebuild after m_i -> m_i - t; eps drops by t, rho and beta stay."""
-    if not isinstance(t, int) or t < 1:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise ValidationError(f"translation step must be an integer >= 1, got {t!r}")
     data = dataclasses.replace(fp.provenance, p=fp.provenance.p.translate(t))
     return build_family(fp.id, data)

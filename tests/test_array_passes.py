@@ -6,7 +6,8 @@ replaced are kept here as oracles: the scan must take the same decisions
 with the same messages, and cond2 must give the same residuals to 1e-13.
 The other way round, the Dual loop of the cond1/ext-si checks must give
 the value-only array path's W to 1e-13 and its converged stencil
-derivative to 1e-7.
+derivative to 1e-7, and its one pass must give the callback loop it
+replaced (kept here too) bit for bit.
 The invariant language's one-point evaluator on Python floats and the math
 module is kept as the scalar reference: eval_invariant must take the same
 has-value decisions, and the invariance check, run draw by draw on the
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapeinv import extensions as ext
+from shapeinv.dual import Dual, seed
 from shapeinv.errors import DenominatorZero, EvalDomainError, ShapeInvError, ValidationError
 from shapeinv.invariants import (
     SHIFTS,
@@ -46,6 +48,23 @@ from test_acceptance import DSL_EXPRESSIONS, draw_extension, extension_box
 from test_invariants import ASTS
 
 # -- oracles: the per-point loops --------------------------------------------
+
+
+def pointwise_oracle(spec, xs, shift, fn):
+    """fn(W, W1p, W1m, W0) at each point of xs, at eps - shift: W0 a Python
+    scalar from the base family's pass, the rest Duals of the seeded point;
+    fn runs on nans where the point raises ArithmeticError."""
+    cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
+    w0s, w0ps = ext._base_w0(cs, xs, e, r, l)
+    nan, out = Dual(math.nan, math.nan), []
+    for x, w0, w0p in zip(xs.tolist(), w0s.tolist(), w0ps.tolist()):
+        try:
+            xd = seed(x)
+            p, m = ext._w1(cs, True, xd, e, r, l), ext._w1(cs, False, xd, e, r, l)
+            out.append(fn(Dual(w0, w0p) + p - m, p, m, w0))
+        except ArithmeticError:
+            out.append(fn(nan, nan, nan, math.nan))
+    return np.array(out)
 
 
 def scan_oracle(cs, e, r, l, window, n):
@@ -295,13 +314,34 @@ def test_the_dual_loop_matches_the_array_path(case, rng):
     # steps reach at most a quarter of the way to a finite end of the domain
     reach = np.minimum(np.minimum(xs - spec.domain.lo, spec.domain.hi - xs), 1.0) / 4
     for shift in (0, 1):
-        val, der = ext._pointwise(spec, xs, shift, lambda w, *_: (w.val, w.eps)).T
+        val, der = ext._pointwise(spec, xs, shift)[:2]
         want = w_array(spec, xs, shift)
         assert np.all(np.abs(val - want) <= 1e-13 * (1.0 + np.abs(want))), (spec, shift)
         d, move = converged_stencil(lambda x: w_array(spec, x, shift), xs, reach)
         scale = 1.0 + np.abs(der)
         assert np.all(move <= 1e-8 * scale), (spec, shift)
         assert np.all(np.abs(der - d) <= 1e-7 * scale), (spec, shift)
+
+
+@pytest.mark.parametrize("case", CASES)
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_one_pass_matches_the_callback_loop(case, seed):
+    spec = draw_extension(case, random.Random(seed))
+    a, b = spec.window
+    # the window, then the domain out to |x| = 800, where cosh and sinh overflow
+    lo, hi = clip_window(spec.domain, -800.0, 800.0)
+    xs = np.concatenate([np.linspace(a, b, 41)[1:-1], np.linspace(lo, hi, 41)[1:-1]])
+    for shift in (0, 1):
+        got = ext._pointwise(spec, xs, shift)
+        want = pointwise_oracle(spec, xs, shift, lambda w, p, m, w0: (
+            w.val, w.eps, p.val, p.eps, m.val, m.eps, w0)).T
+        for part, (g, w) in enumerate(zip(got[:6], want)):
+            np.testing.assert_array_equal(g, w, err_msg=f"{spec} shift {shift} part {part}")
+        # the loop handed fn a nan W0 where a point raised; the pass keeps the base's
+        raised = np.isnan(want[6])
+        assert np.all(np.isnan(got[2][raised]) & np.isnan(got[4][raised]))
+        np.testing.assert_array_equal(got[6][~raised], want[6][~raised])
 
 
 # -- the invariant language -------------------------------------------------

@@ -69,6 +69,13 @@ def test_registry_and_case_number():
         case_number("ext-12")
     with pytest.raises(ValidationError):
         case_number("seven")
+    # a bool is an int to Python, but not a case id (it built ext-True as case 1)
+    for flag in (True, False):
+        with pytest.raises(ValidationError):
+            case_number(flag)
+    with pytest.raises(ValidationError):
+        build_extension(True, ConstructionData(p=ParamVector((2.0,)),
+                                               couplings=(Coupling(TRIV, beta=0.0, d=-1.0),)))
 
 
 def test_ell_validation():
@@ -132,6 +139,17 @@ def test_an_exact_pole_reads_as_nan(eps):
         vals = read(np.array([2.0, 3.0, 4.0]))
         assert math.isnan(read(3.0)) and np.isnan(vals[1]), read
         assert np.all(np.isfinite(vals[[0, 2]])), read
+
+
+@pytest.mark.parametrize("eps", [4.0, 5.0])
+def test_the_w1_readers_read_an_exact_pole_as_nan(eps):
+    # the same bottoms, where a bare ZeroDivisionError escaped both readers;
+    # one pass evaluates both branches, so both read nan at the pole
+    s = build(4, eps, 0.5, window=(0.5, 1.0))
+    for branch in (1, -1):
+        assert math.isnan(w1_branch(s, 3.0, branch))
+        assert math.isfinite(w1_branch(s, 2.0, branch))
+    assert math.isnan(w1_difference(s, 3.0)) and math.isfinite(w1_difference(s, 2.0))
 
 
 def test_rho_zero_collapse():

@@ -136,6 +136,9 @@ def test_translate_semantics():
     assert down2.eps == pytest.approx(fp.eps - 2.0)
     with pytest.raises(ValidationError):
         translate_family(fp, 0)
+    # a bool is not a step, as it is not a level index (eigenenergy(fp, True))
+    with pytest.raises(ValidationError):
+        translate_family(fp, True)
     # slope fold: translation leaves every folded parameter alone
     hp = fixture("harm-osc")
     ht = translate_family(hp, 1)

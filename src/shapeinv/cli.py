@@ -1,13 +1,15 @@
 """Command-line front end.
 
-One job per invocation: a config document whose keys are the fields of
-`JobConfig`, read from a file by `--config` or written as flags (`--m 1,2`
-is `"m": [1, 2]`, `--json` is `"format": "json"`).  Both are coerced by the
+One job per invocation: a config document whose keys are `_CONFIG_KEYS`,
+read from a file by `--config` or written as flags (`--m 1,2` is
+`"m": [1, 2]`, `--json` is `"format": "json"`).  Both are coerced by the
 same rules; each given flag replaces its key in the file's document.
-Identical jobs print byte-identical output.  Floats are written with 17
-significant digits so the reports round-trip.  Exit codes: 0 pass, 1
-tolerance failure, 2 validation or config error, 3 numerical failure, 4
-internal error (any other exception, reported on one line).
+`_READS` names the inputs each command reads, with their defaults; any
+other given input is a validation error.  Identical jobs print
+byte-identical output.  Floats are written with 17 significant digits so
+the reports round-trip.  Exit codes: 0 pass, 1 tolerance failure, 2
+validation or config error, 3 numerical failure, 4 internal error (any
+other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import extensions, families, specfun, spectra, verify
 from .errors import NumericalError, ValidationError
-from .extensions import ExtensionSpec
 from .families import FamilyParams
 from .invariants import ParamVector, parse_invariant, verify_invariant
 
@@ -33,8 +33,6 @@ EXIT_TOLERANCE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
-
-_ORACLE_TOL = 5e-3
 
 
 def _fmt(x) -> str:
@@ -60,24 +58,28 @@ def _dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 # job configuration
 
-@dataclass(frozen=True)
-class JobConfig:
-    """One job; each field is the config-document key of the same name."""
-
-    family: Optional[str] = None
-    extension: Optional[str] = None
-    m: Optional[tuple] = None
-    couplings: Optional[tuple] = None      # ((source, beta, d), ...)
-    rho_invariant: Optional[str] = None
-    ell: Optional[int] = None
-    window: Optional[tuple] = None
-    grid: Optional[tuple] = None           # (a, b, n)
-    oracle: Optional[tuple] = None         # (a, b, n)
-    tol: Optional[float] = None
-    format: Optional[str] = None
-
-
-_CONFIG_KEYS = {field.name for field in dataclasses.fields(JobConfig)}
+# the config-document keys, in the order a job's inputs are checked
+_CONFIG_KEYS = ("family", "extension", "m", "couplings", "rho_invariant", "ell", "window",
+                "grid", "oracle", "tol", "format")
+# the inputs every command reads, and each command's other inputs, with
+# their defaults (None: none given, or the check chooses from the target);
+# --k and --kmax are flags with no config key
+_EVERY_COMMAND_READS = {"m": None, "couplings": None, "rho_invariant": None, "format": "text"}
+_SPECTRUM = {"family": None, "kmax": 8}
+_FD_ORACLE = {"oracle": None, "tol": 5e-3}
+_EXTENSION = {"extension": None, "ell": None, "window": None, "grid": None}
+_READS = {
+    "spectrum": _SPECTRUM,
+    "spectrum --oracle": {**_SPECTRUM, **_FD_ORACLE},
+    "oracle compare": {"family": None, "kmax": 2, **_FD_ORACLE},
+    "wavefunction": {"family": None, "k": 0, "grid": None},
+    "verify si": {"family": None, "grid": None, "tol": 1e-9},
+    "verify ladder": {"family": None, "k": 1, "tol": 1e-5},
+    "verify orthonormal": {"family": None, "kmax": 3, "tol": 1e-6},
+    "verify cond1": {**_EXTENSION, "tol": 1e-8},
+    "verify cond2": {**_EXTENSION, "tol": 1e-10},
+    "verify ext-si": {**_EXTENSION, "tol": 1e-7},
+}
 
 
 def _integer(value, what: str) -> int:
@@ -108,8 +110,10 @@ def _box(value, what: str) -> tuple:
 
 
 def _coerce_config(doc: dict) -> dict:
-    """The JobConfig fields of a config document, read from a file or built
-    from the flags.  A value of the wrong type raises TypeError or ValueError."""
+    """A config document, read from a file or built from the flags, with its
+    values coerced: m, window and the (a, b, n) boxes as tuples, couplings as
+    ((source, beta, d), ...).  A value of the wrong type raises TypeError or
+    ValueError."""
     cfg = dict(doc)
     if "m" in doc:
         if not isinstance(doc["m"], list):
@@ -146,7 +150,7 @@ def _coerce_config(doc: dict) -> dict:
     return cfg
 
 
-def _config_from_file(path: str) -> JobConfig:
+def _config_from_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -156,11 +160,11 @@ def _config_from_file(path: str) -> JobConfig:
         raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
     try:
-        return JobConfig(**_coerce_config(doc))
+        return _coerce_config(doc)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"config {path!r} has a value of the wrong type: {exc}") from None
 
@@ -183,8 +187,9 @@ def _flag_numbers(text: str, what: str, form: str = "") -> list:
 def _flag_document(args) -> dict:
     """The job flags that were given, as a config document.  A flag given
     with an empty value (`--m=`) is given: its value fails to parse."""
-    doc = {key: getattr(args, key) for key in ("family", "extension", "rho_invariant")
-           if getattr(args, key) is not None}
+    doc = {key: getattr(args, key) for key in ("family", "extension", "rho_invariant", "ell",
+                                               "tol", "k", "kmax")
+           if getattr(args, key, None) is not None}
     if args.m is not None:
         doc["m"] = _flag_numbers(args.m, "--m")
     if args.invariant or args.beta is not None or args.d is not None:
@@ -199,57 +204,53 @@ def _flag_document(args) -> dict:
             raise ValidationError("--invariant, --beta, --d counts must agree")
         doc["couplings"] = [{"invariant": src, "beta": b, "d": d}
                             for src, b, d in zip(sources, betas, ds)]
-    if args.ell is not None:
-        doc["ell"] = args.ell
     if args.window is not None:
         doc["window"] = _flag_numbers(args.window, "--window", "a,b")
     if args.grid is not None:
         doc["grid"] = _flag_numbers(args.grid, "grid", "a,b,N")
     if getattr(args, "oracle_box", None) is not None:
         doc["oracle"] = _flag_numbers(args.oracle_box, "--oracle", "a,b,N")
-    if args.tol is not None:
-        doc["tol"] = args.tol
     if args.json:
         doc["format"] = "json"
     return doc
 
 
-def _job_config(args) -> JobConfig:
-    """The --config document, coerced whole, with each given flag in place of its key."""
-    cfg = _config_from_file(args.config) if args.config else JobConfig()
-    return dataclasses.replace(cfg, **_coerce_config(_flag_document(args)))
+def _resolve(args, command: str) -> tuple:
+    """The target of a job and every input `command` reads: the --config
+    document, coerced whole, with each given flag in place of its key, over
+    the command's defaults in _READS.  Any other given input is rejected
+    before a target is built."""
+    reads = _READS[command]
+    given = _config_from_file(args.config) if args.config else {}
+    given.update(_coerce_config(_flag_document(args)))
+    given = {key: value for key, value in given.items() if value is not None}
+    for key in (*_CONFIG_KEYS, "k", "kmax"):
+        if key in given and key not in reads and key not in _EVERY_COMMAND_READS:
+            raise ValidationError(f"--{key} does not apply to {command}, "
+                                  f"which reads --{', --'.join(reads)}")
+    job = {**_EVERY_COMMAND_READS, **reads, **given}
+    return _build_target(job), job
 
 
-def _build_target(cfg: JobConfig):
-    """FamilyParams or ExtensionSpec from a config; invariants checked first."""
-    if (cfg.family is None) == (cfg.extension is None):
+def _build_target(job: dict):
+    """FamilyParams or ExtensionSpec of a job; invariants checked first."""
+    if job.get("family") is None and job.get("extension") is None:
         raise ValidationError("give exactly one of family or extension id")
-    if cfg.m is None:
+    if job["m"] is None:
         raise ValidationError("parameter vector m is required")
-    p = ParamVector(cfg.m)
-    rows = cfg.couplings if cfg.couplings else (("1", 0.0, 0.0),)
+    p = ParamVector(job["m"])
+    rows = job["couplings"] or (("1", 0.0, 0.0),)
     coupled = tuple(
         families.Coupling(verify_invariant(parse_invariant(src), p.n), beta=b, d=d)
         for src, b, d in rows)
     rho_expr = None
-    if cfg.rho_invariant is not None:
-        rho_expr = verify_invariant(parse_invariant(cfg.rho_invariant), p.n)
+    if job["rho_invariant"] is not None:
+        rho_expr = verify_invariant(parse_invariant(job["rho_invariant"]), p.n)
     data = families.ConstructionData(p=p, couplings=coupled, rho_invariant=rho_expr)
-    if cfg.family is not None:
-        if cfg.ell is not None or cfg.window is not None:
-            raise ValidationError("ell and window apply to extensions only")
-        return families.build_family(cfg.family, data)
-    return extensions.build_extension(cfg.extension, data, ell=cfg.ell,
-                                      window=cfg.window)
-
-
-def _need(target, kind: type):
-    """The target, if it is the kind (FamilyParams or ExtensionSpec) the command needs."""
-    if isinstance(target, kind):
-        return target
-    if kind is FamilyParams:
-        raise ValidationError("this command needs a base family, not an extension")
-    raise ValidationError("this command needs an extension; base families use 'verify si'")
+    if job.get("family") is not None:
+        return families.build_family(job["family"], data)
+    return extensions.build_extension(job["extension"], data, ell=job["ell"],
+                                      window=job["window"])
 
 
 def _require_finite(values, what: str) -> None:
@@ -297,16 +298,15 @@ def cmd_spectrum(args) -> int:
     on by `spectrum --oracle`, always on `oracle compare`) also each gap
     lambda_k - lambda_0 and its deviation from E_k, judged against the tolerance."""
     compare = args.command == "oracle"
-    cfg = _job_config(args)
-    fp = _need(_build_target(cfg), FamilyParams)
-    levels = [{"k": k, "energy": energy} for k, energy in spectra.energy_table(fp, args.kmax)]
+    command = "oracle compare" if compare else "spectrum --oracle" if args.oracle else "spectrum"
+    fp, job = _resolve(args, command)
+    levels = [{"k": k, "energy": energy} for k, energy in spectra.energy_table(fp, job["kmax"])]
     if not levels:
         raise ValidationError(f"family {fp.id!r} has no admissible levels here")
-    tol = cfg.tol if cfg.tol is not None else _ORACLE_TOL
     oracle = {}   # the JSON "oracle" entry: the FD box, when the oracle ran
     worst = 0.0
-    if compare or args.oracle:
-        box = verify.OracleSpec(*cfg.oracle) if cfg.oracle else verify.reference_oracle(fp)
+    if command != "spectrum":
+        box = verify.OracleSpec(*job["oracle"]) if job["oracle"] else verify.reference_oracle(fp)
         lam = verify.fd_spectrum(fp, box, len(levels))
         for row in levels:
             row["oracle_gap"] = lam[row["k"]] - lam[0]
@@ -318,32 +318,31 @@ def cmd_spectrum(args) -> int:
     head = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta}}
     # the compare report names its box before the levels
     out = {**head, **oracle, "levels": levels} if compare else {**head, "levels": levels, **oracle}
-    as_json = cfg.format == "json"
+    as_json = job["format"] == "json"
     if not as_json:
         print("k\tE_k" + ("\toracle_gap\tdeviation" if oracle else ""))
         for row in levels:
             print("\t".join([str(row["k"])] + [_fmt(v) for v in list(row.values())[1:]]))
     if compare:
-        return _verdict(out, worst, tol, as_json, f"max_deviation={_fmt(worst)}")
+        return _verdict(out, worst, job["tol"], as_json, f"max_deviation={_fmt(worst)}")
     if as_json:
         print(_dumps(out))
-    return EXIT_TOLERANCE if oracle and not worst <= tol else EXIT_PASS
+    return EXIT_TOLERANCE if oracle and not worst <= job["tol"] else EXIT_PASS
 
 
 def cmd_wavefunction(args) -> int:
-    cfg = _job_config(args)
-    fp = _need(_build_target(cfg), FamilyParams)
-    wf = spectra.wavefunction(fp, args.k)
-    xs, _ = verify.grid_points(fp.domain, cfg.grid or verify.default_grid(fp, 201))
+    fp, job = _resolve(args, "wavefunction")
+    wf = spectra.wavefunction(fp, job["k"])
+    xs, _ = verify.grid_points(fp.domain, job["grid"] or verify.default_grid(fp, 201))
     zeta = np.asarray(wf(xs), dtype=float)
     v, _ = families.partner_potentials(fp, xs)
     norm = verify.quadrature(lambda t: (z := wf(t)) * z, fp.domain, 1e-10)
     residue = wf.imag_residue(xs)
-    if cfg.format == "json":
+    if job["format"] == "json":
         out = {
             "family": fp.id,
             "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
-            "k": args.k,
+            "k": job["k"],
             "norm": norm,
             "imag_residue": residue,
             "grid": {"a": float(xs[0]), "b": float(xs[-1]), "N": int(xs.size)},
@@ -352,7 +351,7 @@ def cmd_wavefunction(args) -> int:
         print(_dumps(out))
     else:
         # csv: '.' decimal, ',' separator, diagnostics on a comment line
-        print(f"# family={fp.id},k={args.k},norm={_fmt(norm)},imag_residue={_fmt(residue)}")
+        print(f"# family={fp.id},k={job['k']},norm={_fmt(norm)},imag_residue={_fmt(residue)}")
         print("x,zeta,V")
         for x, z, p in zip(xs, zeta, v):
             print(f"{_fmt(x)},{_fmt(z)},{_fmt(p)}")
@@ -362,14 +361,14 @@ def cmd_wavefunction(args) -> int:
 def _residual(target, report, **after) -> tuple:
     """A grid residual report of a family or an extension, as _verdict takes it."""
     kind = "family" if isinstance(target, FamilyParams) else "extension"
-    out = verify.report_json(target, report, report.grid)
+    out = verify.report_json(target, report)
     summary = (f"{kind}={out['family']} max_residual={_fmt(report.max_residual)} "
                f"mean={_fmt(report.mean_residual)} argmax_x={_fmt(report.argmax_x)}")
     return out, report.max_residual, summary, after
 
 
-def _orthonormal(fp, opts) -> tuple:
-    gram = verify.orthonormality(fp, opts["kmax"])
+def _orthonormal(fp, job) -> tuple:
+    gram = verify.orthonormality(fp, job["kmax"])
     out = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
            **dataclasses.asdict(gram)}
     summary = (f"family={fp.id} levels={list(gram.levels)} "
@@ -377,37 +376,22 @@ def _orthonormal(fp, opts) -> tuple:
     return out, gram.max_deviation, summary, {}
 
 
-# check -> (default tolerance, target kind, the flags it reads with their
-# defaults, runner(target, flag values) giving the JSON report, its worst
-# value, the text summary and the JSON fields that follow the verdict)
+# check -> runner(target, job inputs) giving the JSON report, its worst
+# value, the text summary and the JSON fields that follow the verdict
 _CHECKS = {
-    "si": (1e-9, FamilyParams, {"grid": None},
-           lambda fp, o: _residual(fp, verify.si_residual(fp, o["grid"]))),
-    "cond1": (1e-8, ExtensionSpec, {"grid": None},
-              lambda spec, o: _residual(spec, extensions.check_cond1(spec, o["grid"]))),
-    "cond2": (1e-10, ExtensionSpec, {"grid": None},
-              lambda spec, o: _residual(spec, extensions.check_cond2(spec, o["grid"]))),
-    "ext-si": (1e-7, ExtensionSpec, {"grid": None},
-               lambda spec, o: _residual(spec, extensions.extended_si_check(spec, o["grid"]))),
-    "ladder": (1e-5, FamilyParams, {"k": 1},
-               lambda fp, o: _residual(fp, verify.ladder_check(fp, o["k"]), k=o["k"])),
-    "orthonormal": (1e-6, FamilyParams, {"kmax": 3}, _orthonormal),
+    "si": lambda fp, job: _residual(fp, verify.si_residual(fp, job["grid"])),
+    "cond1": lambda spec, job: _residual(spec, extensions.check_cond1(spec, job["grid"])),
+    "cond2": lambda spec, job: _residual(spec, extensions.check_cond2(spec, job["grid"])),
+    "ext-si": lambda spec, job: _residual(spec, extensions.extended_si_check(spec, job["grid"])),
+    "ladder": lambda fp, job: _residual(fp, verify.ladder_check(fp, job["k"]), k=job["k"]),
+    "orthonormal": _orthonormal,
 }
 
 
 def cmd_verify(args) -> int:
-    cfg = _job_config(args)
-    default_tol, kind, reads, run = _CHECKS[args.check]
-    given = {flag: value for flag, value in
-             (("grid", cfg.grid), ("k", args.k), ("kmax", args.kmax)) if value is not None}
-    for flag in given:
-        if flag not in reads:
-            raise ValidationError(f"--{flag} does not apply to verify {args.check}, "
-                                  f"which reads --{', --'.join(reads)}")
-    tol = cfg.tol if cfg.tol is not None else default_tol
-    target = _need(_build_target(cfg), kind)
-    out, value, summary, after = run(target, {**reads, **given})
-    return _verdict(out, value, tol, cfg.format == "json", summary, after)
+    target, job = _resolve(args, f"verify {args.check}")
+    out, value, summary, after = _CHECKS[args.check](target, job)
+    return _verdict(out, value, job["tol"], job["format"] == "json", summary, after)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +416,13 @@ def _add_job_flags(p: argparse.ArgumentParser):
 
 
 def _at_most(cap: int):
-    """An argparse type: an integer no larger than cap, for the level flags,
-    so that no level table or polynomial is built past what the library takes."""
+    """An argparse type: an integer from 0 to cap, for the level flags, so
+    that no level table or polynomial is built past what the library takes
+    and no negative level reads as a family without levels."""
     def level(text: str) -> int:
         value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum 0")
         if value > cap:
             raise argparse.ArgumentTypeError(f"{value} is above the maximum {cap}")
         return value
@@ -467,30 +454,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="closed-form energy table")
     _add_job_flags(p_spec)
-    p_spec.add_argument("--kmax", type=scan_cap, default=8, help="largest level index")
+    p_spec.add_argument("--kmax", type=scan_cap,
+                        help=f"largest level index (default {_READS['spectrum']['kmax']})")
     p_spec.add_argument("--oracle", action="store_true",
                         help="add finite-difference gap and deviation columns")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_wf = sub.add_parser("wavefunction", help="sample one bound state to CSV/JSON")
     _add_job_flags(p_wf)
-    p_wf.add_argument("--k", type=degree_cap, default=0, help="level index")
+    p_wf.add_argument("--k", type=degree_cap,
+                      help=f"level index (default {_READS['wavefunction']['k']})")
     p_wf.set_defaults(func=cmd_wavefunction)
 
     p_ver = sub.add_parser("verify", help="run one named check")
     p_ver.add_argument("check", choices=tuple(_CHECKS))
     _add_job_flags(p_ver)
-    p_ver.add_argument("--k", type=degree_cap, help="ladder step index (default 1)")
-    p_ver.add_argument("--kmax", type=degree_cap,
-                       help="highest level for orthonormality (default 3)")
+    p_ver.add_argument("--k", type=degree_cap, help="ladder step index "
+                       f"(default {_READS['verify ladder']['k']})")
+    p_ver.add_argument("--kmax", type=degree_cap, help="highest level for orthonormality "
+                       f"(default {_READS['verify orthonormal']['kmax']})")
     p_ver.set_defaults(func=cmd_verify)
 
     p_orc = sub.add_parser("oracle", help="independent eigenvalue oracle")
     orc_sub = p_orc.add_subparsers(dest="subcommand", required=True)
     p_cmp = orc_sub.add_parser("compare", help="closed-form E_k against FD gaps")
     _add_job_flags(p_cmp)
-    p_cmp.add_argument("--kmax", type=scan_cap, default=2,
-                       help="largest level index to compare")
+    p_cmp.add_argument("--kmax", type=scan_cap, help="largest level index to compare "
+                       f"(default {_READS['oracle compare']['kmax']})")
     p_cmp.add_argument("--oracle", dest="oracle_box",
                        help="FD truncation box 'a,b,N' (default: sized from the ground state)")
     p_cmp.set_defaults(func=cmd_spectrum)

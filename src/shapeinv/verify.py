@@ -20,6 +20,11 @@ from . import families, spectra
 from .errors import NumericalError, NonConvergence, ValidationError
 from .families import FamilyParams
 
+# The most points a check grid or an FD box may take.  Each holds a few
+# arrays of N floats (8 MB an array at the cap); no caller needs more than a
+# few thousand, and an N near 1e9 would allocate gigabytes before any check.
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class GridReport:
@@ -50,6 +55,8 @@ class OracleSpec:
             raise ValidationError("oracle interval must be finite with a < b")
         if self.n < 500:
             raise ValidationError(f"oracle grid size must be >= 500, got {self.n}")
+        if self.n > MAX_GRID_POINTS:
+            raise ValidationError(f"oracle grid size must be <= {MAX_GRID_POINTS}, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +88,15 @@ def clip_window(domain: families.Domain, lo: float, hi: float) -> tuple[float, f
 
 def grid_points(domain: families.Domain, grid) -> tuple[np.ndarray, int]:
     """The points of a check grid (a, b, N) inside the clipped domain, and
-    the count of those dropped; needs finite a < b, N >= 3 and a point left."""
+    the count of those dropped; needs finite a < b, 3 <= N <= MAX_GRID_POINTS
+    and a point left."""
     a, b, n = grid
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError(f"check grid must be finite with a < b, got ({a}, {b})")
     if n < 3:
         raise ValidationError(f"check grid needs at least 3 points, got {n}")
+    if n > MAX_GRID_POINTS:
+        raise ValidationError(f"check grid takes at most {MAX_GRID_POINTS} points, got {n}")
     xs = np.linspace(a, b, int(n))
     clo, chi = domain.clipped()
     xs = xs[(xs >= clo) & (xs <= chi)]
@@ -702,9 +712,10 @@ def orthonormality(fp: FamilyParams, kmax: int) -> GramReport:
     return GramReport(levels=tuple(levels), max_deviation=worst, entries=entries)
 
 
-def report_json(fp, report: GridReport, grid) -> dict:
-    """Stable JSON shape for residual reports of a family or an extension."""
-    a, b, n = grid
+def report_json(fp, report: GridReport) -> dict:
+    """Stable JSON shape for residual reports of a family or an extension;
+    its grid is the report's, the points that ran."""
+    a, b, n = report.grid
     if isinstance(fp, FamilyParams):
         name, params = fp.id, {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta}
     else:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shapeinv.cli import main
@@ -325,6 +326,20 @@ def test_a_flag_the_check_does_not_read_exits_2(capsys, check, target, flag):
     assert len(err.splitlines()) == 1
 
 
+# each of these jobs used to run with the input dropped without a word and
+# exit 0; tests/test_readme.py runs every command with every input alone
+@pytest.mark.parametrize("command,flag", [
+    ("spectrum", "--grid=0,1,5"), ("spectrum", "--tol=1e-30"), ("wavefunction", "--tol=1e-30"),
+    ("oracle compare", "--grid=0,1,5"), ("spectrum --oracle", "--grid=0,1,5"),
+])
+def test_an_input_the_command_does_not_read_exits_2(capsys, command, flag):
+    rc, out, err = run(capsys, *command.split(), *MORSE, flag)
+    named = flag.split("=")[0]
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {named} does not apply to {command}, which reads --")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("check,flag", [("ladder", "--k=1"), ("orthonormal", "--kmax=3")])
 def test_level_flags_keep_their_defaults(capsys, check, flag):
     rc, plain, _ = run(capsys, "verify", check, *MORSE, "--json")
@@ -411,6 +426,12 @@ HARM = ["--family", "harm-osc", "--m", "0", "--invariant", "1", "--beta", "1", "
     (["verify", "ladder"], "--k=65", "65 is above the maximum 64"),
     (["verify", "orthonormal"], "--kmax=65", "65 is above the maximum 64"),
     (["spectrum"], "--kmax=x", "invalid int value: 'x'"),
+    # a negative level used to read as a family without levels
+    (["spectrum"], "--kmax=-1", "-1 is below the minimum 0"),
+    (["oracle", "compare"], "--kmax=-1", "-1 is below the minimum 0"),
+    (["wavefunction"], "--k=-1", "-1 is below the minimum 0"),
+    (["verify", "ladder"], "--k=-1", "-1 is below the minimum 0"),
+    (["verify", "orthonormal"], "--kmax=-2", "-2 is below the minimum 0"),
 ])
 def test_level_flags_are_capped_before_anything_is_built(capsys, command, level, message):
     # the level scan's cap and the largest polynomial degree; past them, on
@@ -522,6 +543,43 @@ def test_empty_flag_beside_config_does_not_keep_the_document_value(capsys, tmp_p
     cfg.write_text(json.dumps(MORSE_DOC))
     rc, out, err = run(capsys, "spectrum", "--config", str(cfg), "--m=")
     assert rc == 2 and out == "" and "--m must be comma-separated numbers, got ''" in err
+
+
+GRID_CAP = "check grid takes at most 1000000 points"
+ORACLE_CAP = "oracle grid size must be <= 1000000"
+
+
+@pytest.mark.parametrize("command,key,box,by_flag,message", [
+    (["verify", "si"], "grid", "0,1,1000001", True, GRID_CAP),
+    (["verify", "si"], "grid", "0,1,1000001", False, GRID_CAP),
+    (["wavefunction"], "grid", "0,1,1000000000000", True, GRID_CAP),
+    (["oracle", "compare"], "oracle", "-3,30,1000001", True, ORACLE_CAP),
+    (["oracle", "compare"], "oracle", "-3,30,1000001", False, ORACLE_CAP),
+    (["spectrum", "--oracle"], "oracle", "-3,30,1000000000000", False, ORACLE_CAP),
+])
+def test_grid_and_oracle_sizes_are_capped_before_any_array(capsys, tmp_path, monkeypatch,
+                                                         command, key, box, by_flag, message):
+    # an N near 1e12 exited 4 from a MemoryError; the size is checked before
+    # any array of N points is made (a guarded linspace would exit 4 here)
+    from shapeinv import verify
+
+    linspace = np.linspace
+
+    def guarded(a, b, n=50, **kwargs):
+        assert n <= verify.MAX_GRID_POINTS, n
+        return linspace(a, b, n, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    monkeypatch.setattr(verify, "fd_spectrum", lambda *args: pytest.fail("the oracle ran"))
+    if by_flag:
+        job = [*MORSE, f"--{key}={box}"]
+    else:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({**MORSE_DOC, key: [float(v) for v in box.split(",")]}))
+        job = [f"--config={cfg}"]
+    rc, out, err = run(capsys, *command, *job)
+    assert (rc, out) == (2, "") and err.startswith(f"error: {message}, got ")
+    assert err.count("\n") == 1
 
 
 def test_oracle_levels_beyond_the_grid_rows_exit_2(capsys):

@@ -1,10 +1,12 @@
-"""The README's `$ shapeinv ...` examples, run in-process against their shown output.
+"""The README's `$ shapeinv ...` examples, run in-process against their shown output,
+and its config-key table against the inputs each command rejects.
 
 Each shown line must match the printed line after collapsing whitespace; a
 line `...` stands for any number of lines, and `...` or `[...]` inside a
 line for any text.  An example that shows no output only has to exit 0.
 """
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -95,3 +97,64 @@ def test_readme_python_blocks_run(capsys):
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+# ---------------------------------------------------------------------------
+# the "read by" column of the config-key table against what the CLI rejects
+
+# the job commands as the column names them, and their argv heads
+COMMANDS = {"spectrum": ["spectrum"], "spectrum --oracle": ["spectrum", "--oracle"],
+            "oracle compare": ["oracle", "compare"], "wavefunction": ["wavefunction"],
+            **{f"verify {check}": ["verify", check]
+               for check in ("si", "ladder", "orthonormal", "cond1", "cond2", "ext-si")}}
+# one value of each config key, and the flags that give it (the --oracle box
+# is a flag of oracle compare alone, so the key goes by the document only)
+INPUTS = {
+    "family": ("morse", ["--family=morse"]),
+    "extension": ("ext-4", ["--extension=ext-4"]),
+    "m": ([2.5], ["--m=2.5"]),
+    "couplings": ([{"invariant": "1", "d": 1}], ["--d=1"]),
+    "rho_invariant": ("1", ["--rho-invariant=1"]),
+    "ell": (2, ["--ell=2"]),
+    "window": ([0.75, 1.1], ["--window=0.75,1.1"]),
+    "grid": ([0, 1, 5], ["--grid=0,1,5"]),
+    "oracle": ([-3, 30, 600], None),
+    "tol": (1, ["--tol=1"]),
+    "format": ("json", ["--json"]),
+}
+
+
+def _read_by() -> dict:
+    """key -> the commands that the config-key table says read it."""
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            every = cells[3].startswith("every command")
+            rows[cells[0].strip("`")] = set(COMMANDS) if every else set(
+                re.findall(r"`([^`]+)`", cells[3]))
+    return rows
+
+
+READ_BY = _read_by()
+
+
+def test_the_config_table_names_every_key_and_only_job_commands():
+    assert set(READ_BY) == set(INPUTS)
+    assert set().union(*READ_BY.values()) <= set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_rejects_the_inputs_the_table_says_it_does_not_read(capsys, tmp_path,
+                                                                         command):
+    # each input alone: an input the command reads fails later, on the
+    # missing target or m, and no check runs either way
+    for key, (value, flags) in INPUTS.items():
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: value}))
+        for given in filter(None, ([f"--config={cfg}"], flags)):
+            rc = main([*COMMANDS[command], *given])
+            err = capsys.readouterr().err
+            assert rc == 2 and err.count("\n") == 1, (given, err)
+            rejected = err.startswith(f"error: --{key} does not apply to {command}, which reads")
+            assert rejected == (command not in READ_BY[key]), (given, err)

@@ -248,7 +248,7 @@ def test_si_residual_report():
     assert rep.max_residual < 1e-12
     assert rep.mean_residual <= rep.max_residual
     assert grid[0] <= rep.argmax_x <= grid[1]
-    out = report_json(fp, rep, grid)
+    out = report_json(fp, rep)
     assert set(out) == {"family", "params", "residual_max", "residual_mean",
                         "argmax_x", "grid"}
     assert out["grid"]["N"] == grid[2]
@@ -266,7 +266,7 @@ def test_ladder_check():
     rep = ladder_check(fp, 1)
     assert isinstance(rep, LadderReport) and rep.sign in (-1.0, 1.0, -1, 1)
     assert rep.max_residual < 1e-5
-    out = report_json(fp, rep, default_grid(fp, 801))
+    out = report_json(fp, rep)
     assert "sign" in out
     with pytest.raises(ValidationError):
         ladder_check(fp, 0)

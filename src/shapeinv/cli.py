@@ -431,7 +431,15 @@ def _at_most(cap: int):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's own errors as a ValidationError: one stderr line, exit 2."""
+    """argparse's own errors as a ValidationError: one stderr line, exit 2.
+
+    A flag is read only by its full name, in every sub-parser (each is a
+    _Parser too), so `spectrum --k=1` is an unrecognized argument, not
+    `--kmax=1`.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)

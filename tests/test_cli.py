@@ -340,6 +340,16 @@ def test_an_input_the_command_does_not_read_exits_2(capsys, command, flag):
     assert len(err.splitlines()) == 1
 
 
+# argparse's prefix matching read these as --kmax and --oracle and exited 0
+@pytest.mark.parametrize("command,flag", [
+    ("spectrum", "--k=1"), ("oracle compare", "--ora=-3,30,600"),
+])
+def test_an_abbreviated_flag_exits_2(capsys, command, flag):
+    rc, out, err = run(capsys, *command.split(), *MORSE, flag)
+    assert rc == 2 and out == ""
+    assert err == f"error: unrecognized arguments: {flag}\n"
+
+
 @pytest.mark.parametrize("check,flag", [("ladder", "--k=1"), ("orthonormal", "--kmax=3")])
 def test_level_flags_keep_their_defaults(capsys, check, flag):
     rc, plain, _ = run(capsys, "verify", check, *MORSE, "--json")

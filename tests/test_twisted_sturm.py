@@ -12,6 +12,10 @@ estimates serve or not.
 
 from fractions import Fraction
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -189,6 +193,87 @@ def test_guided_levels_match_eigvalsh_and_the_per_row_counts(shape, n, half, c, 
     # bracket falls back to uniform samples after the ladder's sweep too
     if shape == "double-well" and count >= 2:
         assert any(math.isnan(x) for x in estimates[1::count][1:]), estimates
+
+
+def _recorded_sweeps(monkeypatch) -> list:
+    """The sample arrays of every Sturm sweep from here on, in order."""
+    real, samples = verify._sturm_sweep, []
+
+    def recorded(diag, off2, lams):
+        samples.append(np.array(lams))
+        return real(diag, off2, lams)
+
+    monkeypatch.setattr(verify, "_sturm_sweep", recorded)
+    return samples
+
+
+@pytest.mark.parametrize("fid", ["poschl-teller", "radial-osc", "scarf1"])
+def test_singular_wall_sweep_count_guard(fid, monkeypatch):
+    # the clip margin puts these boxes' Gershgorin floor thousands of ladder
+    # steps below the ground level; a ladder up from the floor took 7, 7 and
+    # 6 sweeps here, the ladder that doubles outward from 0 takes 4 or 5
+    fp = fixture(fid)
+    box = reference_oracle(fp, 1000)
+    samples = _recorded_sweeps(monkeypatch)
+    fd_spectrum(fp, box, 3)
+    assert len(samples) <= 5, [s.shape for s in samples]
+
+
+def test_a_settled_bracket_takes_no_more_samples(monkeypatch):
+    # poschl-teller's levels 1 and 2 settle a sweep before its ground level;
+    # after the ladder's sweep each open bracket takes one row of 64 samples
+    # and a settled one none, so each level follows its own samples alone
+    # and is the same bits however many levels the call asks for
+    fp = fixture("poschl-teller")
+    box = reference_oracle(fp, 1000)
+    fewer = [fd_spectrum(fp, box, count) for count in (1, 2)]
+    samples = _recorded_sweeps(monkeypatch)
+    got = fd_spectrum(fp, box, 3)
+    assert got[:1] == fewer[0] and got[:2] == fewer[1]
+    rows = [s.shape[0] for s in samples[1:]]
+    assert all(s.shape[1] == 64 for s in samples[1:])
+    assert rows == sorted(rows, reverse=True) and rows[0] == 3 and rows[-1] == 1, rows
+
+
+def test_oracle_compare_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which adds 1.7 MB to the
+    # peak RSS of an FD job; the ladder is built from its sorted halves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys; from shapeinv.cli import main; "
+            "rc = main(['oracle', 'compare', '--family=morse', '--m=2.5', '--invariant=1', "
+            "'--d=1', '--kmax=2']); print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", (proc.stdout, proc.stderr)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(length=st.floats(3.0, 8.0), g=st.floats(0.05, 0.24), c=st.floats(0.5, 5.0),
+       amp=st.floats(-5.0, 5.0), freq=st.floats(0.0, 4.0), mirror=st.booleans(),
+       count=st.integers(1, 5))
+def test_levels_match_eigvalsh_with_the_floor_far_below(length, g, c, amp, freq, mirror,
+                                                        count):
+    # an attractive -g / r^2 wall with g < 1/4 binds no level of its own but
+    # takes the first rows' diagonal down to about -g / h^2, as the clip
+    # margin does on the singular-wall families: the Gershgorin floor lies
+    # over a thousand ladder steps below lambda_0
+    box = verify.OracleSpec(0.0, length, 500)
+
+    def potential(xs):
+        r = length - xs if mirror else xs
+        return -g / r ** 2 + c * (xs - 0.5 * length) ** 2 + amp * np.sin(freq * xs)
+
+    h = length / (box.n - 1)
+    diag = 2.0 / h ** 2 + potential(h * np.arange(1, box.n - 1))
+    off2 = 1.0 / h ** 4
+    want = _eigenvalues(diag, off2)[:count]
+    step = (2.0 / h * math.sin(0.5 * math.pi / (box.n - 1))) ** 2
+    assert want[0] - (np.min(diag) - 2.0 / h ** 2) > 1000.0 * step
+    got = fd_spectrum(potential, box, count)
+    for k, (g_k, w) in enumerate(zip(got, want)):
+        assert abs(g_k - w) <= 1e-9 * (1.0 + abs(w)), (k, g_k, w)
 
 
 # cond1 inputs where the Jacobi recurrence's n = 2 denominator

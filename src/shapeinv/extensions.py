@@ -4,16 +4,19 @@ Eleven closed cases, each a base superpotential W0 plus a pair of rational
 corrections, written down once, as its CaseSpec record in CASE_SPECS plus
 its W1 function.  W0 is one of the thirteen families, stretched by a scale
 s (W0(x) = s k(s x)), and its remainder is s^2 times the family's R, so
-neither is transcribed here.  Every W1 branch factors as prefactor * top /
-bottom where top and bottom are terminating polynomials (Jacobi, Laguerre,
-Kummer, or Gauss ratios) or plain rational expressions; the plus and minus
-branches are transcribed independently, with their own literal parameter
-offsets, so the unit-translation consistency check (cond2) genuinely
-compares two displays instead of restating one.  cond1, ext-si and all
-the readers do array arithmetic on one pass, `_pointwise`: W0 comes from
-the base family over the whole grid at once, each W1 branch and its
-derivative from a Dual seeded at each point.  The gauge freedom f(x) is
-fixed to zero, which turns cond1 into a sharp zero-test.
+neither is transcribed here.  Both W1 displays share one prefactor, and
+each factors as prefactor * top / bottom where top and bottom are
+terminating polynomials (Jacobi, Laguerre, Kummer, or Gauss ratios) or
+plain rational expressions.  One call of a case's W1 function returns the
+prefactor and both displays' tops and bottoms, evaluating the shared lifts
+once; the plus and minus displays are still transcribed independently,
+with their own literal parameter offsets, so the unit-translation
+consistency check (cond2) genuinely compares two displays instead of
+restating one.  cond1, ext-si and all the readers do array arithmetic on
+one pass, `_pointwise`: W0 comes from the base family over the whole grid
+at once, both W1 displays and their derivatives from one call on a Dual
+seeded at each point.  The gauge freedom f(x) is fixed to zero, which
+turns cond1 into a sharp zero-test.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ class CaseSpec:
     The base W0 is the family `base` at (eps, rho) = base_params(e, r, l),
     stretched by the scale s: W0(x) = s k(s x), W0'(x) = s^2 k'(s x), and
     its remainder is s^2 R; the domain and window are the family's divided
-    by s.  w1(plus, x, e, r, l) returns (prefactor, top, bottom) of the plus
-    or the minus display; constants(e, r, l) lists the constant factors of
-    the bottoms, checked once at build time.
+    by s.  w1(x, e, r, l) returns (prefactor, top_plus, bottom_plus,
+    top_minus, bottom_minus), both displays from one call; constants(e, r,
+    l) lists the constant factors of the bottoms, checked once at build
+    time.
     """
 
     num: int
@@ -70,116 +74,93 @@ class CaseSpec:
         object.__setattr__(self, "window", (fam.window[0] / s, fam.window[1] / s))
 
 
-# One W1 function per case.  Both displays are spelled out with their own
-# literal parameter offsets, so cond2 compares two transcriptions; xd may be
-# a float or a numpy array of points (values only) or a Dual seed (values
-# and derivatives).
+# One W1 function per case, returning (prefactor, top_plus, bottom_plus,
+# top_minus, bottom_minus): the lifts and the prefactor are evaluated once,
+# and each display is spelled out with its own literal parameter offsets, so
+# cond2 compares two transcriptions; xd may be a float or a numpy array of
+# points (values only) or a Dual seed (values and derivatives).
 
-def _w1_case1(plus, xd, e, r, l):
-    den = 2 * e + 1 - 2 * r * dual.cosh(xd) if plus \
-        else 2 * e - 1 - 2 * r * dual.cosh(xd)
-    return 1.0, -2 * r * dual.sinh(xd), den
+def _w1_case1(xd, e, r, l):
+    ch, top = dual.cosh(xd), -2 * r * dual.sinh(xd)
+    return 1.0, top, 2 * e + 1 - 2 * r * ch, top, 2 * e - 1 - 2 * r * ch
 
 
-def _w1_case2(plus, xd, e, r, l):
+def _w1_case2(xd, e, r, l):
     ch = dual.cosh(xd)
-    pre = 0.5 * (l - 2 * r - 1) * dual.sinh(xd)
-    if plus:
-        top = jacobi_p(l - 1, 0.5 + e - r, -0.5 - e - r, ch)
-        bot = jacobi_p(l, -0.5 + e - r, -1.5 - e - r, ch)
-    else:
-        top = jacobi_p(l - 1, -0.5 + e - r, 0.5 - e - r, ch)
-        bot = jacobi_p(l, -1.5 + e - r, -0.5 - e - r, ch)
-    return pre, top, bot
+    return (0.5 * (l - 2 * r - 1) * dual.sinh(xd),
+            jacobi_p(l - 1, 0.5 + e - r, -0.5 - e - r, ch),
+            jacobi_p(l, -0.5 + e - r, -1.5 - e - r, ch),
+            jacobi_p(l - 1, -0.5 + e - r, 0.5 - e - r, ch),
+            jacobi_p(l, -1.5 + e - r, -0.5 - e - r, ch))
 
 
-def _w1_case3(plus, xd, e, r, l):
+def _w1_case3(xd, e, r, l):
     ch = dual.cosh(xd * 2)
-    pre = -(2 * r - l + 1) * dual.sinh(xd * 2)
-    if plus:
-        top = jacobi_p(l - 1, -0.5 - l - e - r, 0.5 + l + e - r, ch)
-        bot = jacobi_p(l, -1.5 - l - e - r, -0.5 + l + e - r, ch)
-    else:
-        top = jacobi_p(l - 1, 0.5 - l - e - r, -0.5 + l + e - r, ch)
-        bot = jacobi_p(l, -0.5 - l - e - r, -1.5 + l + e - r, ch)
-    return pre, top, bot
+    return (-(2 * r - l + 1) * dual.sinh(xd * 2),
+            jacobi_p(l - 1, -0.5 - l - e - r, 0.5 + l + e - r, ch),
+            jacobi_p(l, -1.5 - l - e - r, -0.5 + l + e - r, ch),
+            jacobi_p(l - 1, 0.5 - l - e - r, -0.5 + l + e - r, ch),
+            jacobi_p(l, -0.5 - l - e - r, -1.5 + l + e - r, ch))
 
 
-def _w1_case4(plus, xd, e, r, l):
-    den = 2 * e + 1 - 2 * r * xd ** 2 if plus else 2 * e - 1 - 2 * r * xd ** 2
-    return 1.0, -4 * r * xd, den
+def _w1_case4(xd, e, r, l):
+    x2, top = xd ** 2, -4 * r * xd
+    return 1.0, top, 2 * e + 1 - 2 * r * x2, top, 2 * e - 1 - 2 * r * x2
 
 
-def _w1_case5(plus, xd, e, r, l):
+def _w1_case5(xd, e, r, l):
     z = -r * xd ** 2
-    pre = 2 * r * xd
-    if plus:
-        return pre, laguerre_l(l - 1, -0.5 - e, z), laguerre_l(l, -1.5 - e, z)
-    return pre, laguerre_l(l - 1, 0.5 - e, z), laguerre_l(l, -0.5 - e, z)
+    return (2 * r * xd, laguerre_l(l - 1, -0.5 - e, z), laguerre_l(l, -1.5 - e, z),
+            laguerre_l(l - 1, 0.5 - e, z), laguerre_l(l, -0.5 - e, z))
 
 
-def _w1_case6(plus, xd, e, r, l):
+def _w1_case6(xd, e, r, l):
     z = -(xd ** 2)
-    pre = 2 * xd
-    if plus:
-        return pre, laguerre_l(l - 1, 0.5 + l + e, z), laguerre_l(l, -0.5 + l + e, z)
-    return pre, laguerre_l(l - 1, -0.5 + l + e, z), laguerre_l(l, -1.5 + l + e, z)
+    return (2 * xd, laguerre_l(l - 1, 0.5 + l + e, z), laguerre_l(l, -0.5 + l + e, z),
+            laguerre_l(l - 1, -0.5 + l + e, z), laguerre_l(l, -1.5 + l + e, z))
 
 
-def _w1_case7(plus, xd, e, r, l):
+def _w1_case7(xd, e, r, l):
     z = -(xd ** 2)
-    pre = 2 * l * xd
-    if plus:
-        top = hyp1f1_terminating(1 - l, 1.5 + l + e, z)
-        bot = (0.5 + l + e) * hyp1f1_terminating(-l, 0.5 + l + e, z)
-    else:
-        top = hyp1f1_terminating(1 - l, 0.5 + l + e, z)
-        bot = (-0.5 + l + e) * hyp1f1_terminating(-l, -0.5 + l + e, z)
-    return pre, top, bot
+    return (2 * l * xd,
+            hyp1f1_terminating(1 - l, 1.5 + l + e, z),
+            (0.5 + l + e) * hyp1f1_terminating(-l, 0.5 + l + e, z),
+            hyp1f1_terminating(1 - l, 0.5 + l + e, z),
+            (-0.5 + l + e) * hyp1f1_terminating(-l, -0.5 + l + e, z))
 
 
-def _w1_case8(plus, xd, e, r, l):
-    den = 2 * e + 1 + 2 * r * dual.sin(xd) if plus \
-        else 2 * e - 1 + 2 * r * dual.sin(xd)
-    return 1.0, 2 * r * dual.cos(xd), den
+def _w1_case8(xd, e, r, l):
+    sn, top = dual.sin(xd), 2 * r * dual.cos(xd)
+    return 1.0, top, 2 * e + 1 + 2 * r * sn, top, 2 * e - 1 + 2 * r * sn
 
 
-def _w1_case9(plus, xd, e, r, l):
+def _w1_case9(xd, e, r, l):
     cz = dual.cos(xd * 2)
-    pre = -(2 * r + l - 1) * dual.sin(xd * 2)
-    if plus:
-        top = jacobi_p(l - 1, -0.5 - l - e + r, 0.5 + l + e + r, cz)
-        bot = jacobi_p(l, -1.5 - l - e + r, -0.5 + l + e + r, cz)
-    else:
-        top = jacobi_p(l - 1, 0.5 - l - e + r, -0.5 + l + e + r, cz)
-        bot = jacobi_p(l, -0.5 - l - e + r, -1.5 + l + e + r, cz)
-    return pre, top, bot
+    return (-(2 * r + l - 1) * dual.sin(xd * 2),
+            jacobi_p(l - 1, -0.5 - l - e + r, 0.5 + l + e + r, cz),
+            jacobi_p(l, -1.5 - l - e + r, -0.5 + l + e + r, cz),
+            jacobi_p(l - 1, 0.5 - l - e + r, -0.5 + l + e + r, cz),
+            jacobi_p(l, -0.5 - l - e + r, -1.5 + l + e + r, cz))
 
 
-def _w1_case10(plus, xd, e, r, l):
+def _w1_case10(xd, e, r, l):
     z = dual.sin(xd) ** 2
-    pre = -l * (2 * r + l - 1) * dual.sin(xd * 2)
     # the Gamma-quotient prefactors reduce to first-order poles:
     # Gamma(c)/Gamma(c+1) = 1/c, folded into the bottom factor
-    if plus:
-        top = hyp2f1_terminating(1 - l, l + 2 * r, 1.5 + e + r, z)
-        bot = (0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, 0.5 + e + r, z)
-    else:
-        top = hyp2f1_terminating(1 - l, l + 2 * r, 0.5 + e + r, z)
-        bot = (-0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, -0.5 + e + r, z)
-    return pre, top, bot
+    return (-l * (2 * r + l - 1) * dual.sin(xd * 2),
+            hyp2f1_terminating(1 - l, l + 2 * r, 1.5 + e + r, z),
+            (0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, 0.5 + e + r, z),
+            hyp2f1_terminating(1 - l, l + 2 * r, 0.5 + e + r, z),
+            (-0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, -0.5 + e + r, z))
 
 
-def _w1_case11(plus, xd, e, r, l):
+def _w1_case11(xd, e, r, l):
     arg = 1j * dual.sinh(xd)
-    pre = 0.5j * (l - 2 * r - 1) * dual.cosh(xd)
-    if plus:
-        top = jacobi_p(l - 1, -r + e + 0.5, -r - e - 0.5, arg)
-        bot = jacobi_p(l, -r + e - 0.5, -r - e - 1.5, arg)
-    else:
-        top = jacobi_p(l - 1, -r + e - 0.5, -r - e + 0.5, arg)
-        bot = jacobi_p(l, -r + e - 1.5, -r - e - 0.5, arg)
-    return pre, top, bot
+    return (0.5j * (l - 2 * r - 1) * dual.cosh(xd),
+            jacobi_p(l - 1, -r + e + 0.5, -r - e - 0.5, arg),
+            jacobi_p(l, -r + e - 0.5, -r - e - 1.5, arg),
+            jacobi_p(l - 1, -r + e - 0.5, -r - e + 0.5, arg),
+            jacobi_p(l, -r + e - 1.5, -r - e - 0.5, arg))
 
 
 CASE_SPECS: dict[int, CaseSpec] = {cs.num: cs for cs in (
@@ -271,9 +252,10 @@ def _base_w0(cs: CaseSpec, xs: np.ndarray, e, r, l) -> tuple:
         return s * k, s * s * kp
 
 
-def _w1(cs: CaseSpec, plus: bool, xd, e, r, l):
-    pre, top, bot = cs.w1(plus, xd, e, r, l)
-    return pre * top / bot
+def _w1(cs: CaseSpec, xd, e, r, l) -> tuple:
+    """(W1p, W1m) at xd, each display as prefactor * top / bottom."""
+    pre, top_p, bot_p, top_m, bot_m = cs.w1(xd, e, r, l)
+    return pre * top_p / bot_p, pre * top_m / bot_m
 
 
 def w1_branch(spec: ExtensionSpec, x: float, branch: int, shift: int = 0):
@@ -284,23 +266,25 @@ def w1_branch(spec: ExtensionSpec, x: float, branch: int, shift: int = 0):
 
 def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
     """W1p - W1m; complex on the complex-path case, float elsewhere."""
-    return w1_branch(spec, x, 1, shift) - w1_branch(spec, x, -1, shift)
+    spec.domain.require_inside(x)
+    _, _, p, _, m, _, _ = _pointwise(spec, np.array([float(x)]), shift)
+    return p.item() - m.item()
 
 
 def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int) -> tuple:
     """W, W', W1p, W1p', W1m, W1m' and W0 over the 1-D array xs, at eps - shift.
 
-    W0 and W0' come from one pass of the base family over xs, each branch
-    and its derivative from a Dual seeded at each point.  Where a point
-    overflows or meets an exact pole (any ArithmeticError), both branches
-    are nan there, and so are W and W'."""
+    W0 and W0' come from one pass of the base family over xs, both
+    branches and their derivatives from one W1 call on a Dual seeded at
+    each point.  Where a point overflows or meets an exact pole (any
+    ArithmeticError), both branches are nan there, and so are W and W'."""
     cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
     w0, w0p = _base_w0(cs, xs, e, r, l)
     rows = []
     for x in xs.tolist():
         try:
             xd = seed(x)
-            p, m = _w1(cs, True, xd, e, r, l), _w1(cs, False, xd, e, r, l)
+            p, m = _w1(cs, xd, e, r, l)
             rows.append((p.val, p.eps, m.val, m.eps))
         except ArithmeticError:
             rows.append((math.nan,) * 4)
@@ -322,26 +306,27 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
     """Reject parameter sets whose bottoms vanish somewhere on the window.
 
     Both branches at both eps and eps - 1, since every check evaluates the
-    translated display too.  Each bottom is evaluated once over the whole
-    scan grid (the W1 functions and the specfun recurrences take arrays);
-    an overflow there reads as a non-finite bottom.  Real bottoms are then
-    bisected to the root point by point; the complex-path case can only be
+    translated display too.  One W1 call per shift gives both bottoms over
+    the whole scan grid (the W1 functions and the specfun recurrences take
+    arrays), and the plus bottom is checked before the minus one; an
+    overflow there reads as a non-finite bottom.  Real bottoms are then
+    bisected to the root point by point, each step reading the bottom it
+    needs from one scalar W1 call; the complex-path case can only be
     screened by magnitude.
     """
     a, b = window
-    xs = np.linspace(a, b, max(4 * _GRID_POINTS + 1, 1001))
+    xs = np.linspace(a, b, 4 * _GRID_POINTS + 1)
     for shift in (0, 1):
         ee = e - shift
         for c in cs.constants(ee, r, l):
             if abs(c) < 1e-9:
                 raise DenominatorZero(
                     f"case {cs.num}: constant factor {c:.3e} vanishes at eps - {shift}")
-        for branch in (1, -1):
-            def bot(x):
-                return cs.w1(branch > 0, x, ee, r, l)[2]
-
-            with np.errstate(all="ignore"):
-                vals = bot(xs)
+        with np.errstate(all="ignore"):
+            parts = cs.w1(xs, ee, r, l)
+        # the bottoms sit at 2 (plus) and 4 (minus) of the W1 tuple
+        for branch, at in ((1, 2), (-1, 4)):
+            vals = parts[at]
             mags = np.abs(vals)
             _require_finite(cs, xs, mags)
             neighbor = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
@@ -361,7 +346,7 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
                 flo = float(re[i])
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    fm = float(np.real(bot(mid)))
+                    fm = float(np.real(cs.w1(mid, ee, r, l)[at]))
                     if flo * fm <= 0:
                         hi = mid
                     else:
@@ -454,7 +439,8 @@ def extension_grid(spec: ExtensionSpec) -> tuple[float, float, int]:
 def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     """Compare the minus display at eps with the plus display at eps - 1.
 
-    Both displays are evaluated once over the whole grid.  Residuals are
+    Each side is one W1 call over the whole grid, at eps and at eps - 1,
+    of which only the display compared is kept.  Residuals are
     scaled by 1/(1 + |W1p(eps - 1)|); the contract is a max of 1e-10.  A
     grid that reaches a pole or an overflow outside the certified window
     raises DenominatorZero, as the scan does.
@@ -462,8 +448,8 @@ def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
     with np.errstate(all="ignore"):
-        minus = _w1(cs, False, xs, e, r, l)
-        plus_down = _w1(cs, True, xs, e - 1, r, l)
+        minus = _w1(cs, xs, e, r, l)[1]
+        plus_down = _w1(cs, xs, e - 1, r, l)[0]
         res = np.abs(minus - plus_down) / (1.0 + np.abs(plus_down))
     _require_finite(cs, xs, res)
     return _report(xs, res, excluded)

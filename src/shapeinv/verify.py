@@ -1,10 +1,14 @@
-"""Independent numerical oracles.
+"""Independent numerical oracles, and the checks built on them.
 
-Nothing in here trusts the closed-form spectra: the grid residual engine,
-the adaptive quadrature, and the finite-difference eigensolver only consume
-evaluable callables, so they can sit on the other side of every identity
-the library claims.  The quadrature calls its integrand on the nodes of
-many panels at once: an integrand maps a 1-D array of any length to values
+The grid residual engine, the adaptive quadrature and the finite-difference
+eigensolver (`fd_spectrum`) only consume evaluable callables, so they can
+sit on the other side of every identity the library claims.  Two places
+read a closed form: `reference_oracle` sizes the FD box on an infinite end
+from the ground state zeta_0 (`spectra.wavefunction(fp, 0)`; ROADMAP item
+11 replaces that cut with one read from V alone), and the state checks
+`ladder_check`, `schrodinger_residual` and `orthonormality` read the closed
+forms they check.  The quadrature calls its integrand on the nodes of many
+panels at once: an integrand maps a 1-D array of any length to values
 broadcast to that shape.
 """
 
@@ -505,14 +509,15 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
 
     Symmetric second-order tridiagonal discretization; eigenvalues located
     from Sturm counts by bracketed multisection, independent of every
-    closed-form result.  The first sweep samples a ladder that doubles
-    outward from 0 in both directions, +/- step 2^i for i >= -8, between the
-    Gershgorin floor plus step (the bare Laplacian's lowest level) and the
-    Gershgorin ceiling: it brackets every level however wide the span, each
-    in a bracket about as wide as the level, even where a singular wall
-    puts the floor thousands of steps below the levels (levels far from 0
-    next to their spread, as under a large constant offset, share wider
-    first brackets and take a sweep or two more).  Bracket k is
+    closed-form result.  The first sweep samples one sorted ladder of two
+    rung sets between the Gershgorin floor plus step (the bare Laplacian's
+    lowest level) and the Gershgorin ceiling: +/- step 2^i for i >= -8,
+    doubling outward from 0, and floor + step 2^i, doubling up from the
+    floor.  It brackets every level however wide the span, each in a
+    bracket about as wide as the level where a singular wall puts the floor
+    thousands of steps below the levels, and about as wide as the level's
+    height above the floor where a large constant offset puts the levels
+    far from 0 next to their spread.  Bracket k is
     settled once it is at most 1e-11 (1 + |mid_k|) wide, and each later
     sweep samples 64 points of every bracket still open: around the level
     that the last sweep's twists gamma_m estimate (`_root_estimate`,
@@ -545,17 +550,23 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     lo = float(np.min(diag)) - 2.0 / h ** 2
     hi = float(np.max(diag)) + 2.0 / h ** 2
     # no level lies below lo + step, step the lowest level of the bare
-    # discrete Laplacian, so the ladder runs from there to hi.  It doubles
-    # outward from +/- step / 256, so a level's first bracket is about as
-    # wide as the level, and a level near 0 (a ground state E_0 = 0, up to
-    # the grid's error) sits inside a bracket rather than at one of its ends
+    # discrete Laplacian, so the ladder runs from there to hi.  Its rungs
+    # double outward from +/- step / 256, so a level's first bracket is
+    # about as wide as the level, and a level near 0 (a ground state E_0 =
+    # 0, up to the grid's error) sits inside a bracket rather than at one of
+    # its ends.  They also double up from lo + step, so levels far from 0
+    # (under a large constant offset) start in brackets about as wide as
+    # their height above the floor
     step = (2.0 / h * math.sin(0.5 * math.pi / (oracle.n - 1))) ** 2
     reach = max(hi, -lo) / step
     if not (0.0 < (hi - lo) / step < math.inf and reach < math.inf):
         raise NumericalError(f"the Gershgorin span ({lo:.6g}, {hi:.6g}) is not finite and positive")
     rungs = step * 2.0 ** np.arange(-8, int(math.log2(max(reach, 1.0))) + 1)
     ladder = np.concatenate((-rungs[::-1], rungs))
-    pts = ladder[None, (ladder >= lo + step) & (ladder < hi)]
+    up = lo + step * 2.0 ** np.arange(int(math.log2((hi - lo) / step)) + 1)
+    # np.sort rather than np.unique, which imports numpy.ma on its first call
+    pts = np.sort(np.concatenate((ladder[(ladder >= lo + step) & (ladder < hi)],
+                                  up[up < hi])))[None]
     los = np.full(count, lo)
     his = np.full(count, hi)
     # the levels whose brackets are still open; a settled one takes no samples

@@ -60,7 +60,7 @@ def pointwise_oracle(spec, xs, shift, fn):
     for x, w0, w0p in zip(xs.tolist(), w0s.tolist(), w0ps.tolist()):
         try:
             xd = seed(x)
-            p, m = ext._w1(cs, True, xd, e, r, l), ext._w1(cs, False, xd, e, r, l)
+            p, m = ext._w1(cs, xd, e, r, l)
             out.append(fn(Dual(w0, w0p) + p - m, p, m, w0))
         except ArithmeticError:
             out.append(fn(nan, nan, nan, math.nan))
@@ -78,7 +78,7 @@ def scan_oracle(cs, e, r, l, window, n):
                     f"case {cs.num}: constant factor {c:.3e} vanishes at eps - {shift}")
         for branch in (1, -1):
             def bot(x: float):
-                return cs.w1(branch > 0, x, ee, r, l)[2]
+                return cs.w1(x, ee, r, l)[2 if branch > 0 else 4]
 
             vals = np.array([bot(float(x)) for x in xs])
             mags = np.abs(vals)
@@ -119,8 +119,8 @@ def cond2_oracle(spec):
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
     res = []
     for x in xs:
-        minus = ext._w1(cs, False, float(x), e, r, l)
-        plus_down = ext._w1(cs, True, float(x), e - 1, r, l)
+        minus = ext._w1(cs, float(x), e, r, l)[1]
+        plus_down = ext._w1(cs, float(x), e - 1, r, l)[0]
         res.append(abs(minus - plus_down) / (1.0 + abs(plus_down)))
     return np.asarray(res, dtype=float)
 
@@ -279,8 +279,8 @@ def test_cond2_residuals_match_the_point_loop(case, rng):
     # and each display, point by point, against its scalar evaluation
     xs, _ = grid_points(spec.domain, ext.extension_grid(spec))
     for plus, e in ((False, spec.eps), (True, spec.eps - 1)):
-        arr = ext._w1(spec.case, plus, xs, e, spec.rho, spec.ell)
-        one = np.array([ext._w1(spec.case, plus, float(x), e, spec.rho, spec.ell)
+        arr = ext._w1(spec.case, xs, e, spec.rho, spec.ell)[0 if plus else 1]
+        one = np.array([ext._w1(spec.case, float(x), e, spec.rho, spec.ell)[0 if plus else 1]
                         for x in xs])
         assert np.all(np.abs(arr - one) <= 1e-13 * (1.0 + np.abs(one)))
 
@@ -291,7 +291,8 @@ def w_array(spec, xs, shift):
     """W = W0 + W1p - W1m at eps - shift, values only, over the whole grid."""
     cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
     w0, _ = ext._base_w0(cs, xs, e, r, l)
-    return w0 + ext._w1(cs, True, xs, e, r, l) - ext._w1(cs, False, xs, e, r, l)
+    p, m = ext._w1(cs, xs, e, r, l)
+    return w0 + p - m
 
 
 def converged_stencil(f, xs, reach):

@@ -1,5 +1,6 @@
 """Rational extensions: transcriptions, scans, compatibility checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,44 @@ def test_the_w1_readers_read_an_exact_pole_as_nan(eps):
         assert math.isnan(w1_branch(s, 3.0, branch))
         assert math.isfinite(w1_branch(s, 2.0, branch))
     assert math.isnan(w1_difference(s, 3.0)) and math.isfinite(w1_difference(s, 2.0))
+
+
+@pytest.mark.parametrize("case", sorted(SPECS))
+def test_the_pass_calls_each_w1_function_once_per_point_and_shift(case, monkeypatch):
+    # one call of a case's W1 function returns both displays, so the Dual
+    # loop evaluates the shared lifts and the prefactor once per point
+    s = spec_for(case)
+    a, b = s.window
+    xs = np.linspace(a, b, 7)
+    want = [ext._pointwise(s, xs, shift) for shift in (0, 1)]
+    cs, calls = ext.CASE_SPECS[case], []
+
+    def counted(*args):
+        calls.append(args[0])
+        return cs.w1(*args)
+
+    monkeypatch.setitem(ext.CASE_SPECS, case, dataclasses.replace(cs, w1=counted))
+    for shift, parts in zip((0, 1), want):
+        calls.clear()
+        got = ext._pointwise(s, xs, shift)
+        assert len(calls) == xs.size, (shift, len(calls))
+        assert [d.val for d in calls] == xs.tolist()
+        for g, w in zip(got, parts):
+            assert np.array_equal(g, w, equal_nan=True)
+
+
+def test_w1_difference_makes_one_pass(monkeypatch):
+    s = spec_for(2)
+    want = w1_branch(s, 1.0, 1, 1) - w1_branch(s, 1.0, -1, 1)
+    real, passes = ext._pointwise, []
+
+    def counted(*args):
+        passes.append(args[1].tolist())
+        return real(*args)
+
+    monkeypatch.setattr(ext, "_pointwise", counted)
+    assert w1_difference(s, 1.0, 1) == want
+    assert passes == [[1.0]]
 
 
 def test_rho_zero_collapse():

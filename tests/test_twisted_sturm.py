@@ -173,15 +173,20 @@ def test_guided_levels_match_eigvalsh_and_the_per_row_counts(shape, n, half, c, 
     h = (box.b - box.a) / (box.n - 1)
     diag = 2.0 / h ** 2 + potential(box.a + h * np.arange(1, box.n - 1))
     off2 = 1.0 / h ** 4
-    estimates = []
-    real = verify._root_estimate
+    estimates, sweeps = [], [0]
+    real, real_sweep = verify._root_estimate, verify._sturm_sweep
 
     def placed(*args):
-        estimates.append(real(*args))
-        return estimates[-1]
+        estimates.append((sweeps[0], args, real(*args)))
+        return estimates[-1][2]
+
+    def counted(*args):
+        sweeps[0] += 1
+        return real_sweep(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_root_estimate", placed)
+        mp.setattr(verify, "_sturm_sweep", counted)
         got = fd_spectrum(target, box, count)
     want = _eigenvalues(diag, off2)[:count]
     for k, (g, w) in enumerate(zip(got, want)):
@@ -189,10 +194,13 @@ def test_guided_levels_match_eigvalsh_and_the_per_row_counts(shape, n, half, c, 
         delta = 1e-9 * (1.0 + abs(g))
         below, above = _sturm_counts_by_row(diag, off2, np.array([g - delta, g + delta]))
         assert below <= k < above, (k, g, below, above)
-    # one estimate per bracket per sweep, level by level: the odd level's
-    # bracket falls back to uniform samples after the ladder's sweep too
+    # the odd level's bracket falls back to uniform samples after the
+    # ladder's sweep too: level 1's estimates are the calls, from the second
+    # sweep on, whose bracket of samples j - 1 and j encloses its level
     if shape == "double-well" and count >= 2:
-        assert any(math.isnan(x) for x in estimates[1::count][1:]), estimates
+        level1 = [x for sweep, (pts, _, _, j), x in estimates
+                  if sweep >= 2 and 1 <= j < len(pts) and pts[j - 1] < want[1] < pts[j]]
+        assert any(math.isnan(x) for x in level1), estimates
 
 
 def _recorded_sweeps(monkeypatch) -> list:
@@ -217,6 +225,26 @@ def test_singular_wall_sweep_count_guard(fid, monkeypatch):
     samples = _recorded_sweeps(monkeypatch)
     fd_spectrum(fp, box, 3)
     assert len(samples) <= 5, [s.shape for s in samples]
+
+
+@pytest.mark.parametrize("offset, most", [(1e3, 4), (1e8, 3)])
+def test_offset_levels_sweep_count_guard(offset, most, monkeypatch):
+    # levels far from 0 next to their spread: the rungs that double outward
+    # from 0 alone put them in wide first brackets (6 and 5 sweeps); those
+    # that double up from the Gershgorin floor bracket them tightly
+    box = verify.OracleSpec(-5.0, 5.0, 500)
+
+    def potential(xs):
+        return offset + xs ** 2
+
+    h = (box.b - box.a) / (box.n - 1)
+    diag = 2.0 / h ** 2 + potential(box.a + h * np.arange(1, box.n - 1))
+    want = _eigenvalues(diag, 1.0 / h ** 4)[:4]
+    samples = _recorded_sweeps(monkeypatch)
+    got = fd_spectrum(potential, box, 4)
+    assert len(samples) <= most, [s.shape for s in samples]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-9 * (1.0 + abs(w)), (k, g, w)
 
 
 def test_a_settled_bracket_takes_no_more_samples(monkeypatch):

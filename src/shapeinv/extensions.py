@@ -4,19 +4,20 @@ Eleven closed cases, each a base superpotential W0 plus a pair of rational
 corrections, written down once, as its CaseSpec record in CASE_SPECS plus
 its W1 function.  W0 is one of the thirteen families, stretched by a scale
 s (W0(x) = s k(s x)), and its remainder is s^2 times the family's R, so
-neither is transcribed here.  Both W1 displays share one prefactor, and
-each factors as prefactor * top / bottom where top and bottom are
-terminating polynomials (Jacobi, Laguerre, Kummer, or Gauss ratios) or
-plain rational expressions.  One call of a case's W1 function returns the
-prefactor and both displays' tops and bottoms, evaluating the shared lifts
-once; the plus and minus displays are still transcribed independently,
-with their own literal parameter offsets, so the unit-translation
-consistency check (cond2) genuinely compares two displays instead of
-restating one.  cond1, ext-si and all the readers do array arithmetic on
-one pass, `_pointwise`: W0 comes from the base family over the whole grid
-at once, both W1 displays and their derivatives from one call on a Dual
-seeded at each point.  The gauge freedom f(x) is fixed to zero, which
-turns cond1 into a sharp zero-test.
+neither is transcribed here.  Each correction is the logarithmic
+derivative W1 = b'/b of its bottom b, a terminating polynomial (Jacobi,
+Laguerre, Kummer or Gauss) or a plain rational expression in a lift of x,
+so only the bottoms are written down: one call of a case's W1 function
+returns both, evaluating the shared lifts once.  The plus and minus
+bottoms are still transcribed independently, with their own literal
+parameter offsets, so the unit-translation consistency check (cond2)
+genuinely compares two displays instead of restating one.  A second-order
+jet (`dual.Jet`) gives b, b' and b'' in one pass, so W1 = b'/b,
+W1' = b''/b - W1^2, and W1^2 + W1' = b''/b with no 1/b^2 terms to cancel.
+cond1, ext-si and all the readers do array arithmetic on one pass,
+`_pointwise`: W0 comes from the base family over the whole grid at once,
+both bottoms' jets from one call on a jet seeded at each point.  The gauge
+freedom f(x) is fixed to zero, which turns cond1 into a sharp zero-test.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ class CaseSpec:
     The base W0 is the family `base` at (eps, rho) = base_params(e, r, l),
     stretched by the scale s: W0(x) = s k(s x), W0'(x) = s^2 k'(s x), and
     its remainder is s^2 R; the domain and window are the family's divided
-    by s.  w1(x, e, r, l) returns (prefactor, top_plus, bottom_plus,
-    top_minus, bottom_minus), both displays from one call; constants(e, r,
-    l) lists the constant factors of the bottoms, checked once at build
-    time.
+    by s.  w1(x, e, r, l) returns (bottom_plus, bottom_minus), the bottoms
+    b of both displays from one call, each correction being W1 = b'/b;
+    constants(e, r, l) lists the constant factors of the bottoms, which
+    b'/b does not see, checked once at build time.
     """
 
     num: int
@@ -74,92 +75,72 @@ class CaseSpec:
         object.__setattr__(self, "window", (fam.window[0] / s, fam.window[1] / s))
 
 
-# One W1 function per case, returning (prefactor, top_plus, bottom_plus,
-# top_minus, bottom_minus): the lifts and the prefactor are evaluated once,
-# and each display is spelled out with its own literal parameter offsets, so
-# cond2 compares two transcriptions; xd may be a float or a numpy array of
-# points (values only) or a Dual seed (values and derivatives).
+# One W1 function per case, returning (bottom_plus, bottom_minus): the lifts
+# are evaluated once, and each bottom is spelled out with its own literal
+# parameter offsets, so cond2 compares two transcriptions; xd may be a float
+# or a numpy array of points (values only) or a Jet seed (values and the
+# first two derivatives).
 
 def _w1_case1(xd, e, r, l):
-    ch, top = dual.cosh(xd), -2 * r * dual.sinh(xd)
-    return 1.0, top, 2 * e + 1 - 2 * r * ch, top, 2 * e - 1 - 2 * r * ch
+    ch = dual.cosh(xd)
+    return 2 * e + 1 - 2 * r * ch, 2 * e - 1 - 2 * r * ch
 
 
 def _w1_case2(xd, e, r, l):
     ch = dual.cosh(xd)
-    return (0.5 * (l - 2 * r - 1) * dual.sinh(xd),
-            jacobi_p(l - 1, 0.5 + e - r, -0.5 - e - r, ch),
-            jacobi_p(l, -0.5 + e - r, -1.5 - e - r, ch),
-            jacobi_p(l - 1, -0.5 + e - r, 0.5 - e - r, ch),
+    return (jacobi_p(l, -0.5 + e - r, -1.5 - e - r, ch),
             jacobi_p(l, -1.5 + e - r, -0.5 - e - r, ch))
 
 
 def _w1_case3(xd, e, r, l):
     ch = dual.cosh(xd * 2)
-    return (-(2 * r - l + 1) * dual.sinh(xd * 2),
-            jacobi_p(l - 1, -0.5 - l - e - r, 0.5 + l + e - r, ch),
-            jacobi_p(l, -1.5 - l - e - r, -0.5 + l + e - r, ch),
-            jacobi_p(l - 1, 0.5 - l - e - r, -0.5 + l + e - r, ch),
+    return (jacobi_p(l, -1.5 - l - e - r, -0.5 + l + e - r, ch),
             jacobi_p(l, -0.5 - l - e - r, -1.5 + l + e - r, ch))
 
 
 def _w1_case4(xd, e, r, l):
-    x2, top = xd ** 2, -4 * r * xd
-    return 1.0, top, 2 * e + 1 - 2 * r * x2, top, 2 * e - 1 - 2 * r * x2
+    x2 = xd ** 2
+    return 2 * e + 1 - 2 * r * x2, 2 * e - 1 - 2 * r * x2
 
 
 def _w1_case5(xd, e, r, l):
     z = -r * xd ** 2
-    return (2 * r * xd, laguerre_l(l - 1, -0.5 - e, z), laguerre_l(l, -1.5 - e, z),
-            laguerre_l(l - 1, 0.5 - e, z), laguerre_l(l, -0.5 - e, z))
+    return laguerre_l(l, -1.5 - e, z), laguerre_l(l, -0.5 - e, z)
 
 
 def _w1_case6(xd, e, r, l):
     z = -(xd ** 2)
-    return (2 * xd, laguerre_l(l - 1, 0.5 + l + e, z), laguerre_l(l, -0.5 + l + e, z),
-            laguerre_l(l - 1, -0.5 + l + e, z), laguerre_l(l, -1.5 + l + e, z))
+    return laguerre_l(l, -0.5 + l + e, z), laguerre_l(l, -1.5 + l + e, z)
 
 
 def _w1_case7(xd, e, r, l):
     z = -(xd ** 2)
-    return (2 * l * xd,
-            hyp1f1_terminating(1 - l, 1.5 + l + e, z),
-            (0.5 + l + e) * hyp1f1_terminating(-l, 0.5 + l + e, z),
-            hyp1f1_terminating(1 - l, 0.5 + l + e, z),
+    return ((0.5 + l + e) * hyp1f1_terminating(-l, 0.5 + l + e, z),
             (-0.5 + l + e) * hyp1f1_terminating(-l, -0.5 + l + e, z))
 
 
 def _w1_case8(xd, e, r, l):
-    sn, top = dual.sin(xd), 2 * r * dual.cos(xd)
-    return 1.0, top, 2 * e + 1 + 2 * r * sn, top, 2 * e - 1 + 2 * r * sn
+    sn = dual.sin(xd)
+    return 2 * e + 1 + 2 * r * sn, 2 * e - 1 + 2 * r * sn
 
 
 def _w1_case9(xd, e, r, l):
     cz = dual.cos(xd * 2)
-    return (-(2 * r + l - 1) * dual.sin(xd * 2),
-            jacobi_p(l - 1, -0.5 - l - e + r, 0.5 + l + e + r, cz),
-            jacobi_p(l, -1.5 - l - e + r, -0.5 + l + e + r, cz),
-            jacobi_p(l - 1, 0.5 - l - e + r, -0.5 + l + e + r, cz),
+    return (jacobi_p(l, -1.5 - l - e + r, -0.5 + l + e + r, cz),
             jacobi_p(l, -0.5 - l - e + r, -1.5 + l + e + r, cz))
 
 
 def _w1_case10(xd, e, r, l):
     z = dual.sin(xd) ** 2
-    # the Gamma-quotient prefactors reduce to first-order poles:
-    # Gamma(c)/Gamma(c+1) = 1/c, folded into the bottom factor
-    return (-l * (2 * r + l - 1) * dual.sin(xd * 2),
-            hyp2f1_terminating(1 - l, l + 2 * r, 1.5 + e + r, z),
-            (0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, 0.5 + e + r, z),
-            hyp2f1_terminating(1 - l, l + 2 * r, 0.5 + e + r, z),
+    # the Gamma quotient Gamma(c)/Gamma(c+1) = 1/c of the display leaves the
+    # constant factor c in the bottom, where the scan checks it
+    return ((0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, 0.5 + e + r, z),
             (-0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, -0.5 + e + r, z))
 
 
 def _w1_case11(xd, e, r, l):
     arg = 1j * dual.sinh(xd)
-    return (0.5j * (l - 2 * r - 1) * dual.cosh(xd),
-            jacobi_p(l - 1, -r + e + 0.5, -r - e - 0.5, arg),
-            jacobi_p(l, -r + e - 0.5, -r - e - 1.5, arg),
-            jacobi_p(l - 1, -r + e - 0.5, -r - e + 0.5, arg),
+    return (jacobi_p(l, -r + e - 0.5, -r - e - 1.5, arg),
             jacobi_p(l, -r + e - 1.5, -r - e - 0.5, arg))
 
 
@@ -253,29 +234,35 @@ def _base_w0(cs: CaseSpec, xs: np.ndarray, e, r, l) -> tuple:
 
 
 def _w1(cs: CaseSpec, xd, e, r, l) -> tuple:
-    """(W1p, W1m) at xd, each display as prefactor * top / bottom."""
-    pre, top_p, bot_p, top_m, bot_m = cs.w1(xd, e, r, l)
-    return pre * top_p / bot_p, pre * top_m / bot_m
+    """(W1p, W1p', W1p^2 + W1p', W1m, W1m', W1m^2 + W1m') at the Jet seed xd:
+    each correction is W1 = b'/b of its bottom b, W1' = b''/b - W1^2 and
+    W1^2 + W1' = b''/b."""
+    out = ()
+    for b in cs.w1(xd, e, r, l):
+        w1, curv = b.d1 / b.val, b.d2 / b.val
+        out += (w1, curv - w1 * w1, curv)
+    return out
 
 
 def w1_branch(spec: ExtensionSpec, x: float, branch: int, shift: int = 0):
     """One correction branch at eps - shift, values only; nan at a pole or an overflow."""
     spec.domain.require_inside(x)
-    return _pointwise(spec, np.array([float(x)]), shift)[2 if branch > 0 else 4].item()
+    return _pointwise(spec, np.array([float(x)]), shift)[2 if branch > 0 else 3].item()
 
 
 def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
     """W1p - W1m; complex on the complex-path case, float elsewhere."""
     spec.domain.require_inside(x)
-    _, _, p, _, m, _, _ = _pointwise(spec, np.array([float(x)]), shift)
+    p, m = _pointwise(spec, np.array([float(x)]), shift)[2:4]
     return p.item() - m.item()
 
 
 def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int) -> tuple:
-    """W, W', W1p, W1p', W1m, W1m' and W0 over the 1-D array xs, at eps - shift.
+    """W, W', W1p, W1m, W0, W1p^2 + W1p' and W1m^2 + W1m' over the 1-D
+    array xs, at eps - shift.
 
     W0 and W0' come from one pass of the base family over xs, both
-    branches and their derivatives from one W1 call on a Dual seeded at
+    branches and their derivatives from one W1 call on a Jet seeded at
     each point.  Where a point overflows or meets an exact pole (any
     ArithmeticError), both branches are nan there, and so are W and W'."""
     cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
@@ -283,14 +270,12 @@ def _pointwise(spec: ExtensionSpec, xs: np.ndarray, shift: int) -> tuple:
     rows = []
     for x in xs.tolist():
         try:
-            xd = seed(x)
-            p, m = _w1(cs, xd, e, r, l)
-            rows.append((p.val, p.eps, m.val, m.eps))
+            rows.append(_w1(cs, seed(x), e, r, l))
         except ArithmeticError:
-            rows.append((math.nan,) * 4)
-    p, pp, m, mp = np.array(rows).reshape(-1, 4).T
+            rows.append((math.nan,) * 6)
+    p, pp, p2, m, mp, m2 = np.array(rows).reshape(-1, 6).T
     with np.errstate(all="ignore"):
-        return w0 + p - m, w0p + pp - mp, p, pp, m, mp, w0
+        return w0 + p - m, w0p + pp - mp, p, m, w0, p2, m2
 
 
 def _require_finite(cs: CaseSpec, xs: np.ndarray, vals: np.ndarray) -> None:
@@ -324,8 +309,7 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
                     f"case {cs.num}: constant factor {c:.3e} vanishes at eps - {shift}")
         with np.errstate(all="ignore"):
             parts = cs.w1(xs, ee, r, l)
-        # the bottoms sit at 2 (plus) and 4 (minus) of the W1 tuple
-        for branch, at in ((1, 2), (-1, 4)):
+        for branch, at in ((1, 0), (-1, 1)):
             vals = parts[at]
             mags = np.abs(vals)
             _require_finite(cs, xs, mags)
@@ -439,17 +423,18 @@ def extension_grid(spec: ExtensionSpec) -> tuple[float, float, int]:
 def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     """Compare the minus display at eps with the plus display at eps - 1.
 
-    Each side is one W1 call over the whole grid, at eps and at eps - 1,
-    of which only the display compared is kept.  Residuals are
+    Each side is one W1 call on a Jet seeded with the whole grid, at eps
+    and at eps - 1, of which only the display compared is kept.  Residuals are
     scaled by 1/(1 + |W1p(eps - 1)|); the contract is a max of 1e-10.  A
     grid that reaches a pole or an overflow outside the certified window
     raises DenominatorZero, as the scan does.
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
+    xd = seed(xs)
     with np.errstate(all="ignore"):
-        minus = _w1(cs, xs, e, r, l)[1]
-        plus_down = _w1(cs, xs, e - 1, r, l)[0]
+        minus = _w1(cs, xd, e, r, l)[3]
+        plus_down = _w1(cs, xd, e - 1, r, l)[0]
         res = np.abs(minus - plus_down) / (1.0 + np.abs(plus_down))
     _require_finite(cs, xs, res)
     return _report(xs, res, excluded)
@@ -460,7 +445,9 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
 
     With the gauge function fixed to zero the combination
     W1p^2 + W1p' + W1m^2 + W1m' + 2 W0 (W1p - W1m) - 2 W1p W1m
-    must vanish identically.  The pointwise residual is the largest of
+    must vanish identically.  It is evaluated as bp''/bp + bm''/bm +
+    2 W0 (W1p - W1m) - 2 W1p W1m, so near a small bottom no two terms of
+    order 1/b^2 cancel.  The pointwise residual is the largest of
     |L(eps)| / (1 + |W0(eps)|^2), the same at eps - 1, and the unscaled
     cross-difference |L(eps) - L(eps - 1)|; the contract is 1e-8.  A point
     that overflows reads as non-finite, and the scan's rule raises
@@ -468,9 +455,9 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
     """
     xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
     # each part as a row at eps and a row at eps - 1
-    _, _, p, pp, m, mp, w0 = np.stack([_pointwise(spec, xs, shift) for shift in (0, 1)], axis=1)
+    _, _, p, m, w0, p2, m2 = np.stack([_pointwise(spec, xs, shift) for shift in (0, 1)], axis=1)
     with np.errstate(all="ignore"):
-        lhs = p * p + pp + m * m + mp + 2 * w0 * p - 2 * w0 * m - 2 * p * m
+        lhs = p2 + m2 + 2 * w0 * (p - m) - 2 * p * m
         res = np.maximum(np.max(np.abs(lhs) / (1.0 + np.abs(w0) ** 2), axis=0),
                          np.abs(lhs[0] - lhs[1]))
     _require_finite(spec.case, xs, res)

@@ -2,11 +2,11 @@
 
 The polynomial evaluators run three-term recurrences using only ring
 arithmetic on the argument, so one implementation serves floats, complex
-values, numpy arrays, and Dual scalars alike.  Parameters may be complex
-(conjugate-pair Jacobi parameters occur throughout).  Where a Jacobi
-recurrence denominator comes near 0 the explicit sum, in the same ring
-arithmetic, takes its place.  Degrees are capped at 64, beyond the working
-range.
+values, numpy arrays, and jets (`dual.Jet`, with scalar or array parts)
+alike.  Parameters may be complex (conjugate-pair Jacobi parameters occur
+throughout).  Where a Jacobi recurrence denominator comes near 0 the
+explicit sum, in the same ring arithmetic, takes its place.  Degrees are
+capped at 64, beyond the working range.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _jacobi(k: int, a, b, z, w, ww, one):
 def jacobi_p(k: int, a, b, z):
     """Jacobi polynomial P_k^(a,b)(z) by the three-term recurrence or the explicit sum.
 
-    a, b may be complex; z may be scalar, array, or Dual.
+    a, b may be complex; z may be scalar, array, or Jet.
     """
     _check_degree(k)
     return _jacobi(k, a, b, z, 1.0, 1.0, z * 0 + 1.0)

@@ -3,11 +3,12 @@
 The denominator scan, cond2 and the invariance check each evaluate a whole
 grid (or a whole set of draws) in one numpy pass.  The per-point loops they
 replaced are kept here as oracles: the scan must take the same decisions
-with the same messages, and cond2 must give the same residuals to 1e-13.
-The other way round, the Dual loop of the cond1/ext-si checks must give
-the value-only array path's W to 1e-13 and its converged stencil
-derivative to 1e-7, and its one pass must give the callback loop it
-replaced (kept here too) bit for bit.
+with the same messages, and cond2, on one jet seeded with its whole grid,
+must give the residuals of a scalar jet seeded at each point to 1e-13.
+The other way round, the per-point jet loop of the cond1/ext-si checks
+must give the grid-seeded jet's W to 1e-13 and the converged stencil
+derivative of that W to 1e-7, and its one pass must give the callback
+loop it replaced (kept here too) bit for bit.
 The invariant language's one-point evaluator on Python floats and the math
 module is kept as the scalar reference: eval_invariant must take the same
 has-value decisions, and the invariance check, run draw by draw on the
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapeinv import extensions as ext
-from shapeinv.dual import Dual, seed
+from shapeinv.dual import seed
 from shapeinv.errors import DenominatorZero, EvalDomainError, ShapeInvError, ValidationError
 from shapeinv.invariants import (
     SHIFTS,
@@ -50,20 +51,23 @@ from test_invariants import ASTS
 # -- oracles: the per-point loops --------------------------------------------
 
 
-def pointwise_oracle(spec, xs, shift, fn):
-    """fn(W, W1p, W1m, W0) at each point of xs, at eps - shift: W0 a Python
-    scalar from the base family's pass, the rest Duals of the seeded point;
-    fn runs on nans where the point raises ArithmeticError."""
+def pointwise_oracle(spec, xs, shift):
+    """(W, W', W1p, W1m, W0, bp''/bp, bm''/bm) at each point of xs, at
+    eps - shift, in Python scalars: W0 from the base family's pass,
+    the rest from the bottoms' jets at the seeded point, W1 = b'/b and
+    W1' = b''/b - W1^2; all nan where the point raises ArithmeticError."""
     cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
     w0s, w0ps = ext._base_w0(cs, xs, e, r, l)
-    nan, out = Dual(math.nan, math.nan), []
+    out = []
     for x, w0, w0p in zip(xs.tolist(), w0s.tolist(), w0ps.tolist()):
         try:
-            xd = seed(x)
-            p, m = ext._w1(cs, xd, e, r, l)
-            out.append(fn(Dual(w0, w0p) + p - m, p, m, w0))
+            bp, bm = cs.w1(seed(x), e, r, l)
+            p, p2 = bp.d1 / bp.val, bp.d2 / bp.val
+            m, m2 = bm.d1 / bm.val, bm.d2 / bm.val
+            pp, mp = p2 - p * p, m2 - m * m
+            out.append((w0 + p - m, w0p + pp - mp, p, m, w0, p2, m2))
         except ArithmeticError:
-            out.append(fn(nan, nan, nan, math.nan))
+            out.append((math.nan,) * 7)
     return np.array(out)
 
 
@@ -78,7 +82,7 @@ def scan_oracle(cs, e, r, l, window, n):
                     f"case {cs.num}: constant factor {c:.3e} vanishes at eps - {shift}")
         for branch in (1, -1):
             def bot(x: float):
-                return cs.w1(x, ee, r, l)[2 if branch > 0 else 4]
+                return cs.w1(x, ee, r, l)[0 if branch > 0 else 1]
 
             vals = np.array([bot(float(x)) for x in xs])
             mags = np.abs(vals)
@@ -115,12 +119,13 @@ def scan_oracle(cs, e, r, l, window, n):
 
 
 def cond2_oracle(spec):
+    """cond2's residuals from a scalar jet seeded at each grid point."""
     xs, _ = grid_points(spec.domain, ext.extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
     res = []
     for x in xs:
-        minus = ext._w1(cs, float(x), e, r, l)[1]
-        plus_down = ext._w1(cs, float(x), e - 1, r, l)[0]
+        minus = ext._w1(cs, seed(float(x)), e, r, l)[3]
+        plus_down = ext._w1(cs, seed(float(x)), e - 1, r, l)[0]
         res.append(abs(minus - plus_down) / (1.0 + abs(plus_down)))
     return np.asarray(res, dtype=float)
 
@@ -267,32 +272,44 @@ def test_wide_windows_read_as_non_finite(case, window):
 
 # -- cond2 -------------------------------------------------------------------
 
-@settings(derandomize=True, deadline=None, max_examples=44)
-@given(case=st.sampled_from(CASES), rng=st.randoms(use_true_random=False))
-def test_cond2_residuals_match_the_point_loop(case, rng):
-    spec = draw_extension(case, rng)
+def assert_cond2_matches_point_seeds(spec):
     got = ext.check_cond2(spec)
     want = cond2_oracle(spec)
     assert got.points_used == want.size
     assert abs(got.max_residual - want.max()) <= 1e-13
     assert abs(got.mean_residual - want.mean()) <= 1e-13
-    # and each display, point by point, against its scalar evaluation
+    # and each part of both displays, point by point, against its scalar seed
     xs, _ = grid_points(spec.domain, ext.extension_grid(spec))
-    for plus, e in ((False, spec.eps), (True, spec.eps - 1)):
-        arr = ext._w1(spec.case, xs, e, spec.rho, spec.ell)[0 if plus else 1]
-        one = np.array([ext._w1(spec.case, float(x), e, spec.rho, spec.ell)[0 if plus else 1]
-                        for x in xs])
-        assert np.all(np.abs(arr - one) <= 1e-13 * (1.0 + np.abs(one)))
+    for e in (spec.eps, spec.eps - 1):
+        grid = ext._w1(spec.case, seed(xs), e, spec.rho, spec.ell)
+        one = np.array([ext._w1(spec.case, seed(float(x)), e, spec.rho, spec.ell)
+                        for x in xs]).T
+        for part, (g, w) in enumerate(zip(grid, one)):
+            assert np.all(np.abs(g - w) <= 1e-13 * (1.0 + np.abs(w))), (spec, e, part)
 
 
-# -- the Dual loop against the value-only array path --------------------------
+@settings(derandomize=True, deadline=None, max_examples=44)
+@given(case=st.sampled_from(CASES), rng=st.randoms(use_true_random=False))
+def test_cond2_residuals_match_the_point_loop(case, rng):
+    assert_cond2_matches_point_seeds(draw_extension(case, rng))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_the_grid_jet_matches_point_seeds_on_criterion_06_draws(case):
+    # criterion 06's own stream, so each case is covered
+    rng = random.Random(f"ext:{case}")
+    for _ in range(3):
+        assert_cond2_matches_point_seeds(draw_extension(case, rng))
+
+
+# -- the per-point jet loop against the grid-seeded jet ------------------------
 
 def w_array(spec, xs, shift):
-    """W = W0 + W1p - W1m at eps - shift, values only, over the whole grid."""
+    """W = W0 + W1p - W1m at eps - shift over the whole grid, from one jet."""
     cs, e, r, l = spec.case, spec.eps - shift, spec.rho, spec.ell
     w0, _ = ext._base_w0(cs, xs, e, r, l)
-    p, m = ext._w1(cs, xs, e, r, l)
-    return w0 + p - m
+    parts = ext._w1(cs, seed(xs), e, r, l)
+    return w0 + parts[0] - parts[3]
 
 
 def converged_stencil(f, xs, reach):
@@ -335,14 +352,14 @@ def test_the_one_pass_matches_the_callback_loop(case, seed):
     xs = np.concatenate([np.linspace(a, b, 41)[1:-1], np.linspace(lo, hi, 41)[1:-1]])
     for shift in (0, 1):
         got = ext._pointwise(spec, xs, shift)
-        want = pointwise_oracle(spec, xs, shift, lambda w, p, m, w0: (
-            w.val, w.eps, p.val, p.eps, m.val, m.eps, w0)).T
-        for part, (g, w) in enumerate(zip(got[:6], want)):
-            np.testing.assert_array_equal(g, w, err_msg=f"{spec} shift {shift} part {part}")
+        want = pointwise_oracle(spec, xs, shift).T
+        for part in (0, 1, 2, 3, 5, 6):
+            np.testing.assert_array_equal(got[part], want[part],
+                                          err_msg=f"{spec} shift {shift} part {part}")
         # the loop handed fn a nan W0 where a point raised; the pass keeps the base's
-        raised = np.isnan(want[6])
-        assert np.all(np.isnan(got[2][raised]) & np.isnan(got[4][raised]))
-        np.testing.assert_array_equal(got[6][~raised], want[6][~raised])
+        raised = np.isnan(want[4])
+        assert np.all(np.isnan(got[2][raised]) & np.isnan(got[3][raised]))
+        np.testing.assert_array_equal(got[4][~raised], want[4][~raised])
 
 
 # -- the invariant language -------------------------------------------------

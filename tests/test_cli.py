@@ -454,7 +454,7 @@ def test_level_flags_are_capped_before_anything_is_built(capsys, command, level,
 
 @pytest.mark.parametrize("check", ["cond1", "ext-si"])
 def test_per_point_checks_past_the_window_exit_3(capsys, check):
-    # math.cosh overflows at x = 720.01 in the Dual pass: read as non-finite
+    # math.cosh overflows at x = 720.01 in the jet pass: read as non-finite
     rc, out, err = run(capsys, "verify", check, "--extension", "1", "--m", "3",
                        "--invariant", "1", "--d=-1", "--grid", "0.1,800,11")
     assert rc == 3 and out == "" and err.count("\n") == 1

@@ -32,7 +32,7 @@ def _csc(xd):
     return 1.0 / dual.sin(xd)
 
 
-# W0(x; e, r, l) as printed for each case; xd is a Dual seed
+# W0(x; e, r, l) as printed for each case; xd is a Jet seed
 PRINTED_W0 = {
     1: lambda xd, e, r, l: e * _coth(xd) - r * _csch(xd),
     2: lambda xd, e, r, l: e * _coth(xd) - r * _csch(xd),
@@ -69,7 +69,7 @@ def test_displays_cover_every_case():
 
 def _printed(case, x, e, r, l):
     d = PRINTED_W0[case](seed(x), e, r, l)
-    return d.val, d.eps
+    return d.val, d.d1
 
 
 def _draw(case, u, w, t, l):

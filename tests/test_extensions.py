@@ -155,8 +155,8 @@ def test_the_w1_readers_read_an_exact_pole_as_nan(eps):
 
 @pytest.mark.parametrize("case", sorted(SPECS))
 def test_the_pass_calls_each_w1_function_once_per_point_and_shift(case, monkeypatch):
-    # one call of a case's W1 function returns both displays, so the Dual
-    # loop evaluates the shared lifts and the prefactor once per point
+    # one call of a case's W1 function returns both bottoms, so the jet
+    # loop evaluates the shared lifts once per point
     s = spec_for(case)
     a, b = s.window
     xs = np.linspace(a, b, 7)
@@ -235,6 +235,14 @@ def test_cond1_fixed_specs(case):
 def test_extended_si_fixed_specs(case):
     rep = extended_si_check(spec_for(case))
     assert rep.max_residual <= 1e-7, (case, rep.max_residual)
+
+
+def test_cond1_keeps_its_digits_next_to_a_small_bottom():
+    # built as the benchmark builds it; at x = 0 the plus bottom at eps is
+    # 7.5e-5, so W1p^2 and W1p' are each about 2.3e9, and cond1 read 5.0e-7
+    # when it added them; read as bp''/bp it stays at rounding
+    s = build(11, 1.6546508887848548, -1.4282080995909263, ell=3)
+    assert check_cond1(s).max_residual <= 1e-8
 
 
 def test_base_remainder_values():

@@ -33,6 +33,7 @@ EXIT_TOLERANCE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
+_KMAX_CAP = 65536   # the largest --kmax: a level table is built up to it
 
 
 def _fmt(x) -> str:
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shapeinv",
         description="shape-invariant superpotential families, spectra, and checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    scan_cap, degree_cap = _at_most(spectra._SCAN_CAP), _at_most(specfun.MAX_DEGREE)
+    level_cap, degree_cap = _at_most(_KMAX_CAP), _at_most(specfun.MAX_DEGREE)
 
     p_fam = sub.add_parser("families", help="family and extension registry")
     fam_sub = p_fam.add_subparsers(dest="subcommand", required=True)
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="closed-form energy table")
     _add_job_flags(p_spec)
-    p_spec.add_argument("--kmax", type=scan_cap,
+    p_spec.add_argument("--kmax", type=level_cap,
                         help=f"largest level index (default {_READS['spectrum']['kmax']})")
     p_spec.add_argument("--oracle", action="store_true",
                         help="add finite-difference gap and deviation columns")
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc_sub = p_orc.add_subparsers(dest="subcommand", required=True)
     p_cmp = orc_sub.add_parser("compare", help="closed-form E_k against FD gaps")
     _add_job_flags(p_cmp)
-    p_cmp.add_argument("--kmax", type=scan_cap, help="largest level index to compare "
+    p_cmp.add_argument("--kmax", type=level_cap, help="largest level index to compare "
                        f"(default {_READS['oracle compare']['kmax']})")
     p_cmp.add_argument("--oracle", dest="oracle_box",
                        help="FD truncation box 'a,b,N' (default: sized from the ground state)")

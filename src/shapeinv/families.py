@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -256,24 +257,11 @@ def _v_scarf1_cot(x, beta, d):
     return -beta * ct + d * cs, beta * cs ** 2 - d * cs * ct
 
 
-# Range conditions: (text, predicate of eps, rho, beta), checked in order.
-_EPS_POSITIVE = ("eps > 0", lambda e, r, b: e > 0)
-_EPS_BELOW_HALF = ("eps < 1/2", lambda e, r, b: e < 0.5)
-_EPS_NONZERO = ("eps != 0", lambda e, r, b: e != 0)
-_RHO_POSITIVE = ("rho > 0", lambda e, r, b: r > 0)
-_SCARF1_RHO = ("(2*eps - 1)/2 < rho < (1 - 2*eps)/2",
-               lambda e, r, b: (2 * e - 1) / 2 < r < (1 - 2 * e) / 2)
-_ABOVE_THRESHOLD = ("eps + rho/eps > 0", lambda e, r, b: e + r / e > 0)
-
-
-# Level rules giving max_k: None for an unbounded tower, -1 for none.
-def _unbounded(e: float, r: float) -> None:
-    return None
-
-
-def _below_eps(e: float, r: float) -> int:
-    """Gamma(2(eps - k)) must stay off the poles: k < eps."""
-    return math.ceil(e) - 1
+# v ~ c/(x - w) at each finite wall w: v.residues(beta, d) gives each c, the lower wall first
+_v_poschl_teller.residues = lambda beta, d: (beta - d,)
+_v_radial.residues = lambda beta, d: (d,)
+_v_scarf1.residues = lambda beta, d: (-beta - d, d - beta)
+_v_scarf1_cot.residues = lambda beta, d: (d - beta, -beta - d)
 
 
 @dataclass(frozen=True)
@@ -384,11 +372,10 @@ class FamilySpec:
     """Everything one family needs; spectra derives E_k as sum_j R(eps - j).
 
     g(x, c) returns c*G and c*G'; a linear-form family gives its coupling
-    solution v(x, beta, d), and k and R follow from the fold (`Fold`).
-    Levels are admissible up to max_level(eps, rho) (default: no bound),
-    or, where gamma_args is set, while the Gamma arguments at s = eps - k,
-    t = rho/s stay positive and E_k rises.  state is the normalized states'
-    StateForm.  oracle_floor is the smallest half-width of the FD oracle box.
+    solution v(x, beta, d), and k and R follow from the fold (`Fold`), and so
+    do the admissible parameters and levels (blocked, top_level).  state is
+    the normalized states' StateForm.  oracle_floor is the smallest
+    half-width of the FD oracle box.
     """
 
     id: str
@@ -397,12 +384,9 @@ class FamilySpec:
     alpha: float
     fold: Fold
     window: tuple[float, float]   # default finite window for grid checks
-    ranges: tuple[tuple[str, Callable[[float, float, float], bool]], ...]
     g: Callable
     state: StateForm
     v: Optional[Callable] = None
-    max_level: Callable[[float, float], Optional[int]] = _unbounded
-    gamma_args: Optional[Callable[[float, float], tuple]] = None
     oracle_floor: float = 8.0
 
     def k(self, x, e, r, b):
@@ -418,11 +402,32 @@ class FamilySpec:
         # rounds like each printed R; alpha = 0 adds nothing, not even a zero's sign
         return extra + (self.alpha * 2 * e + self.alpha) if self.alpha else extra
 
+    def blocked(self, e, r, b):
+        """The first end where zeta_0 = exp(-int k) is not square-integrable, as (x, value).
+
+        A wall w needs a > -1/2 in zeta_0 ~ |x - w|^a, a = -c for k ~ c/(x - w): c = eps on
+        the ratio form (G' + G^2 = alpha puts residue 1 on G's poles), else v.residues.  An
+        infinite end needs k's limit to point outward (nan, from 0 * inf, does not).
+        """
+        ends = (self.domain.lo, self.domain.hi)
+        cs = iter(self.v.residues(*self.fold.constants(e, r, b))
+                  if self.v and not all(map(math.isinf, ends)) else (e, e))
+        with np.errstate(invalid="ignore"):
+            for x in ends:
+                value = -next(cs) if math.isfinite(x) else float(self.k(x, e, r, b)[0])
+                if not (value > -0.5 if math.isfinite(x) else x * value > 0):
+                    return x, value
+        return None
+
+    def admits(self, s, r, b) -> bool:
+        """Whether level j exists at s = eps - j: k defined (s != 0 if ratio) and zeta_0 in L^2."""
+        return (self.v is not None or s != 0) and self.blocked(s, r, b) is None
+
 
 FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("scarf2", "hyperbolic Scarf, k = eps*tanh(x) + rho*sech(x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-8.0, 8.0),
-               ranges=(_EPS_POSITIVE,), g=_g_tanh, v=_v_scarf2, max_level=_below_eps,
+               g=_g_tanh, v=_v_scarf2,
                state=StateForm(
                    log_c0=lambda e, r, b: ((e - 0.5) * _LOG2 + log_gamma(complex(0.5 + e, -r))
                                            - 0.5 * (math.log(_PI) + log_gamma(2 * e))),
@@ -431,8 +436,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                    terms=_scarf2_terms, far=lambda x: (_log_far(x), -1j * np.sign(x)))),
     FamilySpec("poschl-teller", "Poschl-Teller, k = eps*coth(x) - rho*csch(x)",
                _make_domain(0.0, _INF), 1.0, _FOLD_BETA_MEAN, (0.0, 12.0),
-               ranges=(_EPS_POSITIVE, ("eps - rho < 1/2", lambda e, r, b: e - r < 0.5)),
-               g=_g_coth, v=_v_poschl_teller, max_level=_below_eps,
+               g=_g_coth, v=_v_poschl_teller,
                state=StateForm(
                    log_c0=lambda e, r, b: e * _LOG2 + 0.5 * (
                        log_gamma(0.5 + e + r) - log_gamma(2 * e) - log_gamma(0.5 - e + r)),
@@ -440,18 +444,16 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                    **_SCARF_STATE)),
     FamilySpec("morse", "Morse, k = eps - rho*exp(-x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-2.0, 14.0),
-               ranges=(_EPS_POSITIVE, _RHO_POSITIVE), g=_g_constant(1.0), v=_v_morse,
-               max_level=_below_eps,
+               g=_g_constant(1.0), v=_v_morse,
                state=StateForm(terms=_morse_terms, **_MORSE_STATE), oracle_floor=25.0),
     FamilySpec("morse-mirror", "mirrored Morse, k = -eps - rho*exp(x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-14.0, 2.0),
-               ranges=(_EPS_POSITIVE, ("rho < 0", lambda e, r, b: r < 0)),
-               g=_g_constant(-1.0), v=partial(_v_morse, sign=-1.0), max_level=_below_eps,
+               g=_g_constant(-1.0), v=partial(_v_morse, sign=-1.0),
                state=StateForm(terms=partial(_morse_terms, sign=-1.0), **_MORSE_STATE),
                oracle_floor=25.0),
     FamilySpec("radial-osc", "radial oscillator, k = eps/x + rho*x",
                _make_domain(0.0, _INF), 0.0, _FOLD_D_MEAN, (0.0, 10.0),
-               ranges=(_EPS_BELOW_HALF, _RHO_POSITIVE), g=_g_inverse, v=_v_radial,
+               g=_g_inverse, v=_v_radial,
                state=StateForm(
                    log_c0=lambda e, r, b: 0.5 * (_LOG2 + (0.5 - e) * math.log(r)
                                                  - log_gamma(0.5 - e)),
@@ -459,32 +461,29 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                    terms=lambda x, e, r, b, k: (-r * x ** 2 / 2 - e * np.log(x), r * x ** 2))),
     FamilySpec("harm-osc", "shifted harmonic oscillator, k = beta*x + rho",
                _make_domain(-_INF, _INF), 0.0, _FOLD_SLOPE, (-10.0, 10.0),
-               ranges=(("beta > 0", lambda e, r, b: b > 0),), g=_g_constant(0.0), v=_v_harmonic,
+               g=_g_constant(0.0), v=_v_harmonic,
                state=StateForm(log_c0=lambda e, r, b: 0.25 * math.log(b / _PI),
                                step=lambda e, r, b: math.sqrt(b), poly="hermite_h",
                                params=lambda e, r, k: (), terms=_harmonic_terms)),
     FamilySpec("scarf1", "trigonometric Scarf, k = -eps*tan(x) - rho*sec(x)",
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_BETA_MEAN_NEG,
                (-_PI / 2, _PI / 2),
-               ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_neg_tan, v=_v_scarf1,
+               g=_g_neg_tan, v=_v_scarf1,
                state=StateForm(terms=_scarf1_terms, **_SCARF1_STATE)),
     FamilySpec("scarf1-cot", "trigonometric Scarf cot form, k = eps*cot(x) + rho*csc(x)",
                _make_domain(0.0, _PI), -1.0, _FOLD_BETA_MEAN_NEG, (0.0, _PI),
-               ranges=(_EPS_BELOW_HALF, _SCARF1_RHO), g=_g_cot, v=_v_scarf1_cot,
+               g=_g_cot, v=_v_scarf1_cot,
                state=StateForm(terms=partial(_scarf1_terms, trig=np.cos), **_SCARF1_STATE)),
     FamilySpec("rosen-morse2", "hyperbolic Rosen-Morse, k = eps*tanh(x) + rho/eps",
                _make_domain(-_INF, _INF), 1.0, _FOLD_RATIO, (-8.0, 8.0),
-               ranges=(_EPS_NONZERO, ("eps > rho/eps", lambda e, r, b: e > r / e),
-                       _ABOVE_THRESHOLD),
-               g=_g_tanh, gamma_args=lambda s, t: (2 * s, s - t, s + t),
+               g=_g_tanh,
                state=StateForm(
                    log_c0=lambda e, r, b: (0.5 - e) * _LOG2 + 0.5 * (
                        log_gamma(2 * e) - log_gamma(e - r / e) - log_gamma(e + r / e)),
                    terms=_ratio_terms, **_RATIO_STATE)),
     FamilySpec("eckart", "Eckart, k = eps*coth(x) + rho/eps",
                _make_domain(0.0, _INF), 1.0, _FOLD_RATIO, (0.0, 12.0),
-               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF, _ABOVE_THRESHOLD),
-               g=_g_coth, gamma_args=lambda s, t: (1 - s + t, 1 - 2 * s, s + t),
+               g=_g_coth,
                state=StateForm(
                    log_c0=lambda e, r, b: (0.5 - e) * _LOG2 + 0.5 * (
                        log_gamma(1 - e + r / e) - log_gamma(1 - 2 * e) - log_gamma(e + r / e)),
@@ -493,14 +492,9 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                oracle_floor=25.0),
     FamilySpec("coulomb", "Coulomb, k = eps/x + rho/eps",
                _make_domain(0.0, _INF), 0.0, _FOLD_RATIO, (0.0, 20.0),
-               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF,
-                       ("rho/eps > 0", lambda e, r, b: r / e > 0)),
                g=_g_inverse,
-               # Gamma(2k - 2 eps) positive at k = 0 requires eps < 0; then
-               # every level is admissible and E_k climbs toward the threshold
-               max_level=lambda e, r: None if e < 0 else -1,
                state=StateForm(
-                   log_c0=lambda e, r, b: 0.5 * (math.log(-r) - 2 * math.log(-e)
+                   log_c0=lambda e, r, b: 0.5 * (math.log(abs(r)) - 2 * math.log(abs(e))
                                                  - 2 * e * math.log(r / e) - log_gamma(-2 * e)),
                    step=_fixed(-1.0), poly="laguerre_l", params=lambda e, r, k: (-1 - 2 * e,),
                    terms=lambda x, e, r, b, k: (-e * np.log(2.0 * x) + r * x / (k - e),
@@ -509,13 +503,13 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("rosen-morse1", "trigonometric Rosen-Morse, k = -eps*tan(x) + rho/eps",
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_RATIO,
                (-_PI / 2, _PI / 2),
-               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_neg_tan,
+               g=_g_neg_tan,
                state=StateForm(terms=lambda x, e, r, b, k: (
                    (k - e) * np.log(2.0 * np.cos(x)) + r * x / (k - e), -1j * np.tan(x)),
                    **_TRIG_RATIO_STATE)),
     FamilySpec("rosen-morse1-cot", "trigonometric Rosen-Morse cot form, k = eps*cot(x) + rho/eps",
                _make_domain(0.0, _PI), -1.0, _FOLD_RATIO, (0.0, _PI),
-               ranges=(_EPS_NONZERO, _EPS_BELOW_HALF), g=_g_cot,
+               g=_g_cot,
                state=StateForm(terms=lambda x, e, r, b, k: (
                    (k - e) * np.log(2.0 * np.sin(x)) + r * (2 * x - _PI) / (2 * (k - e)),
                    1j / np.tan(x)), **_TRIG_RATIO_STATE)),
@@ -561,16 +555,41 @@ class FamilyParams:
 
 
 def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
-    """Fold the construction data and validate the family's parameter ranges."""
+    """Fold the data; RangeViolation where zeta_0 is not in L^2, or eps = 0 on the ratio form."""
     spec = get_spec(family_id)
     eps, rho, beta = _fold(spec.fold, data)
-    for condition, holds in spec.ranges:
-        if not holds(eps, rho, beta):
-            raise RangeViolation(
-                f"family {family_id!r} requires {condition} "
-                f"(got eps={eps:.6g}, rho={rho:.6g}, beta={beta:.6g})")
+    got = f"(got eps={eps:.6g}, rho={rho:.6g}, beta={beta:.6g})"
+    if spec.v is None and eps == 0:   # k = rho/eps + eps G
+        raise RangeViolation(f"family {family_id!r} requires eps != 0 {got}")
+    if block := spec.blocked(eps, rho, beta):
+        x, value = block
+        why = (f"zeta_0 ~ |x - w|^{value:.6g} at the wall w = {x:.6g}, where the exponent "
+               f"must be > -1/2" if math.isfinite(x) else
+               f"k -> {value:.6g} as x -> {x:+}, where the limit must be {'>' if x > 0 else '<'} 0")
+        raise RangeViolation(f"family {family_id!r} requires zeta_0 = exp(-int k) in L^2, "
+                             f"but {why} {got}")
     return FamilyParams(id=family_id, eps=eps, rho=rho, beta=beta,
                         alpha=spec.alpha, provenance=data)
+
+
+def top_level(fp: FamilyParams, kmax: Optional[int] = None) -> Optional[int]:
+    """The highest admissible level of fp up to kmax: None for no bound, -1 for none.
+
+    Where build_family accepts fp, spec.admits(eps - j) is true up to the top and false past
+    it: ask level kmax (or the farthest rung, s = -max float), then gallop from 1 and bisect.
+    """
+    spec, e, r, b = fp.spec, fp.eps, fp.rho, fp.beta
+    if kmax is None:
+        if spec.admits(-sys.float_info.max, r, b):
+            return None
+        kmax = int(sys.float_info.max)   # past this level, eps - j is no float
+    elif kmax < 0 or spec.admits(e - kmax, r, b):
+        return kmax
+    lo, hi = -1, kmax   # level lo is admissible (or -1), and level hi is not
+    while hi - lo > 1:
+        mid = min(max(2 * lo + 1, 1), (lo + hi) // 2)   # levels 1, 3, 7, ..., then halves
+        lo, hi = (mid, hi) if spec.admits(e - mid, r, b) else (lo, mid)
+    return lo
 
 
 def translate_family(fp: FamilyParams, t: int = 1) -> FamilyParams:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import specfun
 from .errors import InadmissibleState, NumericalError, ValidationError
-from .families import FamilyParams
+from .families import FamilyParams, top_level
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -39,9 +39,7 @@ class AdmissibleRange:
     max_k: Optional[int]
 
     def contains(self, k: int) -> bool:
-        if k < 0:
-            return False
-        return self.max_k is None or k <= self.max_k
+        return k >= 0 and (self.max_k is None or k <= self.max_k)
 
     def levels(self, kmax: int) -> tuple[int, ...]:
         """Admissible levels up to and including kmax."""
@@ -49,58 +47,37 @@ class AdmissibleRange:
         return tuple(range(0, hi + 1))
 
 
-_SCAN_CAP = 65536
-
-
-def _ladder(fp: FamilyParams, kmax: int) -> list[float]:
-    """E_0..E_K of the admissible levels K <= kmax, by one walk down the ladder.
-
-    E_k = E_{k-1} + R(eps - k): the sum over j = 1..k of R(eps - j), taken
-    left to right.  The walk stops at max_level or, where gamma_args is set,
-    at the first rung whose s = eps - k is 0 or -1, whose Gamma arguments at
-    t = rho/s are not all positive or whose E_k does not rise; it never
-    passes _SCAN_CAP - 1.
-    """
-    spec, e, r = fp.spec, fp.eps, fp.rho
-    scan = spec.gamma_args is not None
-    top = _SCAN_CAP - 1 if scan else spec.max_level(e, r)
-    energies: list[float] = []
-    for k in range(kmax + 1 if top is None else min(kmax, top) + 1):
-        s = e - k
-        if scan and (s in (0, -1) or not all(a > 0 for a in spec.gamma_args(s, r / s))):
-            break
-        energy = energies[-1] + spec.remainder(s, r, fp.beta) if k else 0.0
-        if scan and k and not energy > energies[-1]:
-            break
-        energies.append(energy)
+def _ladder(fp: FamilyParams, top: int) -> list[float]:
+    """E_0..E_top by one walk down the ladder: E_k = E_{k-1} + R(eps - k), left to right."""
+    energies = [0.0][:top + 1]
+    for k in range(1, top + 1):
+        energies.append(energies[-1] + fp.spec.remainder(fp.eps - k, fp.rho, fp.beta))
     return energies
 
 
-def _admissible(fp: FamilyParams, k: int) -> list[float]:
-    """E_0..E_k, or InadmissibleState where the walk stops short of level k."""
-    energies = _ladder(fp, k)
-    if len(energies) <= k:
+def _admissible(fp: FamilyParams, k) -> int:
+    """The level index k, or InadmissibleState where level k has no state."""
+    k = _check_index(k)
+    if top_level(fp, k) < k:
         raise InadmissibleState(
             f"level k={k} is not admissible for family {fp.id!r} "
             f"(eps={fp.eps:.6g}, rho={fp.rho:.6g})")
-    return energies
+    return k
 
 
 def eigenenergy(fp: FamilyParams, k: int) -> float:
     """E_k = sum_{j=1..k} R(eps - j): each step down the ladder adds R."""
-    return _admissible(fp, _check_index(k))[-1]
+    return _ladder(fp, _admissible(fp, k))[-1]
 
 
 def energy_table(fp: FamilyParams, kmax: int) -> list[tuple[int, float]]:
     """(k, E_k) of the admissible levels up to kmax, from one walk."""
-    return list(enumerate(_ladder(fp, kmax)))
+    return list(enumerate(_ladder(fp, top_level(fp, kmax))))
 
 
 def admissible_range(fp: FamilyParams) -> AdmissibleRange:
     """Largest contiguous set of levels with finite, normalizable states."""
-    if fp.spec.gamma_args is None:
-        return AdmissibleRange(fp.spec.max_level(fp.eps, fp.rho))
-    return AdmissibleRange(len(_ladder(fp, _SCAN_CAP - 1)) - 1)
+    return AdmissibleRange(top_level(fp))
 
 
 def norm_coefficient(fp: FamilyParams, k: int) -> float:
@@ -183,8 +160,7 @@ def wavefunction(fp: FamilyParams, k: int) -> Wavefunction:
     factor overflows alone.  Past |z| = 1e8 (far form) k log|z| joins the exp,
     and P_k is homogeneous: |z|^-k P_k(z) = w^k P_k(u/w), u = z/|z|, w = 1/|z|.
     """
-    k = _check_index(k)
-    _admissible(fp, k)
+    k = _admissible(fp, k)
     log_c, phase = state_constant(fp, k)
     form, e, r, b = fp.spec.state, fp.eps, fp.rho, fp.beta
     args, terms, far = (k, *form.params(e, r, k)), form.terms, form.far

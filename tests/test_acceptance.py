@@ -27,6 +27,7 @@ from shapeinv.families import (
 )
 from shapeinv.invariants import (
     ParamVector,
+    _num_literal,
     check_invariance,
     eval_invariant,
     parse_invariant,
@@ -68,7 +69,7 @@ def mk(fid: str, eps: float, rho: float):
         data = ConstructionData(p=ParamVector((eps,)),
                                 couplings=(Coupling(TRIV, 0.0, 0.0),),
                                 rho_invariant=verify_invariant(
-                                    parse_invariant(repr(float(rho))), 1))
+                                    parse_invariant(_num_literal(float(rho))), 1))
     return build_family(fid, data)
 
 

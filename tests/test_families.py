@@ -24,7 +24,13 @@ from shapeinv.families import (
     superpotential,
     translate_family,
 )
-from shapeinv.invariants import ParamVector, eval_invariant, parse_invariant, verify_invariant
+from shapeinv.invariants import (
+    ParamVector,
+    _num_literal,
+    eval_invariant,
+    parse_invariant,
+    verify_invariant,
+)
 
 
 def inv(src: str, n: int):
@@ -49,7 +55,7 @@ def simple(family_id: str, eps: float, rho: float):
     if fold == F._FOLD_SLOPE:
         return build_family(family_id, data(0.0, [("1", eps, rho)]))
     return build_family(family_id,
-                        data(eps, [("1", 0.0, 0.0)], rho_src=repr(float(rho))))
+                        data(eps, [("1", 0.0, 0.0)], rho_src=_num_literal(float(rho))))
 
 
 FIX = {

@@ -1,51 +1,39 @@
 """The ladder walk against a separate climb and running sum.
 
-spectra decides the admissible levels and sums E_k in one walk.  The
-reference below keeps the two apart: a climb to the top of the tower that
-sums R on its own, then one running sum E_k = E_{k-1} + R(eps - k) to the
-level asked for.  Both must give the same levels and the same bits.
+spectra decides the admissible levels and sums E_k in one walk, and the
+top level comes from families.top_level's doubling and bisection.  The
+reference below keeps these apart: a climb, rung by rung, while
+FamilySpec.admits holds, then one running sum E_k = E_{k-1} + R(eps - k) to
+the level asked for.  Both must give the same levels and the same bits.
 """
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from shapeinv.errors import InadmissibleState, ShapeInvError
+from shapeinv.errors import InadmissibleState, RangeViolation, ShapeInvError
 from shapeinv.families import FAMILY_IDS, FAMILY_SPECS, FamilyParams, FamilySpec
 from shapeinv.spectra import (
-    _SCAN_CAP,
     admissible_range,
     eigenenergy,
     energy_table,
     wavefunction,
 )
 
-from test_families import simple
+from test_families import fixture, simple
+
+
+# past this many admissible rungs the climb reads a tower as unbounded; eps <= 300 here
+CLIMB = 320
 
 
 def reference_max_k(fp):
-    spec, e, r = fp.spec, fp.eps, fp.rho
-    if spec.gamma_args is None:
-        return spec.max_level(e, r)
-
-    def ok(k):
-        s = e - k
-        if s == 0 or s + 1 == 0:
-            return False
-        return all(a > 0 for a in spec.gamma_args(s, r / s))
-
-    if not ok(0):
-        return -1
-    last, energy = 0, 0.0
-    for k in range(1, _SCAN_CAP):
-        if not ok(k):
-            break
-        raised = energy + spec.remainder(e - k, r, fp.beta)
-        if not raised > energy:
-            break
-        last, energy = k, raised
-    return last
+    """The top level by a climb from level 0 while the rung is admissible."""
+    for j in range(CLIMB):
+        if not fp.spec.admits(fp.eps - j, fp.rho, fp.beta):
+            return j - 1
+    return None
 
 
 def reference_energies(fp, kmax):
@@ -84,8 +72,9 @@ def params(fid, e, r, b=1.0):
 
 
 def check_walk(fp, kmax):
-    top = reference_max_k(fp)
-    assert admissible_range(fp).max_k == top, (fp.id, fp.eps, fp.rho)
+    top, got = reference_max_k(fp), admissible_range(fp).max_k
+    # a tower taller than the climb is one it reads as unbounded
+    assert got == top or top is None and got >= CLIMB, (fp.id, fp.eps, fp.rho)
     assert (outcome(lambda: [(k, x.hex()) for k, x in energy_table(fp, kmax)])
             == outcome(lambda: [(k, x.hex()) for k, x in reference_table(fp, kmax, top)]))
     for k in range(kmax + 1):
@@ -102,12 +91,18 @@ EPS = st.one_of(st.integers(-300, 300).map(float), st.floats(-300.0, 300.0))
        kmax=st.integers(0, 60))
 def test_walk_matches_the_climb_and_the_running_sum(fid, e, w, j, b, kmax):
     # rho scales with eps^2 so that the ratio families get towers of every
-    # height; rho = +-j^2 puts a Gamma argument on 0 at an integer rung
-    check_walk(params(fid, e, w * max(1.0, e * e) if j is None else float(j * abs(j)), b), kmax)
+    # height; rho = +-j^2 puts a level's edge s^2 = |rho| on an integer rung.
+    # The levels are those of parameters that build_family accepts.
+    r = w * max(1.0, e * e) if j is None else float(j * abs(j))
+    try:
+        fp = simple(fid, b, r) if fid == "harm-osc" else simple(fid, e, r)
+    except RangeViolation:
+        assume(False)
+    check_walk(fp, kmax)
 
 
-# s = -1 with every Gamma argument positive (eckart at eps = -1), and
-# overflowing or undefined energies: E_k = nan, or inf + inf that does not rise
+# eckart at eps = -1, where level 0 has s = -1 and R(s) divides by s + 1 at
+# no level, and overflowing or undefined energies: E_k = nan or inf
 @pytest.mark.parametrize("fid,e,r", [
     ("eckart", -1.0, -5.0),
     ("rosen-morse2", math.inf, 1.0), ("rosen-morse2", -math.inf, 1.0),
@@ -118,14 +113,46 @@ def test_walk_at_a_pole_and_on_non_finite_energies(fid, e, r):
     check_walk(params(fid, e, r), 8)
 
 
-def test_walk_reaches_the_cap():
+def test_walk_passes_65536_levels():
+    # the tower has 70000 levels (s > 1/s up to s = 1.5); the CLI's --kmax stops at 65536
     fp = simple("rosen-morse2", 70000.5, 1.0)
-    assert admissible_range(fp).max_k == reference_max_k(fp) == _SCAN_CAP - 1
-    table = [(k, x.hex()) for k, x in energy_table(fp, _SCAN_CAP)]
-    assert table == [(k, x.hex()) for k, x in reference_table(fp, _SCAN_CAP, _SCAN_CAP - 1)]
-    for k in (_SCAN_CAP - 1, _SCAN_CAP):
-        assert (outcome(eigenenergy, fp, k)
-                == outcome(reference_eigenenergy, fp, k, _SCAN_CAP - 1))
+    assert admissible_range(fp).max_k == 69999
+    table = [(k, x.hex()) for k, x in energy_table(fp, 65536)]
+    assert table == [(k, x.hex()) for k, x in reference_table(fp, 65536, 69999)]
+    for k in (69999, 70000):
+        assert outcome(eigenenergy, fp, k) == outcome(reference_eigenenergy, fp, k, 69999)
+
+
+def count_verdicts(monkeypatch):
+    calls, original = [], FamilySpec.admits
+
+    def admits(self, s, r, b):
+        calls.append(s)
+        return original(self, s, r, b)
+
+    monkeypatch.setattr(FamilySpec, "admits", admits)
+    return calls
+
+
+@pytest.mark.parametrize("fid,e,r,top", [
+    ("scarf2", 1e6, 0.7, 999999), ("rosen-morse2", 1e5, 1.0, 99998),
+    ("morse", 3.4, 1.0, 3), ("eckart", -1.5, -20.0, 2),
+])
+def test_a_tall_tower_takes_logarithmically_many_verdicts(monkeypatch, fid, e, r, top):
+    fp = simple(fid, e, r)
+    calls = count_verdicts(monkeypatch)
+    assert admissible_range(fp).max_k == top
+    # the farthest rung, then levels 1, 3, 7, ... and bisection
+    assert len(calls) <= 2 + 2 * (top + 1).bit_length()
+
+
+@pytest.mark.parametrize("fid", ["radial-osc", "harm-osc", "scarf1", "scarf1-cot",
+                                 "rosen-morse1", "rosen-morse1-cot", "coulomb"])
+def test_an_unbounded_tower_takes_one_verdict(monkeypatch, fid):
+    fp = fixture(fid)
+    calls = count_verdicts(monkeypatch)
+    assert admissible_range(fp).max_k is None
+    assert len(calls) == 1   # the farthest rung
 
 
 @pytest.mark.parametrize("call,least,most", [

@@ -302,8 +302,6 @@ def cmd_spectrum(args) -> int:
     command = "oracle compare" if compare else "spectrum --oracle" if args.oracle else "spectrum"
     fp, job = _resolve(args, command)
     levels = [{"k": k, "energy": energy} for k, energy in spectra.energy_table(fp, job["kmax"])]
-    if not levels:
-        raise ValidationError(f"family {fp.id!r} has no admissible levels here")
     oracle = {}   # the JSON "oracle" entry: the FD box, when the oracle ran
     worst = 0.0
     if command != "spectrum":

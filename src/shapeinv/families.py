@@ -402,21 +402,23 @@ class FamilySpec:
         # rounds like each printed R; alpha = 0 adds nothing, not even a zero's sign
         return extra + (self.alpha * 2 * e + self.alpha) if self.alpha else extra
 
+    @np.errstate(invalid="ignore")
     def blocked(self, e, r, b):
         """The first end where zeta_0 = exp(-int k) is not square-integrable, as (x, value).
 
         A wall w needs a > -1/2 in zeta_0 ~ |x - w|^a, a = -c for k ~ c/(x - w): c = eps on
         the ratio form (G' + G^2 = alpha puts residue 1 on G's poles), else v.residues.  An
-        infinite end needs k's limit to point outward (nan, from 0 * inf, does not).
+        infinite end needs k's limit to point outward (nan, from 0 * inf, does not), signed
+        on the ratio form as eps (eps (eps G) + rho) = eps^2 k, since rho/eps may round to 0.
         """
         ends = (self.domain.lo, self.domain.hi)
         cs = iter(self.v.residues(*self.fold.constants(e, r, b))
                   if self.v and not all(map(math.isinf, ends)) else (e, e))
-        with np.errstate(invalid="ignore"):
-            for x in ends:
-                value = -next(cs) if math.isfinite(x) else float(self.k(x, e, r, b)[0])
-                if not (value > -0.5 if math.isfinite(x) else x * value > 0):
-                    return x, value
+        for x in ends:
+            value = -next(cs) if math.isfinite(x) else float(self.k(x, e, r, b)[0])
+            sign = value if self.v or math.isfinite(x) else e * (e * float(self.g(x, e)[0]) + r)
+            if not (value > -0.5 if math.isfinite(x) else x * sign > 0):
+                return x, value
         return None
 
     def admits(self, s, r, b) -> bool:
@@ -575,20 +577,24 @@ def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
 def top_level(fp: FamilyParams, kmax: Optional[int] = None) -> Optional[int]:
     """The highest admissible level of fp up to kmax: None for no bound, -1 for none.
 
-    Where build_family accepts fp, spec.admits(eps - j) is true up to the top and false past
-    it: ask level kmax (or the farthest rung, s = -max float), then gallop from 1 and bisect.
+    Where build_family accepts fp, level j exists up to the top and not past it: ask level
+    kmax (or the farthest rung, s = -max float), then gallop from 1 and bisect.
     """
     spec, e, r, b = fp.spec, fp.eps, fp.rho, fp.beta
+
+    def exists(j):   # a ratio step R(s) divides by s + 1, and |eps| <= 2^-53 rounds eps - 1 to -1
+        return spec.admits(e - j, r, b) and (not j or spec.v is not None or e - j != -1)
+
     if kmax is None:
         if spec.admits(-sys.float_info.max, r, b):
             return None
         kmax = int(sys.float_info.max)   # past this level, eps - j is no float
-    elif kmax < 0 or spec.admits(e - kmax, r, b):
+    elif kmax < 0 or exists(kmax):
         return kmax
     lo, hi = -1, kmax   # level lo is admissible (or -1), and level hi is not
     while hi - lo > 1:
         mid = min(max(2 * lo + 1, 1), (lo + hi) // 2)   # levels 1, 3, 7, ..., then halves
-        lo, hi = (mid, hi) if spec.admits(e - mid, r, b) else (lo, mid)
+        lo, hi = (mid, hi) if exists(mid) else (lo, mid)
     return lo
 
 

@@ -1,8 +1,7 @@
 """Spectra and normalized bound states of the thirteen families.
 
-One walk down the ladder decides the admissible levels and sums the
-eigenenergies from the families' remainders, E_k = E_{k-1} + R(eps - k);
-it stops at the first rung whose state does not exist.  The ladder
+families.top_level decides the admissible levels; one walk down the
+ladder sums their energies E_k = E_{k-1} + R(eps - k), and the ladder
 normalizations N_k sum upward from the bottom rung, R(eps - k) first.
 Every state is evaluated by one log-space rule from its family's
 StateForm, with C_k derived from the ground-state normalization at

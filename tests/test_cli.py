@@ -258,6 +258,13 @@ def test_inadmissible_level_exits_2(capsys):
     assert rc == 2 and "admissible" in err
 
 
+def test_eckart_where_eps_minus_1_rounds_to_minus_1_prints_level_0(capsys):
+    # level 1's R(eps - 1) would divide by (eps - 1) + 1, which rounds to 0
+    rc, out, err = run(capsys, "spectrum", "--family", "eckart", "--m=-1e-20",
+                       "--rho-invariant=-2")
+    assert (rc, out, err) == (0, "k\tE_k\n0\t0\n", "")
+
+
 def test_trig_rosen_morse_at_eps_zero_exits_2(capsys):
     for fid in ("rosen-morse1", "rosen-morse1-cot"):
         rc, _, err = run(capsys, "spectrum", "--family", fid, "--m", "0",

@@ -1,10 +1,12 @@
-"""The ladder walk against a separate climb and running sum.
+"""The ladder walk against the frozen level rules and a separate running sum.
 
 spectra decides the admissible levels and sums E_k in one walk, and the
 top level comes from families.top_level's doubling and bisection.  The
-reference below keeps these apart: a climb, rung by rung, while
-FamilySpec.admits holds, then one running sum E_k = E_{k-1} + R(eps - k) to
-the level asked for.  Both must give the same levels and the same bits.
+reference below keeps these apart: the top level by the hand-written rules
+frozen in tests/frozen_ranges.py, with the differences that
+tests/test_admissibility.py lists, then one running sum E_k = E_{k-1} +
+R(eps - k) to the level asked for.  Both must give the same levels and the
+same bits.
 """
 
 import math
@@ -21,19 +23,14 @@ from shapeinv.spectra import (
     wavefunction,
 )
 
-from test_families import fixture, simple
-
-
-# past this many admissible rungs the climb reads a tower as unbounded; eps <= 300 here
-CLIMB = 320
+from frozen_ranges import frozen_max_k
+from test_admissibility import expected
+from test_families import FIX, simple
 
 
 def reference_max_k(fp):
-    """The top level by a climb from level 0 while the rung is admissible."""
-    for j in range(CLIMB):
-        if not fp.spec.admits(fp.eps - j, fp.rho, fp.beta):
-            return j - 1
-    return None
+    """The top level by the frozen rules, with differences (a) and (b)."""
+    return expected(fp.id, fp.eps, fp.rho, fp.beta)
 
 
 def reference_energies(fp, kmax):
@@ -71,10 +68,8 @@ def params(fid, e, r, b=1.0):
                         provenance=None)
 
 
-def check_walk(fp, kmax):
-    top, got = reference_max_k(fp), admissible_range(fp).max_k
-    # a tower taller than the climb is one it reads as unbounded
-    assert got == top or top is None and got >= CLIMB, (fp.id, fp.eps, fp.rho)
+def check_walk(fp, kmax, top):
+    assert admissible_range(fp).max_k == top, (fp.id, fp.eps, fp.rho)
     assert (outcome(lambda: [(k, x.hex()) for k, x in energy_table(fp, kmax)])
             == outcome(lambda: [(k, x.hex()) for k, x in reference_table(fp, kmax, top)]))
     for k in range(kmax + 1):
@@ -98,19 +93,34 @@ def test_walk_matches_the_climb_and_the_running_sum(fid, e, w, j, b, kmax):
         fp = simple(fid, b, r) if fid == "harm-osc" else simple(fid, e, r)
     except RangeViolation:
         assume(False)
-    check_walk(fp, kmax)
+    # an unbounded ratio tower whose eps - 1 rounds to -1 (|eps| <= 2^-53) reads
+    # as unbounded, but its level 1 is refused and R(eps - 1) divides by 0 past it
+    assume(not (fp.spec.v is None and fp.eps - 1 == -1.0 and reference_max_k(fp) is None))
+    check_walk(fp, kmax, reference_max_k(fp))
 
 
 # eckart at eps = -1, where level 0 has s = -1 and R(s) divides by s + 1 at
-# no level, and overflowing or undefined energies: E_k = nan or inf
-@pytest.mark.parametrize("fid,e,r", [
-    ("eckart", -1.0, -5.0),
-    ("rosen-morse2", math.inf, 1.0), ("rosen-morse2", -math.inf, 1.0),
-    ("rosen-morse2", 4.0, math.inf), ("rosen-morse2", 4.0, math.nan),
-    ("eckart", -1.5, -math.inf), ("eckart", math.inf, -20.0), ("eckart", -math.inf, -20.0),
-])
-def test_walk_at_a_pole_and_on_non_finite_energies(fid, e, r):
-    check_walk(params(fid, e, r), 8)
+# no level, and parameters that build_family never makes.  The tops are the
+# frozen rules' except on the last two ("tall"), where every rung's k points
+# outward and E_k past level 0 is nan or inf: the frozen scan stopped at the
+# first E_k that did not rise (levels 0 and 1), and top_level finds a tower
+# about as tall as floats count.
+@pytest.mark.parametrize("fid,e,r,top", [
+    pytest.param(fid, e, r, top, id=f"{fid}-{e}-{r}") for fid, e, r, top in [
+        ("eckart", -1.0, -5.0, 1),
+        ("rosen-morse2", math.inf, 1.0, "tall"), ("rosen-morse2", -math.inf, 1.0, -1),
+        ("rosen-morse2", 4.0, math.inf, -1), ("rosen-morse2", 4.0, math.nan, -1),
+        ("eckart", -1.5, -math.inf, "tall"), ("eckart", math.inf, -20.0, -1),
+        ("eckart", -math.inf, -20.0, -1),
+    ]])
+def test_walk_at_a_pole_and_on_non_finite_energies(fid, e, r, top):
+    fp = params(fid, e, r)
+    if top == "tall":
+        top = admissible_range(fp).max_k
+        assert top > 2 ** 53
+    else:
+        assert top == frozen_max_k(fid, e, r, fp.beta, poles=(0,) if e == -1 else (0, -1))
+    check_walk(fp, 8, top)
 
 
 def test_walk_passes_65536_levels():
@@ -121,6 +131,18 @@ def test_walk_passes_65536_levels():
     assert table == [(k, x.hex()) for k, x in reference_table(fp, 65536, 69999)]
     for k in (69999, 70000):
         assert outcome(eigenenergy, fp, k) == outcome(reference_eigenenergy, fp, k, 69999)
+
+
+# |eps| <= 2^-53 on the ratio form: eps - 1 rounds to -1, so R(eps - 1) would
+# divide by (eps - 1) + 1 = 0.  eckart's tower is bounded, and stops at level 0
+# as the frozen scan's s = -1 stop had it; at eps = -2^-52, eps - 1 is exact.
+@pytest.mark.parametrize("e,r,top", [
+    (-1e-20, -2.0, 0), (-2.0 ** -53, -3.0, 0), (-2.0 ** -52, -2.0, 1),
+])
+def test_a_rounded_pole_stops_a_bounded_tower(e, r, top):
+    fp = simple("eckart", e, r)
+    assert reference_max_k(fp) == top
+    check_walk(fp, 8, top)
 
 
 def count_verdicts(monkeypatch):
@@ -146,10 +168,12 @@ def test_a_tall_tower_takes_logarithmically_many_verdicts(monkeypatch, fid, e, r
     assert len(calls) <= 2 + 2 * (top + 1).bit_length()
 
 
-@pytest.mark.parametrize("fid", ["radial-osc", "harm-osc", "scarf1", "scarf1-cot",
-                                 "rosen-morse1", "rosen-morse1-cot", "coulomb"])
-def test_an_unbounded_tower_takes_one_verdict(monkeypatch, fid):
-    fp = fixture(fid)
+# coulomb at |rho| < 9e-16, where rho/s rounds to 0 at the farthest rung
+@pytest.mark.parametrize("fid,e,r", [(fid, *FIX[fid]) for fid in (
+    "radial-osc", "harm-osc", "scarf1", "scarf1-cot", "rosen-morse1", "rosen-morse1-cot",
+    "coulomb")] + [("coulomb", -1.0, -1e-20), ("coulomb", -300.0, -5e-324)])
+def test_an_unbounded_tower_takes_one_verdict(monkeypatch, fid, e, r):
+    fp = simple(fid, e, r)
     calls = count_verdicts(monkeypatch)
     assert admissible_range(fp).max_k is None
     assert len(calls) == 1   # the farthest rung

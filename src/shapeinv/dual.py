@@ -8,7 +8,8 @@ recurrences only combine Jets with +, -, *, /.  A Jet is a slotted value
 that nothing assigns to after construction: three plain stores, where a
 frozen dataclass pays three `object.__setattr__` calls for each of the
 dozen Jets a grid point builds.  Each operator tests `type(other) is Jet`
-before its scalar branch.  With a, b Jets and s an int, float or complex, the rules
+and takes any other operand as a constant s; the recurrences and bottoms
+pass only ints, floats and complex numbers.  With a, b Jets, the rules
 are, in this order of operations:
 
     a + b = (a.val + b.val, a.d1 + b.d1, a.d2 + b.d2)
@@ -43,9 +44,6 @@ import math
 
 import numpy as np
 
-_SCALARS = (int, float, complex)
-
-
 class Jet:
     __slots__ = ("val", "d1", "d2")
 
@@ -60,9 +58,7 @@ class Jet:
     def __add__(self, other):
         if type(other) is Jet:
             return Jet(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
-        if isinstance(other, _SCALARS):
-            return Jet(self.val + other, self.d1, self.d2)
-        return NotImplemented
+        return Jet(self.val + other, self.d1, self.d2)
 
     __radd__ = __add__
 
@@ -72,23 +68,17 @@ class Jet:
     def __sub__(self, other):
         if type(other) is Jet:
             return Jet(self.val - other.val, self.d1 - other.d1, self.d2 - other.d2)
-        if isinstance(other, _SCALARS):
-            return Jet(self.val - other, self.d1, self.d2)
-        return NotImplemented
+        return Jet(self.val - other, self.d1, self.d2)
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return Jet(other - self.val, -self.d1, -self.d2)
-        return NotImplemented
+        return Jet(other - self.val, -self.d1, -self.d2)
 
     def __mul__(self, other):
         if type(other) is Jet:
             return Jet(self.val * other.val,
                        self.d1 * other.val + self.val * other.d1,
                        self.d2 * other.val + 2 * (self.d1 * other.d1) + self.val * other.d2)
-        if isinstance(other, _SCALARS):
-            return Jet(self.val * other, self.d1 * other, self.d2 * other)
-        return NotImplemented
+        return Jet(self.val * other, self.d1 * other, self.d2 * other)
 
     __rmul__ = __mul__
 
@@ -97,20 +87,14 @@ class Jet:
             v = self.val / other.val
             v1 = (self.d1 - v * other.d1) / other.val
             return Jet(v, v1, (self.d2 - 2 * (v1 * other.d1) - v * other.d2) / other.val)
-        if isinstance(other, _SCALARS):
-            return Jet(self.val / other, self.d1 / other, self.d2 / other)
-        return NotImplemented
+        return Jet(self.val / other, self.d1 / other, self.d2 / other)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            v = other / self.val
-            v1 = -v * self.d1 / self.val
-            return Jet(v, v1, -(2 * (v1 * self.d1) + v * self.d2) / self.val)
-        return NotImplemented
+        v = other / self.val
+        v1 = -v * self.d1 / self.val
+        return Jet(v, v1, -(2 * (v1 * self.d1) + v * self.d2) / self.val)
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
         if n == 0:
             return Jet(1.0, 0.0, 0.0)
         if n < 0:

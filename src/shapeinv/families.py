@@ -17,7 +17,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -373,9 +373,10 @@ class FamilySpec:
 
     g(x, c) returns c*G and c*G'; a linear-form family gives its coupling
     solution v(x, beta, d), and k and R follow from the fold (`Fold`), and so
-    do the admissible parameters and levels (blocked, top_level).  state is
-    the normalized states' StateForm.  oracle_floor is the smallest
-    half-width of the FD oracle box.
+    do the admissible parameters and levels (blocked, admits); top_level
+    decides an instance's tower once, as FamilyParams.max_k.  state is the
+    normalized states' StateForm.  oracle_floor is the smallest half-width
+    of the FD oracle box.
     """
 
     id: str
@@ -555,6 +556,13 @@ class FamilyParams:
     def domain(self) -> Domain:
         return FAMILY_SPECS[self.id].domain
 
+    # decided once per instance and kept outside the dataclass fields, so
+    # ==, repr and dataclasses.replace do not see it
+    @cached_property
+    def max_k(self) -> Optional[int]:
+        """The top admissible level (top_level): None for no bound, -1 for none."""
+        return top_level(self)
+
 
 def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
     """Fold the data; RangeViolation where zeta_0 is not in L^2, or eps = 0 on the ratio form."""
@@ -574,24 +582,23 @@ def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
                         alpha=spec.alpha, provenance=data)
 
 
-def top_level(fp: FamilyParams, kmax: Optional[int] = None) -> Optional[int]:
-    """The highest admissible level of fp up to kmax: None for no bound, -1 for none.
+def top_level(fp: FamilyParams) -> Optional[int]:
+    """The highest admissible level of fp: None for no bound, -1 for none.
 
-    Where build_family accepts fp, level j exists up to the top and not past it: ask level
-    kmax (or the farthest rung, s = -max float), then gallop from 1 and bisect.
+    Where build_family accepts fp, level j exists up to the top and not past it: ask the
+    farthest rung, s = -max float, then gallop from 1 and bisect.  FamilyParams.max_k asks
+    this once per instance, and every reader of the levels reads it.  The farthest rung
+    answers first, so an unbounded ratio tower whose eps - 1 rounds to -1 keeps level 1,
+    where R(eps - 1) divides by zero.
     """
     spec, e, r, b = fp.spec, fp.eps, fp.rho, fp.beta
 
     def exists(j):   # a ratio step R(s) divides by s + 1, and |eps| <= 2^-53 rounds eps - 1 to -1
         return spec.admits(e - j, r, b) and (not j or spec.v is not None or e - j != -1)
 
-    if kmax is None:
-        if spec.admits(-sys.float_info.max, r, b):
-            return None
-        kmax = int(sys.float_info.max)   # past this level, eps - j is no float
-    elif kmax < 0 or exists(kmax):
-        return kmax
-    lo, hi = -1, kmax   # level lo is admissible (or -1), and level hi is not
+    if spec.admits(-sys.float_info.max, r, b):
+        return None
+    lo, hi = -1, int(sys.float_info.max)   # level lo is admissible (or -1), and level hi is not
     while hi - lo > 1:
         mid = min(max(2 * lo + 1, 1), (lo + hi) // 2)   # levels 1, 3, 7, ..., then halves
         lo, hi = (mid, hi) if exists(mid) else (lo, mid)

@@ -1,7 +1,8 @@
 """Spectra and normalized bound states of the thirteen families.
 
-families.top_level decides the admissible levels; one walk down the
-ladder sums their energies E_k = E_{k-1} + R(eps - k), and the ladder
+FamilyParams.max_k, decided once per instance by families.top_level, is
+the top admissible level, and every reader here reads it; one walk down
+the ladder sums the energies E_k = E_{k-1} + R(eps - k), and the ladder
 normalizations N_k sum upward from the bottom rung, R(eps - k) first.
 Every state is evaluated by one log-space rule from its family's
 StateForm, with C_k derived from the ground-state normalization at
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import specfun
 from .errors import InadmissibleState, NumericalError, ValidationError
-from .families import FamilyParams, top_level
+from .families import FamilyParams
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -57,7 +58,7 @@ def _ladder(fp: FamilyParams, top: int) -> list[float]:
 def _admissible(fp: FamilyParams, k) -> int:
     """The level index k, or InadmissibleState where level k has no state."""
     k = _check_index(k)
-    if top_level(fp, k) < k:
+    if fp.max_k is not None and fp.max_k < k:
         raise InadmissibleState(
             f"level k={k} is not admissible for family {fp.id!r} "
             f"(eps={fp.eps:.6g}, rho={fp.rho:.6g})")
@@ -71,12 +72,12 @@ def eigenenergy(fp: FamilyParams, k: int) -> float:
 
 def energy_table(fp: FamilyParams, kmax: int) -> list[tuple[int, float]]:
     """(k, E_k) of the admissible levels up to kmax, from one walk."""
-    return list(enumerate(_ladder(fp, top_level(fp, kmax))))
+    return list(enumerate(_ladder(fp, kmax if fp.max_k is None else min(kmax, fp.max_k))))
 
 
 def admissible_range(fp: FamilyParams) -> AdmissibleRange:
     """Largest contiguous set of levels with finite, normalizable states."""
-    return AdmissibleRange(top_level(fp))
+    return AdmissibleRange(fp.max_k)
 
 
 def norm_coefficient(fp: FamilyParams, k: int) -> float:
@@ -86,22 +87,16 @@ def norm_coefficient(fp: FamilyParams, k: int) -> float:
     E_j(e_j) = E_{j-1}(e_{j-1}) + R(e_j - 1) is one running sum.  The
     ratio-form families, whose polynomials take their parameters from
     s = e_j - j = eps - k, carry c_j = (2 e_j - j) / e_j; the rest c_j = 1.
+    Level k must be admissible (fp.max_k); each E_j(e_j) is then an admissible level's energy.
     """
-    k = _check_index(k)
+    k = _admissible(fp, k)
     spec, value, energy = fp.spec, 1.0, 0.0
-    try:
-        for j in range(1, k + 1):
-            e = fp.eps - (k - j)
-            energy += spec.remainder(e - 1, fp.rho, fp.beta)
-            if not energy > 0:
-                raise InadmissibleState(f"E_{j} = {energy:.6g} is not positive on the "
-                                        f"ladder to k={k} (eps={fp.eps:.6g}, rho={fp.rho:.6g})")
-            value /= math.sqrt(energy)
-            if spec.v is None:
-                value *= (2 * e - j) / e
-    except ZeroDivisionError:  # integer eps in 0..k on a ratio-form family
-        raise InadmissibleState(f"zero denominator at step j={j} on the ladder to k={k} "
-                                f"(eps={fp.eps:.6g}, rho={fp.rho:.6g})") from None
+    for j in range(1, k + 1):
+        e = fp.eps - (k - j)
+        energy += spec.remainder(e - 1, fp.rho, fp.beta)
+        value /= math.sqrt(energy)
+        if spec.v is None:
+            value *= (2 * e - j) / e
     return value
 
 

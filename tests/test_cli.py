@@ -659,3 +659,17 @@ def test_non_finite_results_exit_3(capsys, command, what, as_json):
     rc, out, err = run(capsys, *command, "--family=morse", "--m=2.5", "--invariant=1",
                        "--d=1", *as_json)
     assert rc == 3 and out == "" and err == f"numerical failure: {what}\n"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"grid": {"a": 0, "b": 1}}', "grid must carry numeric a, b, n"),
+    ('{"grid": [0, 1]}', "grid must be an object with a, b, n"),
+    ('{"couplings": [{"d": 1}]}', "each coupling needs an 'invariant' source string"),
+    ('{"window": [1]}', "window must be a two-element array [a, b]"),
+    ('{"format": "xml"}', "format must be text, json, or csv, got 'xml'"),
+    ("[1]", "config document must be a JSON object"),
+])
+def test_a_config_document_of_the_wrong_shape_exits_2(capsys, tmp_path, doc, message):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(doc)
+    assert run(capsys, "spectrum", "--config", str(cfg)) == (2, "", f"error: {message}\n")

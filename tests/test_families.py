@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from shapeinv.errors import EvalDomainError, RangeViolation, ValidationError
+from shapeinv.errors import EvalDomainError, RangeViolation, UnverifiedInvariant, ValidationError
 from shapeinv.families import (
     ConstructionData,
     Coupling,
@@ -356,3 +356,22 @@ def test_ratio_shift_stays_finite_past_the_overflow(e, r):
     exact, got = _exact_shift(e, r), _ratio_shift(e, r)
     assert math.isfinite(got)
     assert abs(got - exact) <= 1e-14 * abs(exact) + 1e-300, (got, exact)
+
+
+def test_construction_data_checks_its_couplings():
+    p = ParamVector((2.5,))
+    with pytest.raises(ValidationError, match=r"^need at least one coupling \(r >= 1\)$"):
+        ConstructionData(p=p, couplings=())
+    with pytest.raises(UnverifiedInvariant, match="^expression '1.0' has not passed"):
+        ConstructionData(p=p, couplings=(Coupling(parse_invariant("1")),))
+    with pytest.raises(ValidationError, match="^expression 'm1-m2' uses m2 but the vector has n=1$"):
+        ConstructionData(p=p, couplings=(Coupling(inv("m1-m2", 2)),))
+
+
+@pytest.mark.parametrize("which,x,message", [
+    ("pt2", -0.5, "pt2 reconstruction needs x > 0"),
+    ("pt1", 2.0, "pt1 reconstruction needs 0 < x < pi/2"),
+])
+def test_classic_reconstruction_refuses_points_off_its_domain(which, x, message):
+    with pytest.raises(EvalDomainError, match=f"^{message}$"):
+        classic_reconstruction(which, 1.0, 2.0, x)

@@ -125,6 +125,7 @@ def test_tokens_are_kind_text_offset():
     ("1.2.3", "malformed number at offset 0"),
     (".", "malformed number at offset 0"),
     ("1 +* 2", "expected a value at offset 3"),
+    ("sin(m1", "expected ')' at offset 6"),
     (")", "expected a value at offset 0"),
     ("m1 + \u00e9", "unexpected character '\u00e9' at offset 5"),
     ("1+\u00b2", "unexpected character '\u00b2' at offset 2"),
@@ -274,3 +275,20 @@ def test_nesting_cap_leaves_the_deepest_accepted_tree_walkable():
         assert math.isfinite(eval_invariant(expr, ParamVector((0.3,))))
     with pytest.raises(ExpressionError):
         parse_invariant("sin(" * (MAX_NESTING + 1) + "m1" + ")" * (MAX_NESTING + 1))
+
+
+def test_the_printer_refuses_what_it_cannot_print():
+    with pytest.raises(ValidationError, match="^cannot print non-finite literal inf$"):
+        to_source(Num(math.inf))
+    with pytest.raises(TypeError, match="^not an AST node: 'm1'$"):
+        to_source("m1")
+
+
+@pytest.mark.parametrize("n,trials,message", [
+    (1, 15, "check_invariance needs trials >= 16, got 15"),
+    (0, 64, "n must be in 1..9, got 0"),
+    (10, 64, "n must be in 1..9, got 10"),
+])
+def test_check_invariance_checks_its_arguments(n, trials, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        check_invariance(parse_invariant("1"), n, trials=trials)

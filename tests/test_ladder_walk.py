@@ -9,11 +9,13 @@ R(eps - k) to the level asked for.  Both must give the same levels and the
 same bits.
 """
 
+import dataclasses
 import math
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from shapeinv.cli import main
 from shapeinv.errors import InadmissibleState, RangeViolation, ShapeInvError
 from shapeinv.families import FAMILY_IDS, FAMILY_SPECS, FamilyParams, FamilySpec
 from shapeinv.spectra import (
@@ -93,9 +95,6 @@ def test_walk_matches_the_climb_and_the_running_sum(fid, e, w, j, b, kmax):
         fp = simple(fid, b, r) if fid == "harm-osc" else simple(fid, e, r)
     except RangeViolation:
         assume(False)
-    # an unbounded ratio tower whose eps - 1 rounds to -1 (|eps| <= 2^-53) reads
-    # as unbounded, but its level 1 is refused and R(eps - 1) divides by 0 past it
-    assume(not (fp.spec.v is None and fp.eps - 1 == -1.0 and reference_max_k(fp) is None))
     check_walk(fp, kmax, reference_max_k(fp))
 
 
@@ -196,3 +195,36 @@ def test_a_level_walks_only_to_itself(monkeypatch, call, least, most):
     monkeypatch.setattr(FamilySpec, "remainder", remainder)
     call(fp)
     assert least <= len(calls) <= most
+
+
+def test_an_instance_decides_its_tower_once(monkeypatch):
+    fp = simple("scarf2", 1e6, 0.7)
+    calls = count_verdicts(monkeypatch)
+    admissible_range(fp), eigenenergy(fp, 3), energy_table(fp, 8), wavefunction(fp, 3)
+    first = len(calls)
+    assert 0 < first <= 2 + 2 * (999999 + 1).bit_length()
+    admissible_range(fp), eigenenergy(fp, 4), energy_table(fp, 8), wavefunction(fp, 4)
+    assert len(calls) == first and fp.max_k == 999999
+    # kept outside the fields: ==, repr and dataclasses.replace do not see it
+    fresh = simple("scarf2", 1e6, 0.7)
+    assert fp == fresh and repr(fp) == repr(fresh)
+    assert "max_k" not in {f.name for f in dataclasses.fields(FamilyParams)}
+    assert dataclasses.replace(fp, eps=3.4).max_k == 3
+
+
+# |eps| <= 2^-53 on an unbounded ratio tower: every reader sees the unbounded
+# tower, and a level from 1 up fails where R(eps - 1) divides by (eps - 1) + 1 = 0
+@pytest.mark.parametrize("fid,e,r", [
+    ("coulomb", -1e-20, -2.0), ("rosen-morse1", 2.7e-24, 1.0), ("rosen-morse1-cot", 1e-160, 1.0),
+])
+def test_a_rounded_pole_on_an_unbounded_tower_is_a_numerical_failure(capsys, fid, e, r):
+    fp = simple(fid, e, r)
+    assert admissible_range(fp).max_k is None
+    for call in (eigenenergy, wavefunction):
+        with pytest.raises(ZeroDivisionError):
+            call(fp, 1)
+    argv = [f"--family={fid}", f"--m={e!r}", f"--rho-invariant={r!r}"]
+    for command in (["wavefunction", "--k=1"], ["verify", "ladder", "--k=1"], ["spectrum"]):
+        assert main(command + argv) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ZeroDivisionError in _ratio_shift: "), err

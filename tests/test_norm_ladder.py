@@ -88,5 +88,5 @@ def test_integer_eps_on_the_ladder_is_inadmissible(eps, k):
     fp = simple("rosen-morse2", eps, 1.0)
     with pytest.raises(InadmissibleState):
         printed_norm("e", k, fp.eps, fp.rho)
-    with pytest.raises(InadmissibleState):
+    with pytest.raises(InadmissibleState, match=f"^level k={k} is not admissible"):
         norm_coefficient(fp, k)

@@ -201,3 +201,9 @@ def test_gamma_pole():
         gamma_abs_complex(complex(-2.0, 0.0))
     with pytest.raises(GammaPole):
         log_gamma(0.0)
+
+
+@pytest.mark.parametrize("x", [-2.5, -0.3, 0.2, 0.45])
+def test_log_gamma_reflects_left_of_one_half(x):
+    # a complex z with Re z < 1/2 takes |Gamma(z)| = pi / (|sin(pi z)| |Gamma(1 - z)|)
+    assert log_gamma(complex(x, 1e-300)) == pytest.approx(math.lgamma(x), rel=1e-13)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from shapeinv.errors import InadmissibleState, ValidationError
+from shapeinv.errors import InadmissibleState, NumericalError, ValidationError
 from shapeinv.families import family_ids
 from shapeinv.spectra import (
+    Wavefunction,
     admissible_range,
     eigenenergy,
     eigenstate,
@@ -138,3 +139,12 @@ def test_wavefunction_domain_guard():
     wf = wavefunction(fp, 0)
     with pytest.raises(Exception):
         wf(-0.5)
+
+
+def test_a_complex_path_refuses_an_imaginary_residue():
+    fp = fixture("scarf2")
+    wf = Wavefunction(fp, 0, lambda x: 1 + 1e-6j, True)
+    assert wf.imag_residue(0.5) == pytest.approx(1e-6 / 2)
+    with pytest.raises(NumericalError, match=r"^imaginary residue 5\.000e-07 exceeds 1e-09 "
+                                             r"for family 'scarf2', k=0$"):
+        wf(0.5)

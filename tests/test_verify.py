@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from shapeinv import families, spectra, verify
-from shapeinv.errors import ValidationError
+from shapeinv.errors import NumericalError, ValidationError
+from shapeinv.extensions import extended_superpotential
 from shapeinv.verify import (
     GramReport,
     GridReport,
@@ -24,6 +25,7 @@ from shapeinv.verify import (
     si_residual,
 )
 
+from test_extensions import build
 from test_families import fixture, simple
 
 
@@ -320,3 +322,21 @@ def test_reference_oracle_interior_stays_inside_domain():
         lo, hi = fp.domain.lo, fp.domain.hi
         assert box.a + h > lo or not math.isfinite(lo)
         assert box.b - h < hi or not math.isfinite(hi)
+
+
+def test_fd_names_the_node_where_the_potential_is_not_finite():
+    def pot(x):
+        with np.errstate(divide="ignore"):
+            return 1 / x
+    with pytest.raises(NumericalError, match=r"^potential is not finite on the oracle grid \(x=0\)$"):
+        fd_spectrum(pot, OracleSpec(-1.0, 1.0, 501), 1)
+    with pytest.raises(ValidationError, match="^eigenvalue count must be >= 1$"):
+        fd_spectrum(lambda x: x * x, OracleSpec(-1.0, 1.0, 501), 0)
+
+
+def test_fd_reads_an_extension_through_its_potential():
+    w = extended_superpotential(build(1, 2.5))
+    box = OracleSpec(0.05, 12.0, 501)
+    assert fd_spectrum(w, box, 3) == fd_spectrum(w.potential, box, 3)
+    with pytest.raises(ValidationError, match="^fd_spectrum target must be"):
+        fd_spectrum("morse", box, 1)

@@ -66,13 +66,10 @@ _CONFIG_KEYS = ("family", "extension", "m", "couplings", "rho_invariant", "ell",
 # their defaults (None: none given, or the check chooses from the target);
 # --k and --kmax are flags with no config key
 _EVERY_COMMAND_READS = {"m": None, "couplings": None, "rho_invariant": None, "format": "text"}
-_SPECTRUM = {"family": None, "kmax": 8}
-_FD_ORACLE = {"oracle": None, "tol": 5e-3}
 _EXTENSION = {"extension": None, "ell": None, "window": None, "grid": None}
 _READS = {
-    "spectrum": _SPECTRUM,
-    "spectrum --oracle": {**_SPECTRUM, **_FD_ORACLE},
-    "oracle compare": {"family": None, "kmax": 2, **_FD_ORACLE},
+    "spectrum": {"family": None, "kmax": 8},
+    "oracle compare": {"family": None, "kmax": 2, "oracle": None, "tol": 5e-3},
     "wavefunction": {"family": None, "k": 0, "grid": None},
     "verify si": {"family": None, "grid": None, "tol": 1e-9},
     "verify ladder": {"family": None, "k": 1, "tol": 1e-5},
@@ -209,8 +206,8 @@ def _flag_document(args) -> dict:
         doc["window"] = _flag_numbers(args.window, "--window", "a,b")
     if args.grid is not None:
         doc["grid"] = _flag_numbers(args.grid, "grid", "a,b,N")
-    if getattr(args, "oracle_box", None) is not None:
-        doc["oracle"] = _flag_numbers(args.oracle_box, "--oracle", "a,b,N")
+    if getattr(args, "oracle", None) is not None:
+        doc["oracle"] = _flag_numbers(args.oracle, "--oracle", "a,b,N")
     if args.json:
         doc["format"] = "json"
     return doc
@@ -295,38 +292,35 @@ def cmd_families_list(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    """E_k of the admissible levels up to --kmax; with the FD oracle (switched
-    on by `spectrum --oracle`, always on `oracle compare`) also each gap
-    lambda_k - lambda_0 and its deviation from E_k, judged against the tolerance."""
+    """E_k of the admissible levels up to --kmax; on `oracle compare` also
+    each FD gap lambda_k - lambda_0 and its deviation from E_k, judged
+    against the tolerance."""
     compare = args.command == "oracle"
-    command = "oracle compare" if compare else "spectrum --oracle" if args.oracle else "spectrum"
-    fp, job = _resolve(args, command)
+    fp, job = _resolve(args, "oracle compare" if compare else "spectrum")
     levels = [{"k": k, "energy": energy} for k, energy in spectra.energy_table(fp, job["kmax"])]
-    oracle = {}   # the JSON "oracle" entry: the FD box, when the oracle ran
-    worst = 0.0
-    if command != "spectrum":
+    oracle = {}   # the JSON "oracle" entry: the FD box, on oracle compare
+    if compare:
         box = verify.OracleSpec(*job["oracle"]) if job["oracle"] else verify.reference_oracle(fp)
         lam = verify.fd_spectrum(fp, box, len(levels))
         for row in levels:
             row["oracle_gap"] = lam[row["k"]] - lam[0]
             row["deviation"] = abs(row["oracle_gap"] - row["energy"])
-        worst = max(row["deviation"] for row in levels)
         oracle["oracle"] = {"a": box.a, "b": box.b, "N": box.n}
     for row in levels:
         _require_finite(list(row.values())[1:], f"the level table at k={row['k']}")
-    head = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta}}
-    # the compare report names its box before the levels
-    out = {**head, **oracle, "levels": levels} if compare else {**head, "levels": levels, **oracle}
+    out = {"family": fp.id, "params": {"eps": fp.eps, "rho": fp.rho, "beta": fp.beta},
+           **oracle, "levels": levels}
     as_json = job["format"] == "json"
     if not as_json:
-        print("k\tE_k" + ("\toracle_gap\tdeviation" if oracle else ""))
+        print("k\tE_k" + ("\toracle_gap\tdeviation" if compare else ""))
         for row in levels:
             print("\t".join([str(row["k"])] + [_fmt(v) for v in list(row.values())[1:]]))
     if compare:
+        worst = max(row["deviation"] for row in levels)
         return _verdict(out, worst, job["tol"], as_json, f"max_deviation={_fmt(worst)}")
     if as_json:
         print(_dumps(out))
-    return EXIT_TOLERANCE if oracle and not worst <= job["tol"] else EXIT_PASS
+    return EXIT_PASS
 
 
 def cmd_wavefunction(args) -> int:
@@ -463,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_job_flags(p_spec)
     p_spec.add_argument("--kmax", type=level_cap,
                         help=f"largest level index (default {_READS['spectrum']['kmax']})")
-    p_spec.add_argument("--oracle", action="store_true",
-                        help="add finite-difference gap and deviation columns")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_wf = sub.add_parser("wavefunction", help="sample one bound state to CSV/JSON")
@@ -488,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_job_flags(p_cmp)
     p_cmp.add_argument("--kmax", type=level_cap, help="largest level index to compare "
                        f"(default {_READS['oracle compare']['kmax']})")
-    p_cmp.add_argument("--oracle", dest="oracle_box",
+    p_cmp.add_argument("--oracle",
                        help="FD truncation box 'a,b,N' (default: sized from the ground state)")
     p_cmp.set_defaults(func=cmd_spectrum)
     return parser

@@ -65,7 +65,6 @@ class CaseSpec:
     scale: int = 1
     base_params: Callable[[float, float, int], tuple] = lambda e, r, l: (e, r)
     constants: Callable[[float, float, int], tuple] = lambda e, r, l: ()
-    complex_path: bool = False
     domain: Domain = field(init=False)
     window: tuple[float, float] = field(init=False)
 
@@ -169,8 +168,7 @@ CASE_SPECS: dict[int, CaseSpec] = {cs.num: cs for cs in (
              constants=lambda e, r, l: (0.5 + e + r, -0.5 + e + r)),
     # the sech term of the base is imaginary; the correction difference is not
     CaseSpec(11, "tanh base, complex Jacobi-ratio correction", _FOLD_PLUS_BETA, True,
-             "scarf2", _w1_case11, base_params=lambda e, r, l: (e, 1j * r),
-             complex_path=True),
+             "scarf2", _w1_case11, base_params=lambda e, r, l: (e, 1j * r)),
 )}
 
 EXTENSION_IDS: tuple[str, ...] = tuple(f"ext-{n}" for n in CASE_SPECS)
@@ -251,7 +249,7 @@ def w1_branch(spec: ExtensionSpec, x: float, branch: int, shift: int = 0):
 
 
 def w1_difference(spec: ExtensionSpec, x: float, shift: int = 0):
-    """W1p - W1m; complex on the complex-path case, float elsewhere."""
+    """W1p - W1m; complex on case 11, float elsewhere."""
     spec.domain.require_inside(x)
     p, m = _pointwise(spec, np.array([float(x)]), shift)[2:4]
     return p.item() - m.item()
@@ -296,7 +294,7 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
     arrays), and the plus bottom is checked before the minus one; an
     overflow there reads as a non-finite bottom.  Real bottoms are then
     bisected to the root point by point, each step reading the bottom it
-    needs from one scalar W1 call; the complex-path case can only be
+    needs from one scalar W1 call; complex bottoms (case 11's) can only be
     screened by magnitude.
     """
     a, b = window
@@ -320,17 +318,16 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
                 raise DenominatorZero(
                     f"case {cs.num}: denominator vanishes at x = {loc:.9g} "
                     f"(branch {branch:+d}, eps - {shift})", loc)
-            if cs.complex_path:
+            if np.iscomplexobj(vals):
                 continue
-            re = np.real(vals)
-            flips = np.nonzero(re[:-1] * re[1:] < 0)[0]
+            flips = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
             if flips.size:
                 i = int(flips[0])
                 lo, hi = float(xs[i]), float(xs[i + 1])
-                flo = float(re[i])
+                flo = float(vals[i])
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    fm = float(np.real(cs.w1(mid, ee, r, l)[at]))
+                    fm = float(cs.w1(mid, ee, r, l)[at])
                     if flo * fm <= 0:
                         hi = mid
                     else:

@@ -375,8 +375,7 @@ class FamilySpec:
     solution v(x, beta, d), and k and R follow from the fold (`Fold`), and so
     do the admissible parameters and levels (blocked, admits); top_level
     decides an instance's tower once, as FamilyParams.max_k.  state is the
-    normalized states' StateForm.  oracle_floor is the smallest half-width
-    of the FD oracle box.
+    normalized states' StateForm.
     """
 
     id: str
@@ -388,7 +387,6 @@ class FamilySpec:
     g: Callable
     state: StateForm
     v: Optional[Callable] = None
-    oracle_floor: float = 8.0
 
     def k(self, x, e, r, b):
         """(k, k') at (eps, rho, beta): v at the fold's constants, or rho/eps + eps G."""
@@ -448,12 +446,11 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
     FamilySpec("morse", "Morse, k = eps - rho*exp(-x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-2.0, 14.0),
                g=_g_constant(1.0), v=_v_morse,
-               state=StateForm(terms=_morse_terms, **_MORSE_STATE), oracle_floor=25.0),
+               state=StateForm(terms=_morse_terms, **_MORSE_STATE)),
     FamilySpec("morse-mirror", "mirrored Morse, k = -eps - rho*exp(x)",
                _make_domain(-_INF, _INF), 1.0, _FOLD_BETA_MEAN, (-14.0, 2.0),
                g=_g_constant(-1.0), v=partial(_v_morse, sign=-1.0),
-               state=StateForm(terms=partial(_morse_terms, sign=-1.0), **_MORSE_STATE),
-               oracle_floor=25.0),
+               state=StateForm(terms=partial(_morse_terms, sign=-1.0), **_MORSE_STATE)),
     FamilySpec("radial-osc", "radial oscillator, k = eps/x + rho*x",
                _make_domain(0.0, _INF), 0.0, _FOLD_D_MEAN, (0.0, 10.0),
                g=_g_inverse, v=_v_radial,
@@ -491,8 +488,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                    log_c0=lambda e, r, b: (0.5 - e) * _LOG2 + 0.5 * (
                        log_gamma(1 - e + r / e) - log_gamma(1 - 2 * e) - log_gamma(e + r / e)),
                    terms=partial(_ratio_terms, sides=_log_coth_sides,
-                                 coordinate=lambda x: 1.0 / np.tanh(x)), **_RATIO_STATE),
-               oracle_floor=25.0),
+                                 coordinate=lambda x: 1.0 / np.tanh(x)), **_RATIO_STATE)),
     FamilySpec("coulomb", "Coulomb, k = eps/x + rho/eps",
                _make_domain(0.0, _INF), 0.0, _FOLD_RATIO, (0.0, 20.0),
                g=_g_inverse,
@@ -501,8 +497,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.id: spec for spec in (
                                                  - 2 * e * math.log(r / e) - log_gamma(-2 * e)),
                    step=_fixed(-1.0), poly="laguerre_l", params=lambda e, r, k: (-1 - 2 * e,),
                    terms=lambda x, e, r, b, k: (-e * np.log(2.0 * x) + r * x / (k - e),
-                                                2 * r * x / (e - k))),
-               oracle_floor=25.0),
+                                                2 * r * x / (e - k)))),
     FamilySpec("rosen-morse1", "trigonometric Rosen-Morse, k = -eps*tan(x) + rho/eps",
                _make_domain(-_PI / 2, _PI / 2), -1.0, _FOLD_RATIO,
                (-_PI / 2, _PI / 2),

@@ -184,7 +184,8 @@ def _log_lanczos_gamma(z: complex) -> float:
 
 
 def _off_poles(x: float) -> float:
-    if x <= 0.0 and abs(x - round(x)) < 1e-12:
+    # exactly the non-positive integers, where math.lgamma and math.gamma raise
+    if x <= 0.0 and x == round(x):
         raise GammaPole(f"gamma pole at {x}")
     return x
 

@@ -599,24 +599,28 @@ def fd_spectrum(target, oracle: OracleSpec, count: int) -> list:
     return [float(x) for x in 0.5 * (los + his)]
 
 
+# the first rung of reference_oracle's cut on an infinite end, on every family
+_ORACLE_FLOOR = 8.0
+
+
 def reference_oracle(fp: FamilyParams, n: int = 3000) -> OracleSpec:
     """Truncation box sized from the ground-state footprint.
 
-    Infinite ends are cut where zeta_0 drops below 1e-12 of its peak
-    (never tighter than the family's oracle floor, |x| = 8, or 25 for the
-    slow exponential families); singular finite ends sit at the domain
-    clip margin.
+    Each infinite end is cut at the first |x| = 8 * 1.25^i where zeta_0 is
+    at most 1e-12 of its peak (sampled at 129 points, out to |x| = 4.8 on an
+    infinite end), or at the first rung past 200 if none is; the rungs
+    start at _ORACLE_FLOOR on every family.  Finite ends sit at the domain
+    clip margin.  ROADMAP item 11 replaces this cut with one read from V.
     """
     dom = fp.domain
     wf0 = spectra.wavefunction(fp, 0)
-    floor = fp.spec.oracle_floor
     lo_fin, hi_fin = math.isfinite(dom.lo), math.isfinite(dom.hi)
-    ga = dom.lo + dom.delta if lo_fin else -0.6 * floor
-    gb = dom.hi - dom.delta if hi_fin else 0.6 * floor
+    ga = dom.lo + dom.delta if lo_fin else -0.6 * _ORACLE_FLOOR
+    gb = dom.hi - dom.delta if hi_fin else 0.6 * _ORACLE_FLOOR
     peak = float(np.max(np.abs(wf0(np.linspace(ga, gb, 129)))))
 
     def cut(direction: float) -> float:
-        t = floor
+        t = _ORACLE_FLOOR
         while t < 200.0:
             if float(np.abs(wf0(np.array([direction * t]))[0])) <= 1e-12 * peak:
                 break

@@ -97,17 +97,16 @@ def scan_oracle(cs, e, r, l, window, n):
                 raise DenominatorZero(
                     f"case {cs.num}: denominator vanishes at x = {loc:.9g} "
                     f"(branch {branch:+d}, eps - {shift})", loc)
-            if cs.complex_path:
+            if np.iscomplexobj(vals):
                 continue
-            re = vals.real if np.iscomplexobj(vals) else vals
-            flips = np.nonzero(re[:-1] * re[1:] < 0)[0]
+            flips = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
             if flips.size:
                 i = int(flips[0])
                 lo, hi = float(xs[i]), float(xs[i + 1])
-                flo = float(re[i])
+                flo = float(vals[i])
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    fm = float(np.real(bot(mid)))
+                    fm = float(bot(mid))
                     if flo * fm <= 0:
                         hi = mid
                     else:

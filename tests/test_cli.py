@@ -247,10 +247,10 @@ def test_oracle_compare_box_flag(capsys):
     assert rc == 2 and out == "" and "--oracle must be 'a,b,N'" in err
 
 
-def test_spectrum_oracle_stays_a_switch(capsys):
-    rc, out, _ = run(capsys, "spectrum", *MORSE, "--oracle")
-    lines = out.strip().splitlines()
-    assert rc == 0 and lines[0] == "k\tE_k\toracle_gap\tdeviation" and len(lines) == 4
+def test_spectrum_has_no_oracle_switch(capsys):
+    # oracle compare is the one command that runs the FD oracle
+    rc, out, err = run(capsys, "spectrum", *MORSE, "--oracle")
+    assert (rc, out, err) == (2, "", "error: unrecognized arguments: --oracle\n")
 
 
 def test_inadmissible_level_exits_2(capsys):
@@ -337,7 +337,7 @@ def test_a_flag_the_check_does_not_read_exits_2(capsys, check, target, flag):
 # exit 0; tests/test_readme.py runs every command with every input alone
 @pytest.mark.parametrize("command,flag", [
     ("spectrum", "--grid=0,1,5"), ("spectrum", "--tol=1e-30"), ("wavefunction", "--tol=1e-30"),
-    ("oracle compare", "--grid=0,1,5"), ("spectrum --oracle", "--grid=0,1,5"),
+    ("oracle compare", "--grid=0,1,5"),
 ])
 def test_an_input_the_command_does_not_read_exits_2(capsys, command, flag):
     rc, out, err = run(capsys, *command.split(), *MORSE, flag)
@@ -504,20 +504,6 @@ def test_flags_and_config_document_print_the_same(capsys, tmp_path, command, fla
     assert by_flags[0] == 0 and by_flags == by_doc
 
 
-@pytest.mark.parametrize("flags", [
-    MORSE, ["--family=scarf2", "--m=3.2", "--invariant=1", "--d=0.4", "--tol=1e-9"]])
-def test_spectrum_oracle_prints_the_oracle_compare_rows(capsys, flags):
-    rc1, spectrum, _ = run(capsys, "spectrum", *flags, "--oracle", "--kmax=2")
-    rc2, compare, _ = run(capsys, "oracle", "compare", *flags, "--kmax=2")
-    assert rc1 == rc2 and spectrum.splitlines() == compare.splitlines()[:-1]
-    assert compare.splitlines()[-1].startswith("max_deviation=")
-    _, spectrum, _ = run(capsys, "spectrum", *flags, "--oracle", "--kmax=2", "--json")
-    _, compare, _ = run(capsys, "oracle", "compare", *flags, "--kmax=2", "--json")
-    spectrum, compare = json.loads(spectrum), json.loads(compare)
-    assert spectrum["levels"] == compare["levels"] and spectrum["oracle"] == compare["oracle"]
-    assert set(compare) - set(spectrum) == {"tol", "pass"}
-
-
 def test_one_beta_or_d_stands_for_every_coupling(capsys):
     job = ["spectrum", "--family=morse", "--m=2.5", "--json"]
     short = run(capsys, *job, "--beta=0.1,0.2", "--d=1")
@@ -572,7 +558,6 @@ ORACLE_CAP = "oracle grid size must be <= 1000000"
     (["wavefunction"], "grid", "0,1,1000000000000", True, GRID_CAP),
     (["oracle", "compare"], "oracle", "-3,30,1000001", True, ORACLE_CAP),
     (["oracle", "compare"], "oracle", "-3,30,1000001", False, ORACLE_CAP),
-    (["spectrum", "--oracle"], "oracle", "-3,30,1000000000000", False, ORACLE_CAP),
 ])
 def test_grid_and_oracle_sizes_are_capped_before_any_array(capsys, tmp_path, monkeypatch,
                                                          command, key, box, by_flag, message):

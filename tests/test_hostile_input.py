@@ -101,8 +101,8 @@ def test_hostile_input_keeps_the_exit_code_contract(job, as_json):
     "verify si --family=rosen-morse2 --m=1e300 --rho-invariant=1",
     "spectrum --family=rosen-morse1-cot --m=1e-160 --rho-invariant=1",
     "oracle compare --family=harm-osc --m=0 --invariant=1 --beta=1 --oracle=0,1e-300,1000",
-    "spectrum --oracle --family=rosen-morse2 --m=1e154 --rho-invariant=0.5",
-    "spectrum --oracle --family=eckart --m=7e-17 --rho-invariant=1",
+    "oracle compare --family=rosen-morse2 --m=1e154 --rho-invariant=0.5 --kmax=8",
+    "oracle compare --family=eckart --m=7e-17 --rho-invariant=1 --kmax=8",
     "wavefunction --family=scarf2 --m=1e300 --invariant=1 --d=3 --k=3",
     "wavefunction --family=scarf1 --m=-1e306 --invariant=1 --k=0",
 ])

@@ -103,8 +103,8 @@ def test_readme_python_blocks_run(capsys):
 # the "read by" column of the config-key table against what the CLI rejects
 
 # the job commands as the column names them, and their argv heads
-COMMANDS = {"spectrum": ["spectrum"], "spectrum --oracle": ["spectrum", "--oracle"],
-            "oracle compare": ["oracle", "compare"], "wavefunction": ["wavefunction"],
+COMMANDS = {"spectrum": ["spectrum"], "oracle compare": ["oracle", "compare"],
+            "wavefunction": ["wavefunction"],
             **{f"verify {check}": ["verify", check]
                for check in ("si", "ladder", "orthonormal", "cond1", "cond2", "ext-si")}}
 # one value of each config key, and the flags that give it (the --oracle box

@@ -201,6 +201,16 @@ def test_gamma_pole():
         gamma_abs_complex(complex(-2.0, 0.0))
     with pytest.raises(GammaPole):
         log_gamma(0.0)
+    with pytest.raises(GammaPole):
+        log_gamma(-3.0)
+    with pytest.raises(GammaPole):
+        gamma(-1.0)
+
+
+def test_gamma_next_to_a_pole_is_finite():
+    # only the poles themselves are refused, where math.lgamma and math.gamma raise
+    assert log_gamma(-1e-14) == math.lgamma(-1e-14)
+    assert math.isfinite(gamma(-2 + 1e-15))
 
 
 @pytest.mark.parametrize("x", [-2.5, -0.3, 0.2, 0.45])

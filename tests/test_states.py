@@ -175,7 +175,7 @@ def test_orthonormal_jobs_that_failed_in_the_tails_pass(capsys, flags):
 def test_oracle_at_large_eps_reports_its_own_miss(capsys):
     # the states are fine; the FD oracle's O(h^2) error on a state about
     # 0.07 wide misses the tolerance, which is exit 1, not an internal error
-    rc = main(["spectrum", "--family=morse", "--m=200", "--invariant=1", "--d=1",
-               "--kmax=3", "--oracle"])
+    rc = main(["oracle", "compare", "--family=morse", "--m=200", "--invariant=1", "--d=1",
+               "--kmax=3"])
     out = capsys.readouterr().out
     assert rc == 1 and out.startswith("k\tE_k\toracle_gap\tdeviation")

@@ -324,6 +324,17 @@ def test_reference_oracle_interior_stays_inside_domain():
         assert box.b - h < hi or not math.isfinite(hi)
 
 
+@pytest.mark.parametrize("n", [1000, 3000])
+@pytest.mark.parametrize("fid", ["morse", "morse-mirror", "coulomb"])
+def test_fd_gaps_of_the_exponential_and_coulomb_fixtures(fid, n):
+    # the infinite-end cut starts at |x| = 8 on these families too: a box
+    # cut from 25 coarsens h, and the Morse fixtures then read 4.6e-3 at n = 1000
+    fp = fixture(fid)
+    lam = fd_spectrum(fp, reference_oracle(fp, n), 3)
+    for k in (1, 2):
+        assert abs((lam[k] - lam[0]) - spectra.eigenenergy(fp, k)) <= 1e-3, (k, lam)
+
+
 def test_fd_names_the_node_where_the_potential_is_not_finite():
     def pot(x):
         with np.errstate(divide="ignore"):

@@ -326,11 +326,15 @@ def cmd_spectrum(args) -> int:
 def cmd_wavefunction(args) -> int:
     fp, job = _resolve(args, "wavefunction")
     wf = spectra.wavefunction(fp, job["k"])
-    xs, _ = verify.grid_points(fp.domain, job["grid"] or verify.default_grid(fp, 201))
+    xs = verify.grid_points(fp.domain, job["grid"] or verify.default_grid(fp, 201))
     zeta = np.asarray(wf(xs), dtype=float)
     v, _ = families.partner_potentials(fp, xs)
     norm = verify.quadrature(lambda t: (z := wf(t)) * z, fp.domain, 1e-10)
     residue = wf.imag_residue(xs)
+    rows = [[float(x), float(z), float(p)] for x, z, p in zip(xs, zeta, v)]
+    _require_finite([norm, residue], "the norm or the imaginary residue")
+    for row in rows:
+        _require_finite(row[1:], f"the row at x={_fmt(row[0])}")
     if job["format"] == "json":
         out = {
             "family": fp.id,
@@ -339,15 +343,15 @@ def cmd_wavefunction(args) -> int:
             "norm": norm,
             "imag_residue": residue,
             "grid": {"a": float(xs[0]), "b": float(xs[-1]), "N": int(xs.size)},
-            "rows": [[float(x), float(z), float(p)] for x, z, p in zip(xs, zeta, v)],
+            "rows": rows,
         }
         print(_dumps(out))
     else:
         # csv: '.' decimal, ',' separator, diagnostics on a comment line
         print(f"# family={fp.id},k={job['k']},norm={_fmt(norm)},imag_residue={_fmt(residue)}")
         print("x,zeta,V")
-        for x, z, p in zip(xs, zeta, v):
-            print(f"{_fmt(x)},{_fmt(z)},{_fmt(p)}")
+        for row in rows:
+            print(",".join(map(_fmt, row)))
     return EXIT_PASS
 
 

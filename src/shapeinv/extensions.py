@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dual
 from .dual import seed
-from .errors import DenominatorZero, ValidationError
+from .errors import DenominatorZero, GammaPole, ValidationError
 from .families import (_FOLD_D_ONLY, FAMILY_SPECS, ConstructionData, Domain, Fold, _fold,
                        _make_domain)
 # the fold styles shared with the base families, under the case table's names
@@ -51,9 +51,8 @@ class CaseSpec:
     stretched by the scale s: W0(x) = s k(s x), W0'(x) = s^2 k'(s x), and
     its remainder is s^2 R; the domain and window are the family's divided
     by s.  w1(x, e, r, l) returns (bottom_plus, bottom_minus), the bottoms
-    b of both displays from one call, each correction being W1 = b'/b;
-    constants(e, r, l) lists the constant factors of the bottoms, which
-    b'/b does not see, checked once at build time.
+    b of both displays from one call, each correction being W1 = b'/b, so
+    a constant factor of a bottom is never written down.
     """
 
     num: int
@@ -64,7 +63,6 @@ class CaseSpec:
     w1: Callable
     scale: int = 1
     base_params: Callable[[float, float, int], tuple] = lambda e, r, l: (e, r)
-    constants: Callable[[float, float, int], tuple] = lambda e, r, l: ()
     domain: Domain = field(init=False)
     window: tuple[float, float] = field(init=False)
 
@@ -113,9 +111,9 @@ def _w1_case6(xd, e, r, l):
 
 
 def _w1_case7(xd, e, r, l):
+    # 1F1(-l; c; z) is l!/(c)_l times L_l^(c - 1)(z), so W is case 6's
     z = -(xd ** 2)
-    return ((0.5 + l + e) * hyp1f1_terminating(-l, 0.5 + l + e, z),
-            (-0.5 + l + e) * hyp1f1_terminating(-l, -0.5 + l + e, z))
+    return hyp1f1_terminating(-l, 0.5 + l + e, z), hyp1f1_terminating(-l, -0.5 + l + e, z)
 
 
 def _w1_case8(xd, e, r, l):
@@ -131,10 +129,8 @@ def _w1_case9(xd, e, r, l):
 
 def _w1_case10(xd, e, r, l):
     z = dual.sin(xd) ** 2
-    # the Gamma quotient Gamma(c)/Gamma(c+1) = 1/c of the display leaves the
-    # constant factor c in the bottom, where the scan checks it
-    return ((0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, 0.5 + e + r, z),
-            (-0.5 + e + r) * hyp2f1_terminating(-l, -1 + l + 2 * r, -0.5 + e + r, z))
+    return (hyp2f1_terminating(-l, -1 + l + 2 * r, 0.5 + e + r, z),
+            hyp2f1_terminating(-l, -1 + l + 2 * r, -0.5 + e + r, z))
 
 
 def _w1_case11(xd, e, r, l):
@@ -157,15 +153,13 @@ CASE_SPECS: dict[int, CaseSpec] = {cs.num: cs for cs in (
     CaseSpec(6, "unit-slope radial base, Laguerre-ratio correction", _FOLD_D_ONLY, True,
              "radial-osc", _w1_case6, base_params=lambda e, r, l: (e + l, -1.0)),
     CaseSpec(7, "unit-slope radial base, Kummer-ratio correction", _FOLD_D_ONLY, True,
-             "radial-osc", _w1_case7, base_params=lambda e, r, l: (e + l, -1.0),
-             constants=lambda e, r, l: (0.5 + l + e, -0.5 + l + e)),
+             "radial-osc", _w1_case7, base_params=lambda e, r, l: (e + l, -1.0)),
     CaseSpec(8, "tan base, rational sin correction", _FOLD_MINUS_BETA, False,
              "scarf1", _w1_case8),
     CaseSpec(9, "double-argument cot base, Jacobi-ratio correction", _FOLD_MINUS_BETA, True,
              "scarf1-cot", _w1_case9, scale=2, base_params=lambda e, r, l: (e + l, -r)),
     CaseSpec(10, "double-argument cot base, Gauss-ratio correction", _FOLD_MINUS_BETA, True,
-             "scarf1-cot", _w1_case10, scale=2,
-             constants=lambda e, r, l: (0.5 + e + r, -0.5 + e + r)),
+             "scarf1-cot", _w1_case10, scale=2),
     # the sech term of the base is imaginary; the correction difference is not
     CaseSpec(11, "tanh base, complex Jacobi-ratio correction", _FOLD_PLUS_BETA, True,
              "scarf2", _w1_case11, base_params=lambda e, r, l: (e, 1j * r)),
@@ -292,7 +286,9 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
     translated display too.  One W1 call per shift gives both bottoms over
     the whole scan grid (the W1 functions and the specfun recurrences take
     arrays), and the plus bottom is checked before the minus one; an
-    overflow there reads as a non-finite bottom.  Real bottoms are then
+    overflow there reads as a non-finite bottom, and a terminating series
+    whose lower parameter hits 0, -1, -2, ... at one of its terms (specfun's
+    GammaPole) is rejected as a DenominatorZero.  Real bottoms are then
     bisected to the root point by point, each step reading the bottom it
     needs from one scalar W1 call; complex bottoms (case 11's) can only be
     screened by magnitude.
@@ -301,17 +297,17 @@ def _scan_denominators(cs: CaseSpec, e: float, r: float, l: int,
     xs = np.linspace(a, b, 4 * _GRID_POINTS + 1)
     for shift in (0, 1):
         ee = e - shift
-        for c in cs.constants(ee, r, l):
-            if abs(c) < 1e-9:
-                raise DenominatorZero(
-                    f"case {cs.num}: constant factor {c:.3e} vanishes at eps - {shift}")
-        with np.errstate(all="ignore"):
-            parts = cs.w1(xs, ee, r, l)
+        try:
+            with np.errstate(all="ignore"):
+                parts = cs.w1(xs, ee, r, l)
+        except GammaPole as exc:
+            raise DenominatorZero(f"case {cs.num}: {exc} at eps - {shift}") from None
         for branch, at in ((1, 0), (-1, 1)):
             vals = parts[at]
             mags = np.abs(vals)
             _require_finite(cs, xs, mags)
-            neighbor = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
+            ends = np.pad(mags, 1)   # an end point's one neighbour beside a 0
+            neighbor = np.maximum(ends[:-2], ends[2:])
             tiny = mags < 1e-12 * (1.0 + neighbor)
             if np.any(tiny):
                 loc = float(xs[int(np.argmax(tiny))])
@@ -426,7 +422,7 @@ def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
     grid that reaches a pole or an overflow outside the certified window
     raises DenominatorZero, as the scan does.
     """
-    xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
+    xs = grid_points(spec.domain, grid or extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
     xd = seed(xs)
     with np.errstate(all="ignore"):
@@ -434,7 +430,7 @@ def check_cond2(spec: ExtensionSpec, grid=None) -> GridReport:
         plus_down = _w1(cs, xd, e - 1, r, l)[0]
         res = np.abs(minus - plus_down) / (1.0 + np.abs(plus_down))
     _require_finite(cs, xs, res)
-    return _report(xs, res, excluded)
+    return _report(xs, res)
 
 
 def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
@@ -450,7 +446,7 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
     that overflows reads as non-finite, and the scan's rule raises
     DenominatorZero there.
     """
-    xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
+    xs = grid_points(spec.domain, grid or extension_grid(spec))
     # each part as a row at eps and a row at eps - 1
     _, _, p, m, w0, p2, m2 = np.stack([_pointwise(spec, xs, shift) for shift in (0, 1)], axis=1)
     with np.errstate(all="ignore"):
@@ -458,7 +454,7 @@ def check_cond1(spec: ExtensionSpec, grid=None) -> GridReport:
         res = np.maximum(np.max(np.abs(lhs) / (1.0 + np.abs(w0) ** 2), axis=0),
                          np.abs(lhs[0] - lhs[1]))
     _require_finite(spec.case, xs, res)
-    return _report(xs, res, excluded)
+    return _report(xs, res)
 
 
 def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
@@ -468,11 +464,11 @@ def extended_si_check(spec: ExtensionSpec, grid=None) -> GridReport:
     from the base; scaled like the family-side check.  A non-finite residual
     (an overflow past the certified window) raises DenominatorZero.
     """
-    xs, excluded = grid_points(spec.domain, grid or extension_grid(spec))
+    xs = grid_points(spec.domain, grid or extension_grid(spec))
     w, wp = _pointwise(spec, xs, 0)[:2]
     wd, wpd = _pointwise(spec, xs, 1)[:2]
     with np.errstate(all="ignore"):
         v_plus, v_down = w ** 2 + wp, wd ** 2 - wpd
         res = np.abs(v_plus - v_down - base_remainder(spec, shift=1)) / (1.0 + np.abs(v_down))
     _require_finite(spec.case, xs, res)
-    return _report(xs, res, excluded)
+    return _report(xs, res)

@@ -540,7 +540,6 @@ class FamilyParams:
     eps: float
     rho: float
     beta: float
-    alpha: float
     provenance: ConstructionData
 
     @property
@@ -573,8 +572,7 @@ def build_family(family_id: str, data: ConstructionData) -> FamilyParams:
                f"k -> {value:.6g} as x -> {x:+}, where the limit must be {'>' if x > 0 else '<'} 0")
         raise RangeViolation(f"family {family_id!r} requires zeta_0 = exp(-int k) in L^2, "
                              f"but {why} {got}")
-    return FamilyParams(id=family_id, eps=eps, rho=rho, beta=beta,
-                        alpha=spec.alpha, provenance=data)
+    return FamilyParams(id=family_id, eps=eps, rho=rho, beta=beta, provenance=data)
 
 
 def top_level(fp: FamilyParams) -> Optional[int]:
@@ -652,7 +650,7 @@ def construction_remainder(fp: FamilyParams) -> float:
         raise ValidationError(
             f"family {fp.id!r} has no construction-side remainder formula")
     mean, sum_beta, _ = _coupling_sums(fp.provenance)
-    return (2 * mean + 1) * fp.alpha + 2 * sum_beta
+    return (2 * mean + 1) * fp.spec.alpha + 2 * sum_beta
 
 
 def classic_reconstruction(which: str, m1: float, m2: float, x):

@@ -36,7 +36,6 @@ class GridReport:
     mean_residual: float
     argmax_x: float
     points_used: int
-    points_excluded: int
     grid: tuple  # (first x, last x, count) of the points that ran
 
 
@@ -72,14 +71,13 @@ class GramReport:
     entries: tuple  # ((i, j, <zeta_i, zeta_j>), ...)
 
 
-def _report(xs: np.ndarray, res: np.ndarray, excluded: int) -> GridReport:
+def _report(xs: np.ndarray, res: np.ndarray) -> GridReport:
     idx = int(np.argmax(res))
     return GridReport(
         max_residual=float(res[idx]),
         mean_residual=float(np.mean(res)),
         argmax_x=float(xs[idx]),
         points_used=int(res.size),
-        points_excluded=int(excluded),
         grid=(float(xs[0]), float(xs[-1]), int(xs.size)),
     )
 
@@ -90,10 +88,9 @@ def clip_window(domain: families.Domain, lo: float, hi: float) -> tuple[float, f
     return max(lo, clo), min(hi, chi)
 
 
-def grid_points(domain: families.Domain, grid) -> tuple[np.ndarray, int]:
-    """The points of a check grid (a, b, N) inside the clipped domain, and
-    the count of those dropped; needs finite a < b, 3 <= N <= MAX_GRID_POINTS
-    and a point left."""
+def grid_points(domain: families.Domain, grid) -> np.ndarray:
+    """The points of a check grid (a, b, N) inside the clipped domain; needs
+    finite a < b, 3 <= N <= MAX_GRID_POINTS and a point left."""
     a, b, n = grid
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError(f"check grid must be finite with a < b, got ({a}, {b})")
@@ -107,7 +104,7 @@ def grid_points(domain: families.Domain, grid) -> tuple[np.ndarray, int]:
     if xs.size == 0:
         raise ValidationError(f"check grid ({a}, {b}, {n}) lies entirely outside "
                               f"the clipped domain [{clo:.6g}, {chi:.6g}]")
-    return xs, int(n) - xs.size
+    return xs
 
 
 def default_grid(fp: FamilyParams, n: int = 2001) -> tuple[float, float, int]:
@@ -123,11 +120,11 @@ def si_residual(fp: FamilyParams, grid=None) -> GridReport:
     """
     down = families.translate_family(fp, 1)
     shift = families.remainder(down)
-    xs, excluded = grid_points(fp.domain, grid if grid is not None else default_grid(fp))
+    xs = grid_points(fp.domain, grid if grid is not None else default_grid(fp))
     _, v_plus = families.partner_potentials(fp, xs)
     v_down, _ = families.partner_potentials(down, xs)
     res = np.abs(v_plus - v_down - shift) / (1.0 + np.abs(v_down))
-    return _report(xs, res, excluded)
+    return _report(xs, res)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +697,7 @@ def ladder_check(fp: FamilyParams, k: int) -> LadderReport:
         res, sign = res_plus, 1
     else:
         res, sign = res_minus, -1
-    base = _report(xs, res, 0)
+    base = _report(xs, res)
     return LadderReport(**base.__dict__, sign=sign)
 
 
@@ -713,7 +710,7 @@ def schrodinger_residual(fp: FamilyParams, k: int) -> GridReport:
     centre = np.asarray(state(xs))
     drive = (v - energy) * centre
     res = np.abs(-_second5(state, xs, h, centre) + drive) / (1.0 + np.abs(drive))
-    return _report(xs, res, 0)
+    return _report(xs, res)
 
 
 def orthonormality(fp: FamilyParams, kmax: int) -> GramReport:

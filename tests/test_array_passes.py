@@ -25,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from shapeinv import extensions as ext
 from shapeinv.dual import seed
-from shapeinv.errors import DenominatorZero, EvalDomainError, ShapeInvError, ValidationError
+from shapeinv.errors import (DenominatorZero, EvalDomainError, GammaPole, ShapeInvError,
+                             ValidationError)
 from shapeinv.invariants import (
     SHIFTS,
     Bin,
@@ -76,21 +77,21 @@ def scan_oracle(cs, e, r, l, window, n):
     xs = np.linspace(a, b, max(4 * n + 1, 1001))
     for shift in (0, 1):
         ee = e - shift
-        for c in cs.constants(ee, r, l):
-            if abs(c) < 1e-9:
-                raise DenominatorZero(
-                    f"case {cs.num}: constant factor {c:.3e} vanishes at eps - {shift}")
         for branch in (1, -1):
             def bot(x: float):
                 return cs.w1(x, ee, r, l)[0 if branch > 0 else 1]
 
-            vals = np.array([bot(float(x)) for x in xs])
+            try:
+                vals = np.array([bot(float(x)) for x in xs])
+            except GammaPole as exc:
+                raise DenominatorZero(f"case {cs.num}: {exc} at eps - {shift}") from None
             mags = np.abs(vals)
             if not np.all(np.isfinite(mags)):
                 loc = float(xs[int(np.argmin(np.isfinite(mags)))])
                 raise DenominatorZero(
                     f"case {cs.num}: denominator not finite near x = {loc:.6g}", loc)
-            neighbor = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
+            ends = np.pad(mags, 1)   # an end point's one neighbour beside a 0
+            neighbor = np.maximum(ends[:-2], ends[2:])
             tiny = mags < 1e-12 * (1.0 + neighbor)
             if np.any(tiny):
                 loc = float(xs[int(np.argmax(tiny))])
@@ -119,7 +120,7 @@ def scan_oracle(cs, e, r, l, window, n):
 
 def cond2_oracle(spec):
     """cond2's residuals from a scalar jet seeded at each grid point."""
-    xs, _ = grid_points(spec.domain, ext.extension_grid(spec))
+    xs = grid_points(spec.domain, ext.extension_grid(spec))
     cs, e, r, l = spec.case, spec.eps, spec.rho, spec.ell
     res = []
     for x in xs:
@@ -278,7 +279,7 @@ def assert_cond2_matches_point_seeds(spec):
     assert abs(got.max_residual - want.max()) <= 1e-13
     assert abs(got.mean_residual - want.mean()) <= 1e-13
     # and each part of both displays, point by point, against its scalar seed
-    xs, _ = grid_points(spec.domain, ext.extension_grid(spec))
+    xs = grid_points(spec.domain, ext.extension_grid(spec))
     for e in (spec.eps, spec.eps - 1):
         grid = ext._w1(spec.case, seed(xs), e, spec.rho, spec.ell)
         one = np.array([ext._w1(spec.case, seed(float(x)), e, spec.rho, spec.ell)

@@ -154,6 +154,30 @@ def test_cond2_grid_past_the_window_exits_3(capsys):
     assert rc == 3 and "denominator not finite near x = 720.01" in err
 
 
+@pytest.mark.parametrize("case,flags,term", [
+    (7, ["--m=-3.5", "--ell=4"], "1F1 lower parameter 0.0 hits a pole at term 1"),
+    (7, ["--m=-9.5", "--ell=6"], "1F1 lower parameter -3.0 hits a pole at term 4"),
+    (10, ["--m=-1.8", "--d=0.3", "--ell=3"], "2F1 lower parameter -1.0 hits a pole at term 2"),
+])
+def test_a_lower_parameter_pole_exits_3(capsys, case, flags, term):
+    rc, out, err = run(capsys, "verify", "cond2", f"--extension={case}", *flags, "--invariant=1")
+    assert (rc, out) == (3, "")
+    assert err == f"numerical failure: case {case}: {term} inside the truncated sum at eps - 0\n"
+
+
+@pytest.mark.parametrize("flags", [
+    # both 2F1 sums stop before their first term: W1 = 0 although the plus
+    # bottom's lower parameter is 0
+    ["--extension=10", "--m=0", "--d=-0.5", "--ell=2"],
+    # the bottom 7 + 2 cosh x, whose first scan point once read the last as
+    # a neighbour
+    ["--extension=1", "--m=3", "--d=-1", "--window=0.5,30"],
+])
+def test_a_bottom_that_never_vanishes_passes_cond2(capsys, flags):
+    rc, out, err = run(capsys, "verify", "cond2", *flags, "--invariant=1")
+    assert (rc, err) == (0, "") and out.endswith(" PASS\n")
+
+
 # case 4 at eps = m, rho = beta / 2: the bottom 2 eps +- 1 - x^2 is exactly 0
 # at the grid point x = 3, for the plus branch at m = 4 and the minus branch
 # at m = 5; an exact pole reads like an overflow, never as a raw exception
@@ -635,14 +659,21 @@ def test_overflowing_sums_exit_2(capsys, flags):
 
 
 @pytest.mark.parametrize("command,what", [
-    (["spectrum", "--beta=1e308", "--kmax=1"], "the level table at k=1 is not finite: inf"),
-    (["verify", "si", "--beta=1e200"], "the value judged against tol is not finite: nan"),
+    (["spectrum", "--m=2.5", "--d=1", "--beta=1e308", "--kmax=1"],
+     "the level table at k=1 is not finite: inf"),
+    (["verify", "si", "--m=2.5", "--d=1", "--beta=1e200"],
+     "the value judged against tol is not finite: nan"),
+    # the Laguerre factor overflows where the exponential underflows
+    (["wavefunction", "--m=200", "--d=1", "--k=64", "--grid=-30,5,4"],
+     "the row at x=-30 is not finite: nan, 1.1420073897728316e+26"),
+    (["wavefunction", "--m=2.5", "--d=1e200", "--k=0", "--grid=0,5,3"],
+     "the row at x=0 is not finite: 0, inf"),
 ])
 @pytest.mark.parametrize("as_json", [[], ["--json"]])
 def test_non_finite_results_exit_3(capsys, command, what, as_json):
-    # printed "energy":inf (exit 0) and "residual_max":nan (exit 1) before
-    rc, out, err = run(capsys, *command, "--family=morse", "--m=2.5", "--invariant=1",
-                       "--d=1", *as_json)
+    # printed "energy":inf, a row's nan or inf (exit 0) and "residual_max":nan
+    # (exit 1) before
+    rc, out, err = run(capsys, *command, "--family=morse", "--invariant=1", *as_json)
     assert rc == 3 and out == "" and err == f"numerical failure: {what}\n"
 
 

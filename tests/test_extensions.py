@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from shapeinv.extensions import (
 )
 from shapeinv.families import ConstructionData, Coupling
 from shapeinv.invariants import ParamVector, parse_invariant, verify_invariant
+
+from test_acceptance import extension_box
 
 TRIV = verify_invariant(parse_invariant("1"), 1)
 
@@ -267,9 +270,57 @@ def test_case11_complex_values():
 
 
 def test_structural_constant_detection():
-    # case 7 bottom factor -1/2 + ell + eps crosses zero
+    # the lower parameter -1/2 + ell + eps of case 7's minus bottom is 0, a
+    # pole of the series' first term
     with pytest.raises(DenominatorZero):
         build(7, -0.5, ell=1)
+
+
+@pytest.mark.parametrize("case,eps,rho,ell,where", [
+    (7, -3.5, 0.0, 4, "1F1 lower parameter 0.0 hits a pole at term 1"),
+    (7, -9.5, 0.0, 6, "1F1 lower parameter -3.0 hits a pole at term 4"),
+    (10, -1.8, 0.3, 3, "2F1 lower parameter -1.0 hits a pole at term 2"),
+])
+def test_every_lower_parameter_pole_is_a_denominator_zero(case, eps, rho, ell, where):
+    # the last two left build_extension as GammaPole while a constant factor
+    # of the bottom stood for the lower parameter
+    with pytest.raises(DenominatorZero, match=f"^case {case}: {where} .* at eps - 0$"):
+        build(case, eps, rho, ell=ell)
+
+
+def test_a_gauss_bottom_that_stops_before_its_first_term_builds_as_its_base():
+    # -1 + ell + 2 rho = 0 stops both 2F1 sums before their first term, so
+    # each bottom is 1 and W1 = 0, although the plus bottom's lower parameter
+    # 1/2 + eps + rho is 0
+    s = build(10, 0.0, -0.5, ell=2)
+    xs = np.linspace(*s.window, 7)
+    assert all(w1_branch(s, x, b) == 0.0 for x in xs for b in (1, -1))
+    assert check_cond2(s).max_residual == 0.0
+
+
+def test_the_kummer_case_is_the_laguerre_case():
+    # 1F1(-ell; c; z) is ell!/(c)_ell times L_ell^(c - 1)(z), and cases 6 and
+    # 7 share their base, so W and W' agree on criterion 06's shared box,
+    # where both build
+    rng = random.Random("ext-7 is ext-6")
+    for _ in range(16):
+        e, _, l = extension_box(6, rng)
+        w6, w7 = (extended_superpotential(build(case, e, ell=l)) for case in (6, 7))
+        xs = np.linspace(*ext.extension_grid(w6.spec))
+        for read in ("w", "w_prime"):
+            got, want = getattr(w7, read)(xs), getattr(w6, read)(xs)
+            assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), (e, l, read)
+
+
+def test_a_scan_end_point_has_one_neighbour():
+    # the bottom 7 + 2 cosh x never falls below 9.26 on the window; its first
+    # point read the last one, over 1e12 times larger, as a neighbour
+    assert build(1, 3.0, -1.0, window=(0.5, 30.0)).window == (0.5, 30.0)
+    # a case-2 ell = 3 draw of criterion 06's box, rejected the same way
+    s = build(2, 0.796171611810984, -2.3302805134222453, ell=3)
+    assert check_cond1(s).max_residual <= 1e-8
+    assert check_cond2(s).max_residual <= 1e-10
+    assert extended_si_check(s).max_residual <= 1e-7
 
 
 def test_window_must_intersect_domain():

@@ -17,7 +17,7 @@ import pytest
 
 from shapeinv.cli import main
 from shapeinv.errors import InadmissibleState, RangeViolation, ShapeInvError
-from shapeinv.families import FAMILY_IDS, FAMILY_SPECS, FamilyParams, FamilySpec
+from shapeinv.families import FAMILY_IDS, FamilyParams, FamilySpec
 from shapeinv.spectra import (
     admissible_range,
     eigenenergy,
@@ -66,8 +66,7 @@ def outcome(fn, *args):
 
 def params(fid, e, r, b=1.0):
     """The family at (eps, rho, beta) as given, with no range conditions applied."""
-    return FamilyParams(id=fid, eps=e, rho=r, beta=b, alpha=FAMILY_SPECS[fid].alpha,
-                        provenance=None)
+    return FamilyParams(id=fid, eps=e, rho=r, beta=b, provenance=None)
 
 
 def check_walk(fp, kmax, top):

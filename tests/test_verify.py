@@ -291,7 +291,7 @@ def test_schrodinger_residual_evaluates_each_node_once(monkeypatch, fid, k):
     drive = (v - spectra.eigenenergy(fp, k)) * state(xs)
     second = (-state(xs - 2 * h) + 16 * state(xs - h) - 30 * state(xs)
               + 16 * state(xs + h) - state(xs + 2 * h)) / (12 * h ** 2)
-    want = verify._report(xs, np.abs(-second + drive) / (1.0 + np.abs(drive)), 0)
+    want = verify._report(xs, np.abs(-second + drive) / (1.0 + np.abs(drive)))
     calls = []
     monkeypatch.setattr(spectra, "wavefunction",
                         lambda *_: lambda x: calls.append(x) or state(x))
